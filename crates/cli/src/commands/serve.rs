@@ -94,11 +94,13 @@ mod unix {
             .to_string();
         let socket = socket_path(args);
         let (obs, outputs) = TraceOutputs::from_args(args)?;
-        // The service's counters are the daemon's exit report either way.
+        // The service's counters are the daemon's exit report either way;
+        // without a trace output no span is kept, so a long-running
+        // daemon's recorder stays bounded.
         let obs = if obs.is_enabled() {
             obs
         } else {
-            acclaim_obs::Obs::enabled()
+            acclaim_obs::Obs::metrics_only()
         };
         let config = ServeConfig {
             workers: args.num_or("workers", 2usize)?,
@@ -224,16 +226,29 @@ mod unix {
         let Ok(read_half) = stream.try_clone() else {
             return;
         };
-        let reader = BufReader::new(read_half);
+        let mut reader = BufReader::new(read_half);
         let mut writer = stream;
-        for line in reader.lines() {
-            let Ok(line) = line else { break };
-            if line.trim().is_empty() {
-                continue;
+        let mut buf = Vec::new();
+        loop {
+            buf.clear();
+            match reader.read_until(b'\n', &mut buf) {
+                Ok(0) | Err(_) => break,
+                Ok(_) => {}
             }
-            let (response, shutdown) = match decode_request(&line) {
-                Ok(request) => handle_request(service, request),
-                Err(message) => (WireResponse::Error { message }, false),
+            // A line that is not UTF-8 gets an error reply; the
+            // connection stays open for the next one.
+            let (response, shutdown) = match std::str::from_utf8(&buf) {
+                Ok(line) if line.trim().is_empty() => continue,
+                Ok(line) => match decode_request(line) {
+                    Ok(request) => handle_request(service, request),
+                    Err(message) => (WireResponse::Error { message }, false),
+                },
+                Err(e) => (
+                    WireResponse::Error {
+                        message: format!("bad request: {e}"),
+                    },
+                    false,
+                ),
             };
             let mut payload = encode_response(&response);
             payload.push('\n');
@@ -989,6 +1004,43 @@ mod unix {
             )
             .unwrap_err();
             assert!(e.contains("connecting to"), "{e}");
+        }
+
+        #[test]
+        fn non_utf8_line_gets_an_error_and_keeps_the_connection() {
+            let store = temp("acclaim-cli-serve-utf8-store");
+            let socket = temp("acclaim-cli-serve-utf8.sock");
+            let server = {
+                let (store, socket) = (store.clone(), socket.clone());
+                std::thread::spawn(move || {
+                    serve(
+                        &args(&[
+                            "serve",
+                            "--store",
+                            store.to_str().unwrap(),
+                            "--socket",
+                            socket.to_str().unwrap(),
+                        ]),
+                        &Diag::new(true),
+                    )
+                })
+            };
+            let mut conn = Connection::open(socket.to_str().unwrap(), 10).unwrap();
+            conn.writer.write_all(b"{\"Stats\xff\xfe\n").unwrap();
+            let mut reply = String::new();
+            conn.reader.read_line(&mut reply).unwrap();
+            match decode_response(&reply).unwrap() {
+                WireResponse::Error { message } => {
+                    assert!(message.contains("utf-8"), "{message}")
+                }
+                other => panic!("expected an error reply, got {other:?}"),
+            }
+            let stats = conn.round_trip(&WireRequest::Stats).unwrap();
+            assert!(matches!(stats, WireResponse::Stats { .. }), "{stats:?}");
+            let bye = conn.round_trip(&WireRequest::Shutdown).unwrap();
+            assert!(matches!(bye, WireResponse::Bye), "{bye:?}");
+            server.join().unwrap().unwrap();
+            std::fs::remove_dir_all(&store).ok();
         }
     }
 }

@@ -5,6 +5,7 @@ use serde::{Map, Number, Value};
 
 pub(crate) fn parse(text: &str) -> Result<Value, Error> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
     };
@@ -17,7 +18,11 @@ pub(crate) fn parse(text: &str) -> Result<Value, Error> {
     Ok(value)
 }
 
+/// Positions only ever advance past ASCII bytes or whole runs ending
+/// before an ASCII delimiter, so `pos` always sits on a char boundary
+/// and slices of `text` never need UTF-8 checking again.
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -123,13 +128,22 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            let b = self.peek().ok_or_else(|| self.err("unterminated string"))?;
-            match b {
-                b'"' => {
+            // Copy the run up to the next quote or backslash in one slice;
+            // raw control characters pass through as before.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(self.bytes.len() - self.pos);
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run;
+            match self.peek() {
+                None => return Err(self.err("unterminated string")),
+                Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                b'\\' => {
+                // A backslash: the only other byte a run stops at.
+                Some(_) => {
                     self.pos += 1;
                     let esc = self.peek().ok_or_else(|| self.err("unterminated escape"))?;
                     self.pos += 1;
@@ -145,14 +159,6 @@ impl Parser<'_> {
                         b'u' => out.push(self.unicode_escape()?),
                         _ => return Err(self.err("invalid escape")),
                     }
-                }
-                _ => {
-                    // Consume one UTF-8 scalar (input is a valid &str).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
                 }
             }
         }
@@ -206,8 +212,7 @@ impl Parser<'_> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number"))?;
+        let text = &self.text[start..self.pos];
         if text.is_empty() || text == "-" {
             return Err(self.err("invalid number"));
         }

@@ -9,7 +9,8 @@
 //! * [`recorder::Obs`] — a cheap-to-clone recorder handle. Disabled
 //!   handles (the default) reduce every operation to a branch on
 //!   `None`, so instrumented code paths cost nothing measurable when
-//!   tracing is off.
+//!   tracing is off; a metrics-only handle keeps counters, gauges and
+//!   histograms but drops spans, for long-running processes.
 //! * **Spans** ([`span`]) — hierarchical, thread-aware intervals with
 //!   attributes. Two timelines coexist: `host` spans are stamped by the
 //!   recorder's injectable [`clock::Clock`] (real wall time by default,

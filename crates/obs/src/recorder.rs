@@ -6,7 +6,9 @@
 //! every operation short-circuits on the `None` and the instrumented
 //! code never branches on enablement itself. An enabled handle collects
 //! spans and metrics into shared state that [`Obs::snapshot`] freezes
-//! for export.
+//! for export; a metrics-only handle ([`Obs::metrics_only`]) keeps the
+//! metrics and drops every span, so its memory stays bounded however
+//! long the process runs.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -20,6 +22,8 @@ use crate::span::{AttrValue, OpenSpan, SpanGuard, SpanRecord, Timeline};
 #[derive(Debug)]
 struct Inner {
     clock: Box<dyn Clock>,
+    /// False for a metrics-only recorder, whose span log stays empty.
+    keep_spans: bool,
     spans: Mutex<Vec<SpanRecord>>,
     metrics: Registry,
     next_id: AtomicU64,
@@ -48,9 +52,21 @@ impl Obs {
     /// A live recorder with an injected clock (e.g. a
     /// [`crate::clock::ManualClock`] driven by a simulation or test).
     pub fn with_clock(clock: Box<dyn Clock>) -> Self {
+        Obs::live(clock, true)
+    }
+
+    /// A live recorder that keeps counters, gauges and histograms but
+    /// drops spans: for a long-running process that reports metrics
+    /// and writes no trace.
+    pub fn metrics_only() -> Self {
+        Obs::live(Box::new(WallClock::new()), false)
+    }
+
+    fn live(clock: Box<dyn Clock>, keep_spans: bool) -> Self {
         Obs {
             inner: Some(Arc::new(Inner {
                 clock,
+                keep_spans,
                 spans: Mutex::new(Vec::new()),
                 metrics: Registry::default(),
                 next_id: AtomicU64::new(1),
@@ -59,9 +75,9 @@ impl Obs {
         }
     }
 
-    /// Whether anything is being recorded. Use only to skip *preparing*
-    /// expensive attributes — recording calls are already no-ops when
-    /// disabled.
+    /// Whether anything (metrics, at least) is being recorded. Use only
+    /// to skip *preparing* expensive attributes — recording calls are
+    /// already no-ops when disabled.
     pub fn is_enabled(&self) -> bool {
         self.inner.is_some()
     }
@@ -74,7 +90,7 @@ impl Obs {
     /// Open a guarded host-timeline span. The innermost open span on
     /// this thread becomes its parent; dropping the guard closes it.
     pub fn span(&self, cat: &'static str, name: &'static str) -> SpanGuard<'_> {
-        let open = self.inner.as_ref().map(|inner| {
+        let open = self.span_log().map(|inner| {
             let id = inner.next_id.fetch_add(1, Ordering::Relaxed);
             let tid = std::thread::current().id();
             let mut current = inner.current.lock().expect("span stack lock");
@@ -136,7 +152,7 @@ impl Obs {
         end_us: f64,
         attrs: Vec<(String, AttrValue)>,
     ) {
-        let Some(inner) = &self.inner else { return };
+        let Some(inner) = self.span_log() else { return };
         let id = inner.next_id.fetch_add(1, Ordering::Relaxed);
         inner.spans.lock().expect("span log lock").push(SpanRecord {
             id,
@@ -179,6 +195,11 @@ impl Obs {
             end_us: end_us.max(open.start_us),
             attrs: open.attrs,
         });
+    }
+
+    /// The recorder, if it keeps spans.
+    fn span_log(&self) -> Option<&Inner> {
+        self.inner.as_deref().filter(|i| i.keep_spans)
     }
 
     /// Handle to the counter `name` (inert when disabled).
@@ -398,6 +419,30 @@ mod tests {
         assert_eq!(s.parent, None);
         assert_eq!((s.start_us, s.end_us), (10.0, 25.0));
         assert_eq!((snap.spans[1].start_us, snap.spans[1].end_us), (30.0, 30.0));
+    }
+
+    #[test]
+    fn metrics_only_recorder_keeps_metrics_and_drops_spans() {
+        let obs = Obs::metrics_only();
+        assert!(obs.is_enabled());
+        {
+            let _g = obs.span("t", "outer").attr("k", 1u64);
+            let _inner = obs.span("t", "inner");
+        }
+        obs.span_at("t", "slot", "nodes 0-1", 0.0, 5.0, Vec::new());
+        obs.host_span_at("serve", "request", "req 1", 1.0, 2.0, Vec::new());
+        obs.incr_counter("c", 3);
+        obs.set_gauge("g", 2.5);
+        obs.record_hist("h", 40.0);
+        assert!(obs.now_us() >= 0.0);
+
+        let snap = obs.snapshot();
+        assert_eq!(snap.clock, "wall");
+        assert!(snap.spans.is_empty());
+        assert_eq!(snap.metrics.counters, vec![("c".to_string(), 3)]);
+        assert_eq!(snap.metrics.gauges, vec![("g".to_string(), 2.5)]);
+        assert_eq!(snap.metrics.histograms[0].1.count, 1);
+        assert_eq!(obs.metrics_snapshot().counters, snap.metrics.counters);
     }
 
     #[test]

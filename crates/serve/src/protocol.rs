@@ -287,9 +287,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn requests_round_trip_as_single_lines() {
-        let requests = vec![
+    fn requests() -> Vec<WireRequest> {
+        vec![
             WireRequest::Tune {
                 request: tune_request(),
             },
@@ -318,8 +317,12 @@ mod tests {
                 observed_us: 42.5,
             },
             WireRequest::Shutdown,
-        ];
-        for request in requests {
+        ]
+    }
+
+    #[test]
+    fn requests_round_trip_as_single_lines() {
+        for request in requests() {
             let line = encode_request(&request);
             assert!(!line.contains('\n'), "wire lines must be single-line");
             let decoded = decode_request(&line).unwrap();
@@ -327,9 +330,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn responses_round_trip_as_single_lines() {
-        let responses = vec![
+    fn responses() -> Vec<WireResponse> {
+        vec![
             WireResponse::Tuned {
                 job: 1,
                 cached: false,
@@ -410,12 +412,37 @@ mod tests {
             WireResponse::Error {
                 message: "multi\nline\ncause".into(),
             },
-        ];
-        for response in responses {
+        ]
+    }
+
+    #[test]
+    fn responses_round_trip_as_single_lines() {
+        for response in responses() {
             let line = encode_response(&response);
             assert!(!line.contains('\n'), "newlines must stay escaped");
             let decoded = decode_response(&line).unwrap();
             assert_eq!(encode_response(&decoded), line);
+        }
+    }
+
+    /// Every cut of a line short of its end (a read torn mid-line)
+    /// decodes to an error instead of panicking or yielding a value.
+    #[test]
+    fn truncated_lines_are_rejected() {
+        fn cuts(line: &str) -> impl Iterator<Item = &str> {
+            (0..line.len())
+                .filter(|&end| line.is_char_boundary(end))
+                .map(|end| &line[..end])
+        }
+        for line in requests().iter().map(encode_request) {
+            for cut in cuts(&line) {
+                assert!(decode_request(cut).is_err(), "accepted {cut:?}");
+            }
+        }
+        for line in responses().iter().map(encode_response) {
+            for cut in cuts(&line) {
+                assert!(decode_response(cut).is_err(), "accepted {cut:?}");
+            }
         }
     }
 
