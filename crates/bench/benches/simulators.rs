@@ -19,6 +19,7 @@ fn roundsim_throughput(c: &mut Criterion) {
     let cases = [
         ("bcast_binomial_64x16_1MB", Algorithm::BcastBinomial, 64u32, 16u32, 1u64 << 20),
         ("allgather_ring_64x4_64KB", Algorithm::AllgatherRing, 64, 4, 65_536),
+        ("allgather_ring_64x32_1MB", Algorithm::AllgatherRing, 64, 32, 1 << 20),
         (
             "allreduce_rsag_32x8_256KB",
             Algorithm::AllreduceReduceScatterAllgather,

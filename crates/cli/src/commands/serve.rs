@@ -59,7 +59,7 @@ mod unix {
     use acclaim_store::EntryFormat;
     use rand::{rngs::StdRng, Rng, SeedableRng};
     use std::collections::BTreeSet;
-    use std::io::{BufRead, BufReader, Write};
+    use std::io::{BufRead, BufReader, Read, Write};
     use std::os::unix::net::{UnixListener, UnixStream};
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::{Arc, Mutex};
@@ -217,6 +217,11 @@ mod unix {
         Ok(report)
     }
 
+    /// Longest request line the daemon buffers, in bytes. Requests are
+    /// a few KiB at most; a longer line is answered with an error and
+    /// discarded up to its newline.
+    const MAX_REQUEST_LINE: usize = 1 << 20;
+
     fn handle_connection(
         stream: UnixStream,
         service: &TuneService,
@@ -231,24 +236,34 @@ mod unix {
         let mut buf = Vec::new();
         loop {
             buf.clear();
-            match reader.read_until(b'\n', &mut buf) {
+            match (&mut reader)
+                .take(MAX_REQUEST_LINE as u64 + 1)
+                .read_until(b'\n', &mut buf)
+            {
                 Ok(0) | Err(_) => break,
                 Ok(_) => {}
             }
-            // A line that is not UTF-8 gets an error reply; the
-            // connection stays open for the next one.
-            let (response, shutdown) = match std::str::from_utf8(&buf) {
-                Ok(line) if line.trim().is_empty() => continue,
-                Ok(line) => match decode_request(line) {
-                    Ok(request) => handle_request(service, request),
-                    Err(message) => (WireResponse::Error { message }, false),
-                },
-                Err(e) => (
-                    WireResponse::Error {
-                        message: format!("bad request: {e}"),
+            // A line that is too long or not UTF-8 gets an error reply;
+            // the connection stays open for the next one.
+            let too_long = buf.len() > MAX_REQUEST_LINE && buf.last() != Some(&b'\n');
+            let (response, shutdown) = if too_long {
+                let _ = reader.skip_until(b'\n');
+                let message = format!("bad request: line longer than {MAX_REQUEST_LINE} bytes");
+                (WireResponse::Error { message }, false)
+            } else {
+                match std::str::from_utf8(&buf) {
+                    Ok(line) if line.trim().is_empty() => continue,
+                    Ok(line) => match decode_request(line) {
+                        Ok(request) => handle_request(service, request),
+                        Err(message) => (WireResponse::Error { message }, false),
                     },
-                    false,
-                ),
+                    Err(e) => (
+                        WireResponse::Error {
+                            message: format!("bad request: {e}"),
+                        },
+                        false,
+                    ),
+                }
             };
             let mut payload = encode_response(&response);
             payload.push('\n');
@@ -1032,6 +1047,49 @@ mod unix {
             match decode_response(&reply).unwrap() {
                 WireResponse::Error { message } => {
                     assert!(message.contains("utf-8"), "{message}")
+                }
+                other => panic!("expected an error reply, got {other:?}"),
+            }
+            let stats = conn.round_trip(&WireRequest::Stats).unwrap();
+            assert!(matches!(stats, WireResponse::Stats { .. }), "{stats:?}");
+            let bye = conn.round_trip(&WireRequest::Shutdown).unwrap();
+            assert!(matches!(bye, WireResponse::Bye), "{bye:?}");
+            server.join().unwrap().unwrap();
+            std::fs::remove_dir_all(&store).ok();
+        }
+
+        #[test]
+        fn oversized_line_gets_an_error_and_keeps_the_connection() {
+            let store = temp("acclaim-cli-serve-long-store");
+            let socket = temp("acclaim-cli-serve-long.sock");
+            let server = {
+                let (store, socket) = (store.clone(), socket.clone());
+                std::thread::spawn(move || {
+                    serve(
+                        &args(&[
+                            "serve",
+                            "--store",
+                            store.to_str().unwrap(),
+                            "--socket",
+                            socket.to_str().unwrap(),
+                        ]),
+                        &Diag::new(true),
+                    )
+                })
+            };
+            let mut conn = Connection::open(socket.to_str().unwrap(), 10).unwrap();
+            // Three times the cap, written from a second thread so the
+            // write does not wait on the socket buffer.
+            let mut line = vec![b'x'; 3 * MAX_REQUEST_LINE];
+            line.push(b'\n');
+            let mut writer = conn.writer.try_clone().unwrap();
+            let sender = std::thread::spawn(move || writer.write_all(&line).unwrap());
+            let mut reply = String::new();
+            conn.reader.read_line(&mut reply).unwrap();
+            sender.join().unwrap();
+            match decode_response(&reply).unwrap() {
+                WireResponse::Error { message } => {
+                    assert!(message.contains("longer than"), "{message}")
                 }
                 other => panic!("expected an error reply, got {other:?}"),
             }

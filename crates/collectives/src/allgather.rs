@@ -12,7 +12,7 @@
 //! **per-rank contribution**, so every rank ends with `n * bytes`.
 
 use crate::blocks::{pad_to_power_of_two, prev_power_of_two};
-use acclaim_netsim::{Msg, Schedule};
+use acclaim_netsim::{Msg, RingPhase, Schedule, Step};
 
 /// Ring allgather.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,18 +34,13 @@ impl Schedule for AllgatherRing {
         self.ranks
     }
 
-    fn visit_rounds(&self, visit: &mut dyn FnMut(&[Msg])) {
-        let n = self.ranks;
-        if n <= 1 {
-            return;
-        }
-        let mut buf: Vec<Msg> = Vec::with_capacity(n as usize);
-        for _ in 0..n - 1 {
-            buf.clear();
-            for i in 0..n {
-                buf.push(Msg::data(i, (i + 1) % n, self.bytes));
-            }
-            visit(&buf);
+    fn visit_steps(&self, visit: &mut dyn FnMut(Step<'_>)) {
+        if self.ranks > 1 {
+            visit(Step::Ring(RingPhase {
+                ranks: self.ranks,
+                block: self.bytes,
+                long_blocks: 0,
+            }));
         }
     }
 }
@@ -70,7 +65,8 @@ impl Schedule for AllgatherRecursiveDoubling {
         self.ranks
     }
 
-    fn visit_rounds(&self, visit: &mut dyn FnMut(&[Msg])) {
+    fn visit_steps(&self, visit: &mut dyn FnMut(Step<'_>)) {
+        let visit = &mut |round: &[Msg]| visit(Step::Round(round));
         let n = self.ranks;
         if n <= 1 {
             return;
@@ -139,7 +135,8 @@ impl Schedule for AllgatherBrucks {
         self.ranks
     }
 
-    fn visit_rounds(&self, visit: &mut dyn FnMut(&[Msg])) {
+    fn visit_steps(&self, visit: &mut dyn FnMut(Step<'_>)) {
+        let visit = &mut |round: &[Msg]| visit(Step::Round(round));
         let n = self.ranks;
         if n <= 1 {
             return;

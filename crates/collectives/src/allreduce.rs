@@ -10,7 +10,7 @@
 //! `bytes` is the full reduction payload.
 
 use crate::blocks::{pad_to_power_of_two, prev_power_of_two, Blocks};
-use acclaim_netsim::{Msg, Schedule};
+use acclaim_netsim::{Msg, Schedule, Step};
 
 /// Emit the fold round for non-P2 rank counts: ranks `p..n` contribute
 /// their whole vector to partner `i - p`. Returns the remainder count.
@@ -58,7 +58,8 @@ impl Schedule for AllreduceRecursiveDoubling {
         self.ranks
     }
 
-    fn visit_rounds(&self, visit: &mut dyn FnMut(&[Msg])) {
+    fn visit_steps(&self, visit: &mut dyn FnMut(Step<'_>)) {
+        let visit = &mut |round: &[Msg]| visit(Step::Round(round));
         let n = self.ranks;
         if n <= 1 {
             return;
@@ -101,7 +102,8 @@ impl Schedule for AllreduceReduceScatterAllgather {
         self.ranks
     }
 
-    fn visit_rounds(&self, visit: &mut dyn FnMut(&[Msg])) {
+    fn visit_steps(&self, visit: &mut dyn FnMut(Step<'_>)) {
+        let visit = &mut |round: &[Msg]| visit(Step::Round(round));
         let n = self.ranks;
         if n <= 1 {
             return;

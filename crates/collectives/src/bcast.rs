@@ -15,7 +15,7 @@
 
 use crate::blocks::{pad_to_power_of_two, prev_power_of_two, Blocks};
 use crate::scatter::visit_binomial_scatter;
-use acclaim_netsim::{Msg, Schedule};
+use acclaim_netsim::{Msg, RingPhase, Schedule, Step};
 
 /// Binomial-tree broadcast from rank 0.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,7 +37,8 @@ impl Schedule for BcastBinomial {
         self.ranks
     }
 
-    fn visit_rounds(&self, visit: &mut dyn FnMut(&[Msg])) {
+    fn visit_steps(&self, visit: &mut dyn FnMut(Step<'_>)) {
+        let visit = &mut |round: &[Msg]| visit(Step::Round(round));
         let n = self.ranks;
         let mut buf = Vec::new();
         let mut dist = 1;
@@ -72,7 +73,8 @@ impl Schedule for BcastScatterRecursiveDoublingAllgather {
         self.ranks
     }
 
-    fn visit_rounds(&self, visit: &mut dyn FnMut(&[Msg])) {
+    fn visit_steps(&self, visit: &mut dyn FnMut(Step<'_>)) {
+        let visit = &mut |round: &[Msg]| visit(Step::Round(round));
         let n = self.ranks;
         if n <= 1 {
             return;
@@ -146,23 +148,15 @@ impl Schedule for BcastScatterRingAllgather {
         self.ranks
     }
 
-    fn visit_rounds(&self, visit: &mut dyn FnMut(&[Msg])) {
+    fn visit_steps(&self, visit: &mut dyn FnMut(Step<'_>)) {
         let n = self.ranks;
         if n <= 1 {
             return;
         }
-        let blocks = Blocks::new(self.bytes, n);
-        visit_binomial_scatter(&blocks, visit);
-
-        let mut buf: Vec<Msg> = Vec::with_capacity(n as usize);
-        for j in 0..n - 1 {
-            buf.clear();
-            for i in 0..n {
-                let block = (i + n - j) % n;
-                buf.push(Msg::data(i, (i + 1) % n, blocks.size(block)));
-            }
-            visit(&buf);
-        }
+        visit_binomial_scatter(&Blocks::new(self.bytes, n), &mut |round| {
+            visit(Step::Round(round))
+        });
+        visit(Step::Ring(RingPhase::split(n, self.bytes)));
     }
 }
 

@@ -11,7 +11,7 @@
 //! `bytes` is the full reduction payload; the root is rank 0.
 
 use crate::blocks::{pad_to_power_of_two, prev_power_of_two, Blocks};
-use acclaim_netsim::{Msg, Schedule};
+use acclaim_netsim::{Msg, Schedule, Step};
 
 /// Binomial-tree reduction to rank 0.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,7 +33,8 @@ impl Schedule for ReduceBinomial {
         self.ranks
     }
 
-    fn visit_rounds(&self, visit: &mut dyn FnMut(&[Msg])) {
+    fn visit_steps(&self, visit: &mut dyn FnMut(Step<'_>)) {
+        let visit = &mut |round: &[Msg]| visit(Step::Round(round));
         let n = self.ranks;
         let mut buf = Vec::new();
         let mut s = 1;
@@ -70,7 +71,8 @@ impl Schedule for ReduceScatterGather {
         self.ranks
     }
 
-    fn visit_rounds(&self, visit: &mut dyn FnMut(&[Msg])) {
+    fn visit_steps(&self, visit: &mut dyn FnMut(Step<'_>)) {
+        let visit = &mut |round: &[Msg]| visit(Step::Round(round));
         let n = self.ranks;
         if n <= 1 {
             return;

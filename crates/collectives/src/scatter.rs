@@ -38,7 +38,7 @@ pub(crate) fn visit_binomial_scatter(blocks: &Blocks, visit: &mut dyn FnMut(&[Ms
 mod tests {
     use super::*;
     use crate::blocks::ceil_log2;
-    use acclaim_netsim::{MaterializedSchedule, Schedule};
+    use acclaim_netsim::{MaterializedSchedule, Schedule, Step};
 
     fn materialize(n: u32, m: u64) -> MaterializedSchedule {
         struct S(Blocks);
@@ -46,8 +46,8 @@ mod tests {
             fn num_ranks(&self) -> u32 {
                 self.0.count()
             }
-            fn visit_rounds(&self, visit: &mut dyn FnMut(&[Msg])) {
-                visit_binomial_scatter(&self.0, visit);
+            fn visit_steps(&self, visit: &mut dyn FnMut(Step<'_>)) {
+                visit_binomial_scatter(&self.0, &mut |round| visit(Step::Round(round)));
             }
         }
         S(Blocks::new(m, n)).materialize()

@@ -41,5 +41,5 @@ pub use fingerprint::{stable_hash64, Fingerprint};
 pub use noise::NoiseModel;
 pub use params::NetworkParams;
 pub use roundsim::RoundSim;
-pub use schedule::{MaterializedSchedule, Msg, Schedule};
+pub use schedule::{MaterializedSchedule, Msg, RingPhase, Schedule, Step};
 pub use topology::{Allocation, Layer, Topology};

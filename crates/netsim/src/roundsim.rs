@@ -8,6 +8,14 @@
 //! its messages, plus CPU posting overhead for the busiest rank and the
 //! largest per-rank reduction. Rounds execute back to back.
 //!
+//! A ring phase ([`Step::Ring`]) is priced without spelling out its
+//! rounds. Every round of a ring has the same sender→receiver pairs, so
+//! the contention counts are taken once, and each sender's message time
+//! is computed once for each of the (at most two) block sizes. A round's
+//! slowest message is then a maximum over two cyclic windows of senders.
+//! A 2048-rank ring costs O(n) instead of O(n²) messages, and the result
+//! is bit-identical to pricing the expanded rounds one by one.
+//!
 //! This slightly over-synchronizes compared to real executions (ranks
 //! wait for the global round, not just their own messages) but it prices
 //! millions of messages in milliseconds, which exhaustive benchmark-
@@ -15,7 +23,7 @@
 //! relaxes the synchronization and is used to validate this engine.
 
 use crate::cluster::Cluster;
-use crate::schedule::{Msg, Schedule};
+use crate::schedule::{Msg, RingPhase, Schedule, Step};
 use crate::topology::Layer;
 use acclaim_obs::{Counter, Histogram, Obs};
 
@@ -25,14 +33,10 @@ use acclaim_obs::{Counter, Histogram, Obs};
 /// per-resource counters are recycled between rounds and calls.
 #[derive(Debug, Default)]
 pub struct RoundSim {
-    mem: CountMap,
-    nic_out: CountMap,
-    nic_in: CountMap,
-    uplink: CountMap,
-    global: CountMap,
-    rank_msgs: CountMap,
+    load: Load,
     rank_reduce: Vec<u64>,
     reduce_touched: Vec<u32>,
+    ring: RingScratch,
     obs: RoundSimObs,
 }
 
@@ -44,6 +48,27 @@ struct RoundSimObs {
     rounds: Counter,
     messages: Counter,
     sim_us: Histogram,
+}
+
+/// Flows crossing each shared resource in the current round.
+#[derive(Debug, Default)]
+struct Load {
+    mem: CountMap,
+    nic_out: CountMap,
+    nic_in: CountMap,
+    uplink: CountMap,
+    global: CountMap,
+    rank_msgs: CountMap,
+}
+
+/// Per-sender message times and per-round window maxima of one ring
+/// phase.
+#[derive(Debug, Default)]
+struct RingScratch {
+    sender_us: Vec<f64>,
+    short_max: Vec<f64>,
+    long_max: Vec<f64>,
+    queue: Vec<usize>,
 }
 
 /// A dense counter array with a touched-list for O(touched) clearing.
@@ -90,6 +115,90 @@ impl CountMap {
     }
 }
 
+impl Load {
+    fn ensure(&mut self, cluster: &Cluster, ranks: u32) {
+        let topo = &cluster.topology;
+        self.mem.ensure(topo.total_nodes() as usize);
+        self.nic_out.ensure(topo.total_nodes() as usize);
+        self.nic_in.ensure(topo.total_nodes() as usize);
+        self.uplink.ensure(topo.num_racks as usize);
+        self.global.ensure(topo.num_pairs() as usize);
+        self.rank_msgs.ensure(ranks as usize);
+    }
+
+    /// Count `m` as one flow on every resource its path crosses.
+    #[inline]
+    fn add(&mut self, cluster: &Cluster, ppn: u32, m: &Msg) {
+        let topo = &cluster.topology;
+        let sn = cluster.node_of_rank(m.src, ppn);
+        let dn = cluster.node_of_rank(m.dst, ppn);
+        self.rank_msgs.bump(m.src);
+        self.rank_msgs.bump(m.dst);
+        if sn == dn {
+            self.mem.bump(sn);
+            return;
+        }
+        self.nic_out.bump(sn);
+        self.nic_in.bump(dn);
+        let (sr, dr) = (topo.rack_of(sn), topo.rack_of(dn));
+        if sr != dr {
+            self.uplink.bump(sr);
+            self.uplink.bump(dr);
+            let (sp, dp) = (topo.pair_of(sr), topo.pair_of(dr));
+            if sp != dp {
+                self.global.bump(sp);
+                self.global.bump(dp);
+            }
+        }
+    }
+
+    /// Completion time of `m` under the counted contention.
+    #[inline]
+    fn msg_time(&self, cluster: &Cluster, ppn: u32, m: &Msg) -> f64 {
+        let params = &cluster.params;
+        let topo = &cluster.topology;
+        let sn = cluster.node_of_rank(m.src, ppn);
+        let dn = cluster.node_of_rank(m.dst, ppn);
+        let layer = topo.layer_between(sn, dn);
+        let latency =
+            params.latency(layer, cluster.job_latency_factor) + params.alignment_latency(m.bytes);
+        if m.bytes == 0 {
+            latency
+        } else if layer == Layer::IntraNode {
+            let bw =
+                params.mem_bandwidth / self.mem.get(sn) as f64 * params.bandwidth_derating(m.bytes);
+            latency + m.bytes as f64 / bw
+        } else {
+            let mut share = (params.nic_bandwidth / self.nic_out.get(sn) as f64)
+                .min(params.nic_bandwidth / self.nic_in.get(dn) as f64);
+            let (sr, dr) = (topo.rack_of(sn), topo.rack_of(dn));
+            if sr != dr {
+                share = share
+                    .min(params.rack_uplink_bandwidth / self.uplink.get(sr) as f64)
+                    .min(params.rack_uplink_bandwidth / self.uplink.get(dr) as f64);
+                let (sp, dp) = (topo.pair_of(sr), topo.pair_of(dr));
+                if sp != dp {
+                    let global_bw = cluster.effective_global_bandwidth();
+                    share = share
+                        .min(global_bw / self.global.get(sp) as f64)
+                        .min(global_bw / self.global.get(dp) as f64);
+                }
+            }
+            let bw = share * params.bandwidth_derating(m.bytes);
+            latency + params.wire_bytes(m.bytes) as f64 / bw
+        }
+    }
+
+    fn clear(&mut self) {
+        self.mem.clear();
+        self.nic_out.clear();
+        self.nic_in.clear();
+        self.uplink.clear();
+        self.global.clear();
+        self.rank_msgs.clear();
+    }
+}
+
 impl RoundSim {
     /// A fresh simulator with empty scratch space.
     pub fn new() -> Self {
@@ -123,20 +232,15 @@ impl RoundSim {
             "schedule needs {ranks} ranks but allocation provides {}x{ppn}",
             cluster.num_nodes()
         );
-        let topo = &cluster.topology;
-        self.mem.ensure(topo.total_nodes() as usize);
-        self.nic_out.ensure(topo.total_nodes() as usize);
-        self.nic_in.ensure(topo.total_nodes() as usize);
-        self.uplink.ensure(topo.num_racks as usize);
-        self.global.ensure(topo.num_pairs() as usize);
-        self.rank_msgs.ensure(ranks as usize);
+        self.load.ensure(cluster, ranks);
         if self.rank_reduce.len() < ranks as usize {
             self.rank_reduce.resize(ranks as usize, 0);
         }
 
         let mut total = 0.0;
-        sched.visit_rounds(&mut |round| {
-            total += self.round_time(cluster, ppn, round);
+        sched.visit_steps(&mut |step| match step {
+            Step::Round(round) => total += self.round_time(cluster, ppn, round),
+            Step::Ring(ring) => self.ring_phase(cluster, ppn, &ring, &mut total),
         });
         total += epilogue_time(cluster, ppn, sched.epilogue_local_bytes());
         self.obs.calls.incr();
@@ -146,17 +250,12 @@ impl RoundSim {
 
     /// Price a single round.
     fn round_time(&mut self, cluster: &Cluster, ppn: u32, round: &[Msg]) -> f64 {
-        let params = &cluster.params;
-        let topo = &cluster.topology;
         self.obs.rounds.incr();
         self.obs.messages.add(round.len() as u64);
 
         // Pass 1: contention counts per shared resource.
         for m in round {
-            let sn = cluster.node_of_rank(m.src, ppn);
-            let dn = cluster.node_of_rank(m.dst, ppn);
-            self.rank_msgs.bump(m.src);
-            self.rank_msgs.bump(m.dst);
+            self.load.add(cluster, ppn, m);
             if m.reduce_bytes > 0 {
                 let slot = &mut self.rank_reduce[m.dst as usize];
                 if *slot == 0 {
@@ -164,76 +263,116 @@ impl RoundSim {
                 }
                 *slot += m.reduce_bytes;
             }
-            if sn == dn {
-                self.mem.bump(sn);
-                continue;
-            }
-            self.nic_out.bump(sn);
-            self.nic_in.bump(dn);
-            let (sr, dr) = (topo.rack_of(sn), topo.rack_of(dn));
-            if sr != dr {
-                self.uplink.bump(sr);
-                self.uplink.bump(dr);
-                let (sp, dp) = (topo.pair_of(sr), topo.pair_of(dr));
-                if sp != dp {
-                    self.global.bump(sp);
-                    self.global.bump(dp);
-                }
-            }
         }
 
         // Pass 2: slowest message in the round.
         let mut slowest = 0.0f64;
         for m in round {
-            let sn = cluster.node_of_rank(m.src, ppn);
-            let dn = cluster.node_of_rank(m.dst, ppn);
-            let layer = topo.layer_between(sn, dn);
-            let latency =
-                params.latency(layer, cluster.job_latency_factor) + params.alignment_latency(m.bytes);
-            let t = if m.bytes == 0 {
-                latency
-            } else if layer == Layer::IntraNode {
-                let bw = params.mem_bandwidth / self.mem.get(sn) as f64
-                    * params.bandwidth_derating(m.bytes);
-                latency + m.bytes as f64 / bw
-            } else {
-                let mut share = (params.nic_bandwidth / self.nic_out.get(sn) as f64)
-                    .min(params.nic_bandwidth / self.nic_in.get(dn) as f64);
-                let (sr, dr) = (topo.rack_of(sn), topo.rack_of(dn));
-                if sr != dr {
-                    share = share
-                        .min(params.rack_uplink_bandwidth / self.uplink.get(sr) as f64)
-                        .min(params.rack_uplink_bandwidth / self.uplink.get(dr) as f64);
-                    let (sp, dp) = (topo.pair_of(sr), topo.pair_of(dr));
-                    if sp != dp {
-                        let global_bw = cluster.effective_global_bandwidth();
-                        share = share
-                            .min(global_bw / self.global.get(sp) as f64)
-                            .min(global_bw / self.global.get(dp) as f64);
-                    }
-                }
-                let bw = share * params.bandwidth_derating(m.bytes);
-                latency + params.wire_bytes(m.bytes) as f64 / bw
-            };
-            slowest = slowest.max(t);
+            slowest = slowest.max(self.load.msg_time(cluster, ppn, m));
         }
 
-        // Per-rank CPU posting cost and the heaviest local reduction.
-        let cpu = params.cpu_overhead_us * self.rank_msgs.max() as f64;
+        let (cpu, reduce) = self.end_round(cluster);
+        slowest + cpu + reduce
+    }
+
+    /// Add the time of each round of `ring` to `total`, in order.
+    ///
+    /// In round `j` the senders of long blocks are the cyclic window
+    /// `j..j + long_blocks` and the senders of short blocks the window
+    /// that follows it, so each round's slowest message is the larger of
+    /// two window maxima over per-sender times. The rounds are added one
+    /// by one, as [`RoundSim::round_time`] would add them, which keeps
+    /// the total bit-identical to pricing the expanded rounds.
+    fn ring_phase(&mut self, cluster: &Cluster, ppn: u32, ring: &RingPhase, total: &mut f64) {
+        let n = ring.ranks;
+        let rounds = ring.rounds() as usize;
+        if rounds == 0 {
+            return;
+        }
+        self.obs.rounds.add(rounds as u64);
+        self.obs.messages.add(rounds as u64 * n as u64);
+
+        let msg = |i: u32, bytes: u64| Msg::data(i, (i + 1) % n, bytes);
+        for i in 0..n {
+            self.load.add(cluster, ppn, &msg(i, 0));
+        }
+        let long = ring.long_blocks as usize;
+        let s = &mut self.ring;
+        s.sender_us.clear();
+        s.sender_us
+            .extend((0..n).map(|i| self.load.msg_time(cluster, ppn, &msg(i, ring.block))));
+        cyclic_window_max(
+            &s.sender_us,
+            long,
+            n as usize - long,
+            rounds,
+            &mut s.queue,
+            &mut s.short_max,
+        );
+        if long > 0 {
+            s.sender_us.clear();
+            s.sender_us
+                .extend((0..n).map(|i| self.load.msg_time(cluster, ppn, &msg(i, ring.block + 1))));
+            cyclic_window_max(&s.sender_us, 0, long, rounds, &mut s.queue, &mut s.long_max);
+        }
+        let (cpu, reduce) = self.end_round(cluster);
+
+        let s = &self.ring;
+        for j in 0..rounds {
+            let mut slowest = 0.0f64.max(s.short_max[j]);
+            if long > 0 {
+                slowest = slowest.max(s.long_max[j]);
+            }
+            *total += slowest + cpu + reduce;
+        }
+    }
+
+    /// The round's CPU posting cost for the busiest rank and its heaviest
+    /// local reduction; resets the per-round counts.
+    fn end_round(&mut self, cluster: &Cluster) -> (f64, f64) {
+        let params = &cluster.params;
+        let cpu = params.cpu_overhead_us * self.load.rank_msgs.max() as f64;
         let mut reduce = 0.0f64;
         for &r in &self.reduce_touched {
             reduce = reduce.max(params.reduce_time(self.rank_reduce[r as usize]));
             self.rank_reduce[r as usize] = 0;
         }
         self.reduce_touched.clear();
-        self.mem.clear();
-        self.nic_out.clear();
-        self.nic_in.clear();
-        self.uplink.clear();
-        self.global.clear();
-        self.rank_msgs.clear();
+        self.load.clear();
+        (cpu, reduce)
+    }
+}
 
-        slowest + cpu + reduce
+/// For each `s` in `0..count`, `out[s]` is the maximum of `vals` over the
+/// cyclic window of `len` indices starting at `(first + s) % vals.len()`.
+/// A monotonic queue of candidate indices makes this O(`vals.len()` +
+/// `count`) instead of O(`len` · `count`).
+fn cyclic_window_max(
+    vals: &[f64],
+    first: usize,
+    len: usize,
+    count: usize,
+    queue: &mut Vec<usize>,
+    out: &mut Vec<f64>,
+) {
+    let n = vals.len();
+    debug_assert!((1..=n).contains(&len));
+    queue.clear();
+    out.clear();
+    let mut head = 0;
+    for x in first..first + count + len - 1 {
+        let v = vals[x % n];
+        while queue.len() > head && vals[queue[queue.len() - 1] % n] <= v {
+            queue.pop();
+        }
+        queue.push(x);
+        if x + 1 >= first + len {
+            let start = x + 1 - len;
+            while queue[head] < start {
+                head += 1;
+            }
+            out.push(vals[queue[head] % n]);
+        }
     }
 }
 
@@ -413,6 +552,31 @@ mod tests {
             sim.simulate(&idle, 1, &local),
             "intra-pair traffic must not"
         );
+    }
+
+    #[test]
+    fn cyclic_window_max_matches_a_direct_scan() {
+        // Small values so ties are common.
+        let vals: Vec<f64> = (0..9u32).map(|i| ((i * 7 + 3) % 5) as f64).collect();
+        let (mut queue, mut out) = (Vec::new(), Vec::new());
+        for n in 1..=vals.len() {
+            let vals = &vals[..n];
+            for len in 1..=n {
+                for first in 0..n {
+                    for count in 0..2 * n {
+                        cyclic_window_max(vals, first, len, count, &mut queue, &mut out);
+                        let direct: Vec<f64> = (0..count)
+                            .map(|s| {
+                                (0..len)
+                                    .map(|k| vals[(first + s + k) % n])
+                                    .fold(f64::MIN, f64::max)
+                            })
+                            .collect();
+                        assert_eq!(out, direct, "n={n} len={len} first={first} count={count}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

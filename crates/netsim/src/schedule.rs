@@ -7,9 +7,13 @@
 //! that to per-rank dataflow (a rank enters its next round as soon as its
 //! own round messages complete).
 //!
-//! Schedules can be *streamed*: generators produce each round into a
-//! reusable buffer so that large schedules (a 2048-rank ring allgather
-//! has ~4M messages) never materialize in memory at once.
+//! Schedules are *streamed* as [`Step`]s: an explicit round, produced
+//! into a reusable buffer, or a [`RingPhase`], a compact description of
+//! the `n − 1` rounds in which every rank forwards one block to its ring
+//! successor. A 2048-rank ring allgather is one ring step instead of
+//! ~4M messages. [`Schedule::visit_rounds`] expands ring steps, so
+//! consumers that need explicit messages (the DES, [`Schedule::materialize`],
+//! the message and byte counters) see the same rounds either way.
 
 /// One point-to-point message between two ranks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,14 +53,85 @@ impl Msg {
     }
 }
 
+/// A ring phase: `ranks − 1` rounds in which every rank `i` sends one
+/// block to `(i + 1) % ranks`. In round `j` rank `i` forwards block
+/// `(i + ranks − j) % ranks`, so after the phase every rank holds every
+/// block. Blocks follow MPICH's split: the first `long_blocks` blocks
+/// hold `block + 1` bytes and the rest `block` bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RingPhase {
+    /// Ranks on the ring (`0..ranks`).
+    pub ranks: u32,
+    /// Bytes of a short block.
+    pub block: u64,
+    /// Number of leading blocks that carry one extra byte.
+    pub long_blocks: u32,
+}
+
+impl RingPhase {
+    /// The ring phase that circulates `total` bytes split into `ranks`
+    /// blocks.
+    pub fn split(ranks: u32, total: u64) -> RingPhase {
+        assert!(ranks > 0, "a ring needs at least one rank");
+        RingPhase {
+            ranks,
+            block: total / ranks as u64,
+            long_blocks: (total % ranks as u64) as u32,
+        }
+    }
+
+    /// Number of rounds the phase takes.
+    pub fn rounds(&self) -> u32 {
+        self.ranks.saturating_sub(1)
+    }
+
+    /// Bytes of block `b`.
+    #[inline]
+    pub fn block_bytes(&self, b: u32) -> u64 {
+        self.block + u64::from(b < self.long_blocks)
+    }
+
+    /// Write round `j`'s messages into `buf`, replacing its contents.
+    pub fn round(&self, j: u32, buf: &mut Vec<Msg>) {
+        let n = self.ranks;
+        buf.clear();
+        buf.extend((0..n).map(|i| Msg::data(i, (i + 1) % n, self.block_bytes((i + n - j) % n))));
+    }
+}
+
+/// One step of a streamed schedule.
+#[derive(Debug, Clone, Copy)]
+pub enum Step<'a> {
+    /// One explicit round of messages. The slice is only valid for the
+    /// duration of the visit (generators reuse buffers).
+    Round(&'a [Msg]),
+    /// A whole ring phase, described instead of spelled out.
+    Ring(RingPhase),
+}
+
 /// A streaming communication schedule.
 pub trait Schedule {
     /// Number of ranks participating (ranks are `0..num_ranks`).
     fn num_ranks(&self) -> u32;
 
-    /// Visit every round in order. The slice passed to `visit` is only
-    /// valid for the duration of the call (generators reuse buffers).
-    fn visit_rounds(&self, visit: &mut dyn FnMut(&[Msg]));
+    /// Visit every step in order.
+    fn visit_steps(&self, visit: &mut dyn FnMut(Step<'_>));
+
+    /// Visit every round in order, with ring phases expanded into their
+    /// rounds. The slice passed to `visit` is only valid for the
+    /// duration of the call.
+    fn visit_rounds(&self, visit: &mut dyn FnMut(&[Msg])) {
+        let mut buf = Vec::new();
+        self.visit_steps(&mut |step| match step {
+            Step::Round(round) => visit(round),
+            Step::Ring(ring) => {
+                for j in 0..ring.rounds() {
+                    ring.round(j, &mut buf);
+                    visit(&buf);
+                }
+            }
+        });
+    }
 
     /// Bytes each rank copies locally after the last round (e.g. the
     /// final buffer rotation of the Bruck allgather). Zero by default.
@@ -143,9 +218,9 @@ impl Schedule for MaterializedSchedule {
         self.num_ranks
     }
 
-    fn visit_rounds(&self, visit: &mut dyn FnMut(&[Msg])) {
+    fn visit_steps(&self, visit: &mut dyn FnMut(Step<'_>)) {
         for round in &self.rounds {
-            visit(round);
+            visit(Step::Round(round));
         }
     }
 
@@ -180,6 +255,31 @@ mod tests {
     fn materialize_round_trips() {
         let s = two_round_schedule();
         assert_eq!(s.materialize(), s);
+    }
+
+    #[test]
+    fn ring_phase_expands_into_its_rounds() {
+        struct Ring(RingPhase);
+        impl Schedule for Ring {
+            fn num_ranks(&self) -> u32 {
+                self.0.ranks
+            }
+            fn visit_steps(&self, visit: &mut dyn FnMut(Step<'_>)) {
+                visit(Step::Ring(self.0));
+            }
+        }
+        // 10 bytes over 4 blocks: 3, 3, 2, 2.
+        let s = Ring(RingPhase::split(4, 10)).materialize();
+        s.validate().unwrap();
+        assert_eq!(s.rounds.len(), 3);
+        let bytes = |r: usize| s.rounds[r].iter().map(|m| m.bytes).collect::<Vec<_>>();
+        assert_eq!(bytes(0), [3, 3, 2, 2]);
+        assert_eq!(bytes(1), [2, 3, 3, 2]);
+        assert_eq!(bytes(2), [2, 2, 3, 3]);
+        assert!(s.rounds.iter().flatten().all(|m| m.dst == (m.src + 1) % 4));
+        assert_eq!(s.message_count(), 12);
+        assert_eq!(s.total_bytes(), 30);
+        assert!(Ring(RingPhase::split(1, 10)).materialize().rounds.is_empty());
     }
 
     #[test]
