@@ -138,10 +138,7 @@ impl GuidelineSet {
     ) -> Vec<Violation> {
         let mut out = Vec::new();
         let costs = model.predictions(collective, point);
-        let best = costs
-            .iter()
-            .map(|&(_, t)| t)
-            .fold(f64::INFINITY, f64::min);
+        let best = costs.iter().map(|&(_, t)| t).fold(f64::INFINITY, f64::min);
         let best_of = |c: Collective| model.best(c, point).1;
         for &(algorithm, cost) in &costs {
             // The analytically best algorithm is exempt from every

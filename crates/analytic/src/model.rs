@@ -333,9 +333,7 @@ impl CostModel {
                 lg as f64 * a + self.doubling_xfer(m, (p - 1.0) * m, point)
             }
             Algorithm::AllgatherBrucks => {
-                lg as f64 * a
-                    + self.doubling_xfer(m, (p - 1.0) * m, point)
-                    + self.local(p * m)
+                lg as f64 * a + self.doubling_xfer(m, (p - 1.0) * m, point) + self.local(p * m)
             }
             Algorithm::AllreduceRecursiveDoubling => {
                 lg as f64 * (a + self.xfer(m, point) + self.reduce(m))
@@ -349,17 +347,13 @@ impl CostModel {
             Algorithm::BcastScatterRecursiveDoublingAllgather => {
                 let (scatter, _) = self.halving_xfer_reduce(m, lg, point);
                 let block = m / p;
-                2.0 * lg as f64 * a
-                    + scatter
-                    + self.doubling_xfer(block, (p - 1.0) * block, point)
+                2.0 * lg as f64 * a + scatter + self.doubling_xfer(block, (p - 1.0) * block, point)
             }
             Algorithm::BcastScatterRingAllgather => {
                 let (scatter, _) = self.halving_xfer_reduce(m, lg, point);
                 lg as f64 * a + scatter + (p - 1.0) * (a + self.xfer(m / p, point))
             }
-            Algorithm::ReduceBinomial => {
-                lg as f64 * (a + self.xfer(m, point) + self.reduce(m))
-            }
+            Algorithm::ReduceBinomial => lg as f64 * (a + self.xfer(m, point) + self.reduce(m)),
             Algorithm::ReduceScatterGather => {
                 let (halving, reduced) = self.halving_xfer_reduce(m, lg, point);
                 let block = m / p;

@@ -265,8 +265,14 @@ mod tests {
                 .find(|(n, _)| n == name)
                 .map_or(0, |(_, v)| *v)
         };
-        assert_eq!(counter("analytic.priors_injected"), warm.priors.len() as u64);
-        assert_eq!(counter("analytic.candidates_pruned"), warm.pruned.len() as u64);
+        assert_eq!(
+            counter("analytic.priors_injected"),
+            warm.priors.len() as u64
+        );
+        assert_eq!(
+            counter("analytic.candidates_pruned"),
+            warm.pruned.len() as u64
+        );
         assert!(counter("analytic.guideline_violations") >= counter("analytic.candidates_pruned"));
     }
 
@@ -279,8 +285,11 @@ mod tests {
         let a = prior.warm_start(Collective::Bcast, &space, &Obs::disabled());
         let b = prior.warm_start(Collective::Bcast, &space, &Obs::disabled());
         assert_eq!(a.priors, b.priors);
-        let full = AnalyticPrior::from_dataset(&DatasetConfig::tiny(), enabled())
-            .warm_start(Collective::Bcast, &space, &Obs::disabled());
+        let full = AnalyticPrior::from_dataset(&DatasetConfig::tiny(), enabled()).warm_start(
+            Collective::Bcast,
+            &space,
+            &Obs::disabled(),
+        );
         assert!(!a.priors.is_empty() && a.priors.len() < full.priors.len());
     }
 

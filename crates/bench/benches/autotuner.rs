@@ -20,9 +20,7 @@ fn fixture() -> (BenchmarkDatabase, FeatureSpace, PerfModel) {
     let samples: Vec<TrainingSample> = space
         .points()
         .into_iter()
-        .flat_map(|p| {
-            collective.algorithms().iter().map(move |&a| (p, a))
-        })
+        .flat_map(|p| collective.algorithms().iter().map(move |&a| (p, a)))
         .map(|(p, a)| TrainingSample {
             point: p,
             algorithm: a,
@@ -101,10 +99,12 @@ fn policy_ablation(c: &mut Criterion) {
         };
         group.bench_with_input(BenchmarkId::from_parameter(name), &cfg, |b, cfg| {
             b.iter(|| {
-                black_box(
-                    ActiveLearner::new(cfg.clone())
-                        .train(&db, Collective::Reduce, &space, None),
-                )
+                black_box(ActiveLearner::new(cfg.clone()).train(
+                    &db,
+                    Collective::Reduce,
+                    &space,
+                    None,
+                ))
             })
         });
     }

@@ -19,7 +19,9 @@
 
 use acclaim_bench::simulation_env;
 use acclaim_collectives::Collective;
-use acclaim_core::{all_candidates, rank_by_variance, PerfModel, TrainingSample, VarianceScanCache};
+use acclaim_core::{
+    all_candidates, rank_by_variance, PerfModel, TrainingSample, VarianceScanCache,
+};
 use acclaim_ml::{ForestConfig, TreeUpdate};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;

@@ -10,11 +10,23 @@ fn schedule_generation(c: &mut Criterion) {
     let mut group = c.benchmark_group("schedule_generation");
     let cases = [
         ("bcast_binomial_2048", Algorithm::BcastBinomial, 2048u32),
-        ("bcast_scatter_rd_2048", Algorithm::BcastScatterRecursiveDoublingAllgather, 2048),
+        (
+            "bcast_scatter_rd_2048",
+            Algorithm::BcastScatterRecursiveDoublingAllgather,
+            2048,
+        ),
         ("allgather_ring_512", Algorithm::AllgatherRing, 512),
         ("allgather_brucks_2048", Algorithm::AllgatherBrucks, 2048),
-        ("allreduce_rsag_2048", Algorithm::AllreduceReduceScatterAllgather, 2048),
-        ("reduce_scatter_gather_2048", Algorithm::ReduceScatterGather, 2048),
+        (
+            "allreduce_rsag_2048",
+            Algorithm::AllreduceReduceScatterAllgather,
+            2048,
+        ),
+        (
+            "reduce_scatter_gather_2048",
+            Algorithm::ReduceScatterGather,
+            2048,
+        ),
     ];
     for (name, alg, ranks) in cases {
         group.bench_with_input(BenchmarkId::from_parameter(name), &ranks, |b, &ranks| {

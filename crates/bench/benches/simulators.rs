@@ -17,9 +17,27 @@ fn cluster(nodes: u32) -> Cluster {
 fn roundsim_throughput(c: &mut Criterion) {
     let mut group = c.benchmark_group("roundsim");
     let cases = [
-        ("bcast_binomial_64x16_1MB", Algorithm::BcastBinomial, 64u32, 16u32, 1u64 << 20),
-        ("allgather_ring_64x4_64KB", Algorithm::AllgatherRing, 64, 4, 65_536),
-        ("allgather_ring_64x32_1MB", Algorithm::AllgatherRing, 64, 32, 1 << 20),
+        (
+            "bcast_binomial_64x16_1MB",
+            Algorithm::BcastBinomial,
+            64u32,
+            16u32,
+            1u64 << 20,
+        ),
+        (
+            "allgather_ring_64x4_64KB",
+            Algorithm::AllgatherRing,
+            64,
+            4,
+            65_536,
+        ),
+        (
+            "allgather_ring_64x32_1MB",
+            Algorithm::AllgatherRing,
+            64,
+            32,
+            1 << 20,
+        ),
         (
             "allreduce_rsag_32x8_256KB",
             Algorithm::AllreduceReduceScatterAllgather,
@@ -46,10 +64,14 @@ fn roundsim_vs_des(c: &mut Criterion) {
     let sched = Algorithm::BcastScatterRingAllgather
         .schedule(16, 65_536)
         .materialize();
-    group.bench_with_input(BenchmarkId::new("roundsim", "bcast_sra_8x2"), &sched, |b, s| {
-        let mut sim = RoundSim::new();
-        b.iter(|| black_box(sim.simulate(&cl, 2, s)))
-    });
+    group.bench_with_input(
+        BenchmarkId::new("roundsim", "bcast_sra_8x2"),
+        &sched,
+        |b, s| {
+            let mut sim = RoundSim::new();
+            b.iter(|| black_box(sim.simulate(&cl, 2, s)))
+        },
+    );
     group.bench_with_input(BenchmarkId::new("des", "bcast_sra_8x2"), &sched, |b, s| {
         let mut sim = FlowSim::new();
         b.iter(|| black_box(sim.simulate(&cl, 2, s)))

@@ -181,9 +181,8 @@ fn main() {
             }
         }
     }
-    let out = out.unwrap_or_else(|| {
-        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_pr10.json")
-    });
+    let out = out
+        .unwrap_or_else(|| PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_pr10.json"));
 
     // -- Variance scan, pointer vs flat, at the ablation shape. --------
     const N_SAMPLES: usize = 800;
@@ -267,12 +266,8 @@ fn main() {
         use acclaim_serve::{JobStatus, QueryRequest, ServeConfig, TuneService};
         let dir = std::env::temp_dir().join("acclaim-bench-serve-latency");
         std::fs::remove_dir_all(&dir).ok();
-        let service = TuneService::open(
-            &dir,
-            ServeConfig::default(),
-            acclaim_obs::Obs::disabled(),
-        )
-        .expect("open serve store");
+        let service = TuneService::open(&dir, ServeConfig::default(), acclaim_obs::Obs::disabled())
+            .expect("open serve store");
         let request = acclaim_serve::loadgen::request_pool(1, 7)[0].clone();
         let JobStatus::Done(_) = service.submit(request.clone()).wait() else {
             panic!("serve warmup tune failed");
@@ -361,8 +356,7 @@ fn main() {
         },
         analytic,
     };
-    let text =
-        serde_json::to_string_pretty(&trajectory).expect("trajectory serializes");
+    let text = serde_json::to_string_pretty(&trajectory).expect("trajectory serializes");
     std::fs::write(&out, format!("{text}\n")).expect("write trajectory");
     println!("{text}");
     eprintln!("[saved {}]", out.display());
@@ -392,7 +386,10 @@ fn compare_against(baseline: &PathBuf, current: &Trajectory) {
         }
     };
     let pairs = [
-        ("variance_scan_pointer", current.medians_us.variance_scan_pointer),
+        (
+            "variance_scan_pointer",
+            current.medians_us.variance_scan_pointer,
+        ),
         ("variance_scan_flat", current.medians_us.variance_scan_flat),
         ("des_binary_heap", current.medians_us.des_binary_heap),
         ("des_calendar", current.medians_us.des_calendar),

@@ -8,10 +8,15 @@ use acclaim_core::{ActiveLearner, LearnerConfig, SelectionPolicy};
 fn main() {
     let (db, space) = simulation_env();
     let pts = space.points();
-    let trees: usize = std::env::args().nth(1).and_then(|a| a.parse().ok()).unwrap_or(64);
+    let trees: usize = std::env::args()
+        .nth(1)
+        .and_then(|a| a.parse().ok())
+        .unwrap_or(64);
     let only: Option<String> = std::env::args().nth(2);
     for collective in Collective::ALL {
-        if only.as_deref().is_some_and(|o| o != collective.name()) { continue; }
+        if only.as_deref().is_some_and(|o| o != collective.name()) {
+            continue;
+        }
         db.prefill(collective, &space);
         println!("=== {} ===", collective.name());
         for (name, policy) in [
@@ -24,16 +29,15 @@ fn main() {
                 ..LearnerConfig::acclaim_sequential().with_budget(500)
             };
             cfg.forest.n_trees = trees;
-            cfg.explore_every = std::env::args().nth(3).and_then(|a| a.parse().ok()).or(Some(4));
+            cfg.explore_every = std::env::args()
+                .nth(3)
+                .and_then(|a| a.parse().ok())
+                .or(Some(4));
             let out = ActiveLearner::new(cfg).train(&db, collective, &space, Some(&pts));
             let mut line = format!("{name:<14}");
             for target in [25usize, 50, 100, 200, 300, 400, 500] {
                 if let Some(r) = out.log.iter().find(|r| r.samples >= target) {
-                    line.push_str(&format!(
-                        " {}:{:.3}",
-                        target,
-                        r.oracle_slowdown.unwrap()
-                    ));
+                    line.push_str(&format!(" {}:{:.3}", target, r.oracle_slowdown.unwrap()));
                 }
             }
             println!("{line}");

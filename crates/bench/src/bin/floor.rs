@@ -13,9 +13,7 @@ fn main() {
         db.prefill(collective, &space);
         let samples: Vec<TrainingSample> = pts
             .iter()
-            .flat_map(|&p| {
-                collective.algorithms().iter().map(move |&a| (p, a))
-            })
+            .flat_map(|&p| collective.algorithms().iter().map(move |&a| (p, a)))
             .map(|(p, a)| TrainingSample {
                 point: p,
                 algorithm: a,

@@ -20,12 +20,18 @@ fn main() {
         let (best_at_anchor, _) = db.best(c, ap);
         let s = db.slowdown(p, best_at_anchor);
         slow += s;
-        if s > 1.01 { flips += 1; }
+        if s > 1.01 {
+            flips += 1;
+        }
         worst.push((s, p));
     }
     worst.sort_by(|a, b| b.0.total_cmp(&a.0));
-    println!("carryover slowdown on non-P2 msg set: {:.4} ({} affected of {})",
-        slow / pts.len() as f64, flips, pts.len());
+    println!(
+        "carryover slowdown on non-P2 msg set: {:.4} ({} affected of {})",
+        slow / pts.len() as f64,
+        flips,
+        pts.len()
+    );
     for (s, p) in worst.iter().take(8) {
         let (b, _) = db.best(c, *p);
         println!("  {p}: carryover slowdown {s:.2}, true best {}", b.name());

@@ -22,7 +22,10 @@ pub fn run() -> String {
         db.prefill(c, &space);
         let budget = (space.len() as f64 * 0.85) as usize * c.algorithms().len();
         let cfg = LearnerConfig::fact().with_budget(budget);
-        fact_runs.push((c, ActiveLearner::new(cfg).train(&db, c, &space, Some(&eval))));
+        fact_runs.push((
+            c,
+            ActiveLearner::new(cfg).train(&db, c, &space, Some(&eval)),
+        ));
     }
 
     let mut rows = Vec::new();

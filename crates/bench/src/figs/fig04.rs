@@ -20,8 +20,7 @@ pub fn run() -> String {
     }
     let aggregate = traces::aggregate_nonp2_fraction(&traces::all_traces(max_msg));
 
-    let mut out =
-        String::from("Fig. 4 — non-power-of-two message sizes in application traces\n\n");
+    let mut out = String::from("Fig. 4 — non-power-of-two message sizes in application traces\n\n");
     out.push_str(&table(&["application", "64-node", "1024-node"], &rows));
     out.push_str(&format!(
         "\naggregate across available traces: {:.1}% (paper: 15.7%)\n\

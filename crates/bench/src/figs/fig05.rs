@@ -32,10 +32,7 @@ pub fn run() -> String {
         let out = ActiveLearner::new(cfg).train(&db, collective, &space, None);
         let m = &out.model;
         rows.push(vec![
-            format!(
-                "{:.0}%",
-                100.0 * budget as f64 / (space.len() * 3) as f64
-            ),
+            format!("{:.0}%", 100.0 * budget as f64 / (space.len() * 3) as f64),
             format!(
                 "{:.3}",
                 db.average_slowdown(collective, &all_p2, |p| m.select(p))

@@ -29,11 +29,7 @@ pub fn run() -> String {
 
     // Correlation between the two series (Pearson, on iteration pairs).
     let xs: Vec<f64> = out.log.iter().map(|r| r.cumulative_variance).collect();
-    let ys: Vec<f64> = out
-        .log
-        .iter()
-        .map(|r| r.oracle_slowdown.unwrap())
-        .collect();
+    let ys: Vec<f64> = out.log.iter().map(|r| r.oracle_slowdown.unwrap()).collect();
     let corr = pearson(&xs, &ys);
 
     let mut out_s = String::from(

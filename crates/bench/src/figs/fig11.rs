@@ -19,8 +19,11 @@ pub fn run() -> String {
     let nonp2_msg = acclaim_dataset::splits::nonp2_msg_test_set(&space, 3, &mut rng);
 
     let budget = ((space.len() * 3) as f64 * 0.18) as usize;
-    let splits: [(&str, Option<usize>); 3] =
-        [("All P2", None), ("80-20 (ACCLAiM)", Some(5)), ("50-50", Some(2))];
+    let splits: [(&str, Option<usize>); 3] = [
+        ("All P2", None),
+        ("80-20 (ACCLAiM)", Some(5)),
+        ("50-50", Some(2)),
+    ];
 
     // Single training runs are noisy; average each split over seeds.
     let seeds = [11u64, 22, 33];
@@ -59,7 +62,12 @@ pub fn run() -> String {
          (equal training budgets; slowdown on the P2 and non-P2-message test sets)\n\n",
     );
     out.push_str(&table(
-        &["training split", "non-P2 share", "All-P2 set", "Non-P2-msg set"],
+        &[
+            "training split",
+            "non-P2 share",
+            "All-P2 set",
+            "Non-P2-msg set",
+        ],
         &rows,
     ));
     out.push_str(

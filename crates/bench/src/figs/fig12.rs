@@ -5,10 +5,10 @@
 //! there), for a net 1.19x training-time reduction — with no test set.
 
 use crate::figs::fig10::sustained_time_to;
+use crate::figs::fig10::REPRO_SLOWDOWN;
 use crate::{fmt_secs, simulation_env, table};
 use acclaim_collectives::Collective;
 use acclaim_core::{ActiveLearner, LearnerConfig, VarianceConvergence};
-use crate::figs::fig10::REPRO_SLOWDOWN;
 
 /// Regenerate the figure; returns the report text.
 pub fn run() -> String {
@@ -34,15 +34,26 @@ pub fn run() -> String {
 
         let (vt, vq) = var_stop
             .map(|r| (r.wall_us, r.oracle_slowdown.unwrap()))
-            .unwrap_or((out.stats.wall_us, out.log.last().unwrap().oracle_slowdown.unwrap()));
+            .unwrap_or((
+                out.stats.wall_us,
+                out.log.last().unwrap().oracle_slowdown.unwrap(),
+            ));
         let st = slow_stop_t.unwrap_or(out.stats.wall_us);
         total_var += vt;
         total_slow += st;
         rows.push(vec![
             c.name().to_string(),
-            format!("{}{}", fmt_secs(vt), if var_stop.is_none() { "*" } else { "" }),
+            format!(
+                "{}{}",
+                fmt_secs(vt),
+                if var_stop.is_none() { "*" } else { "" }
+            ),
             format!("{vq:.3}"),
-            format!("{}{}", fmt_secs(st), if slow_stop_t.is_none() { "*" } else { "" }),
+            format!(
+                "{}{}",
+                fmt_secs(st),
+                if slow_stop_t.is_none() { "*" } else { "" }
+            ),
             format!("{:.2}x", st / vt),
         ]);
     }

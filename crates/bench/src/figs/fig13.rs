@@ -70,9 +70,8 @@ pub fn run() -> String {
         "Two Pairs",
         "Max Parallel",
     ];
-    let mut out = String::from(
-        "Fig. 13(a) — collection speedup over sequential, by allocation shape\n\n",
-    );
+    let mut out =
+        String::from("Fig. 13(a) — collection speedup over sequential, by allocation shape\n\n");
     out.push_str(&table(&headers, &speedup_rows));
     out.push_str("\nFig. 13(b) — average benchmarks running in parallel\n\n");
     out.push_str(&table(&headers, &par_rows));

@@ -16,7 +16,10 @@ pub fn run() -> String {
     for r in &results {
         let mut cells = vec![r.collective.name().to_string()];
         for &s in &speedups {
-            cells.push(format!("{:.2} h", min_runtime_for_profit(r.wall_us, s) / 3.6e9));
+            cells.push(format!(
+                "{:.2} h",
+                min_runtime_for_profit(r.wall_us, s) / 3.6e9
+            ));
         }
         rows.push(cells);
     }
@@ -32,7 +35,14 @@ pub fn run() -> String {
          (training times from the Fig. 14 production run)\n\n",
     );
     out.push_str(&table(
-        &["collectives tuned", "1.005x", "1.01x", "1.02x", "1.05x", "1.10x"],
+        &[
+            "collectives tuned",
+            "1.005x",
+            "1.01x",
+            "1.02x",
+            "1.05x",
+            "1.10x",
+        ],
         &rows,
     ));
     out.push_str(

@@ -63,7 +63,8 @@ impl Args {
     /// Required string option.
     #[allow(dead_code)] // part of the parser's API surface; used in tests
     pub fn require(&self, key: &str) -> Result<&str, String> {
-        self.get(key).ok_or_else(|| format!("missing required option --{key}"))
+        self.get(key)
+            .ok_or_else(|| format!("missing required option --{key}"))
     }
 
     /// Parsed numeric option.

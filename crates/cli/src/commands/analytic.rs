@@ -29,8 +29,9 @@ fn predict(args: &Args, diag: &Diag) -> Result<String, String> {
         return Err("option --prune-margin: must be >= 1".into());
     }
     let collectives: Vec<Collective> = match args.get("collective") {
-        Some(name) => vec![Collective::parse(name)
-            .ok_or_else(|| format!("unknown --collective '{name}'"))?],
+        Some(name) => {
+            vec![Collective::parse(name).ok_or_else(|| format!("unknown --collective '{name}'"))?]
+        }
         None => Collective::ALL.to_vec(),
     };
     let nodes = cluster.num_nodes();
@@ -122,7 +123,9 @@ mod tests {
     #[test]
     fn bad_action_and_margin_are_rejected() {
         let args = parse(&["analytic", "frobnicate"]);
-        assert!(run(&args, &Diag::new(true)).unwrap_err().contains("predict"));
+        assert!(run(&args, &Diag::new(true))
+            .unwrap_err()
+            .contains("predict"));
         let args = parse(&["analytic", "predict", "--prune-margin", "0.5"]);
         assert!(run(&args, &Diag::new(true))
             .unwrap_err()

@@ -42,11 +42,7 @@ pub fn run(args: &Args, diag: &Diag) -> Result<String, String> {
         let tuned = selector.select(collective, p);
         let default = mpich_default(collective, p.ranks(), msg);
         let marker = if tuned == default { " " } else { "*" };
-        let _ = writeln!(
-            out,
-            "  {msg:>8} B  {}{marker}",
-            tuned.name(),
-        );
+        let _ = writeln!(out, "  {msg:>8} B  {}{marker}", tuned.name(),);
         msg *= 2;
     }
     out.push_str("  (* differs from the MPICH default)\n");
@@ -72,8 +68,7 @@ mod tests {
 
     #[test]
     fn unknown_collective_is_an_error() {
-        let args =
-            Args::parse(["selections", "--collective", "scan"].map(String::from)).unwrap();
+        let args = Args::parse(["selections", "--collective", "scan"].map(String::from)).unwrap();
         assert!(run(&args, &Diag::new(true)).is_err());
     }
 }

@@ -53,9 +53,7 @@ mod unix {
         decode_request, decode_response, encode_request, encode_response, handle_request,
         WireRequest, WireResponse,
     };
-    use acclaim_serve::{
-        loadgen, DriftConfig, Priority, QueryRequest, ServeConfig, TuneService,
-    };
+    use acclaim_serve::{loadgen, DriftConfig, Priority, QueryRequest, ServeConfig, TuneService};
     use acclaim_store::EntryFormat;
     use rand::{rngs::StdRng, Rng, SeedableRng};
     use std::collections::BTreeSet;
@@ -69,7 +67,9 @@ mod unix {
             "low" => Ok(Priority::Low),
             "normal" => Ok(Priority::Normal),
             "high" => Ok(Priority::High),
-            other => Err(format!("unknown --priority '{other}' (low | normal | high)")),
+            other => Err(format!(
+                "unknown --priority '{other}' (low | normal | high)"
+            )),
         }
     }
 
@@ -121,8 +121,7 @@ mod unix {
                     min_obs: args.num_or("drift-min-obs", defaults.min_obs)?,
                     cooldown_obs: args.num_or("drift-cooldown", defaults.cooldown_obs)?,
                     deweight: args.num_or("drift-deweight", defaults.deweight)?,
-                    max_signatures: args
-                        .num_or("drift-max-signatures", defaults.max_signatures)?,
+                    max_signatures: args.num_or("drift-max-signatures", defaults.max_signatures)?,
                 }
             },
             diag: *diag,
@@ -137,8 +136,7 @@ mod unix {
             }
             std::fs::remove_file(&socket).map_err(|e| format!("removing stale {socket}: {e}"))?;
         }
-        let listener =
-            UnixListener::bind(&socket).map_err(|e| format!("binding {socket}: {e}"))?;
+        let listener = UnixListener::bind(&socket).map_err(|e| format!("binding {socket}: {e}"))?;
         let service = Arc::new(
             TuneService::open(&dir, config, obs.clone())
                 .map_err(|e| format!("opening store {dir}: {e}"))?,
@@ -583,7 +581,10 @@ mod unix {
                 stats.query_defaults,
                 stats.query_latency_p50_us,
             )),
-            WireResponse::Metrics { prometheus, json: payload } => {
+            WireResponse::Metrics {
+                prometheus,
+                json: payload,
+            } => {
                 if json {
                     Ok(format!("{payload}\n"))
                 } else {
@@ -732,13 +733,10 @@ mod unix {
                             };
                             let base = request.clone();
                             let started = std::time::Instant::now();
-                            let response =
-                                conn.round_trip(&WireRequest::Tune { request })?;
+                            let response = conn.round_trip(&WireRequest::Tune { request })?;
                             tune_latency.record(started.elapsed().as_secs_f64() * 1e6);
                             let result = match response {
-                                WireResponse::Tuned {
-                                    cached, keys, ..
-                                } => SessionResult {
+                                WireResponse::Tuned { cached, keys, .. } => SessionResult {
                                     session,
                                     pool_index,
                                     ok: true,
@@ -770,8 +768,7 @@ mod unix {
                                 let point = acclaim_dataset::Point::new(
                                     space.nodes[rng.random_range(0..space.nodes.len())],
                                     space.ppns[rng.random_range(0..space.ppns.len())],
-                                    space.msg_sizes
-                                        [rng.random_range(0..space.msg_sizes.len())],
+                                    space.msg_sizes[rng.random_range(0..space.msg_sizes.len())],
                                 );
                                 let query = QueryRequest {
                                     dataset: base.dataset.clone(),
@@ -822,8 +819,7 @@ mod unix {
         })?;
 
         let observed: usize = results.iter().map(|(_, n)| n).sum();
-        let mut all: Vec<SessionResult> =
-            results.into_iter().flat_map(|(o, _)| o).collect();
+        let mut all: Vec<SessionResult> = results.into_iter().flat_map(|(o, _)| o).collect();
         all.sort_by_key(|r| r.session);
         let ok = all.iter().filter(|r| r.ok).count();
         let cached = all.iter().filter(|r| r.cached).count();
@@ -899,7 +895,15 @@ mod unix {
                 })
             };
             let sock = socket.to_str().unwrap();
-            let base = ["client", "--socket", sock, "--wait-server", "10", "--seed", "5"];
+            let base = [
+                "client",
+                "--socket",
+                sock,
+                "--wait-server",
+                "10",
+                "--seed",
+                "5",
+            ];
 
             // Tune twice: trained, then cached.
             let mut tune = base.to_vec();
@@ -1014,7 +1018,13 @@ mod unix {
         fn client_without_server_fails_fast() {
             let socket = temp("acclaim-cli-serve-nosrv.sock");
             let e = client(
-                &args(&["client", "--socket", socket.to_str().unwrap(), "--op", "stats"]),
+                &args(&[
+                    "client",
+                    "--socket",
+                    socket.to_str().unwrap(),
+                    "--op",
+                    "stats",
+                ]),
                 &Diag::new(true),
             )
             .unwrap_err();

@@ -65,7 +65,11 @@ pub fn run(args: &Args, diag: &Diag) -> Result<String, String> {
     for (i, (_, line)) in rows.iter().enumerate() {
         let _ = writeln!(out, "{line}{}", if i == 0 { "   <- fastest" } else { "" });
     }
-    let _ = writeln!(out, "MPICH default heuristic would pick: {}", default.name());
+    let _ = writeln!(
+        out,
+        "MPICH default heuristic would pick: {}",
+        default.name()
+    );
     for line in outputs.write(&obs)? {
         let _ = writeln!(out, "{line}");
     }

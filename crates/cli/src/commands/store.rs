@@ -29,7 +29,9 @@ pub fn run(args: &Args, diag: &Diag) -> Result<String, String> {
 }
 
 fn ls(store: &TuningStore) -> Result<String, String> {
-    let entries = store.summaries().map_err(|e| format!("reading store: {e}"))?;
+    let entries = store
+        .summaries()
+        .map_err(|e| format!("reading store: {e}"))?;
     if entries.is_empty() {
         return Ok("store is empty\n".to_string());
     }

@@ -241,8 +241,7 @@ mod tests {
         assert!(report.contains("tuning file written"));
         assert!(report.contains("cost split"));
         let text = std::fs::read_to_string(&out).unwrap();
-        let parsed =
-            TuningFile::from_mpich_json(&serde_json::from_str(&text).unwrap()).unwrap();
+        let parsed = TuningFile::from_mpich_json(&serde_json::from_str(&text).unwrap()).unwrap();
         assert_eq!(parsed.collectives.len(), 1);
         for ctx in &parsed.collectives[0].contexts {
             assert!(ctx.is_complete() && ctx.is_pruned());
@@ -264,8 +263,7 @@ mod tests {
         );
         assert!(report.contains("retries="), "missing retries:\n{report}");
         let text = std::fs::read_to_string(&out).unwrap();
-        let parsed =
-            TuningFile::from_mpich_json(&serde_json::from_str(&text).unwrap()).unwrap();
+        let parsed = TuningFile::from_mpich_json(&serde_json::from_str(&text).unwrap()).unwrap();
         assert_eq!(parsed.collectives.len(), 1);
         std::fs::remove_file(&out).ok();
     }
@@ -329,7 +327,10 @@ mod tests {
     fn no_flat_falls_back_to_the_pointer_engine() {
         let out = std::env::temp_dir().join("acclaim-cli-tune-noflat-test.json");
         let report = run(&tune_args(&[], &out), &Diag::new(true)).unwrap();
-        assert!(report.contains("variance scan engine: flat (SoA)"), "{report}");
+        assert!(
+            report.contains("variance scan engine: flat (SoA)"),
+            "{report}"
+        );
         let report = run(&tune_args(&["--no-flat"], &out), &Diag::new(true)).unwrap();
         assert!(report.contains("variance scan engine: pointer"), "{report}");
         std::fs::remove_file(&out).ok();

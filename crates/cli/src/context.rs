@@ -54,8 +54,14 @@ pub fn space_from(args: &Args, cluster: &Cluster) -> Result<FeatureSpace, String
             .filter(|&n| n >= 2)
             .map(|n| n as u32)
             .collect(),
-        p2_up_to(max_ppn as u64).into_iter().map(|p| p as u32).collect(),
-        p2_up_to(max_msg).into_iter().filter(|&m| m >= min_msg).collect(),
+        p2_up_to(max_ppn as u64)
+            .into_iter()
+            .map(|p| p as u32)
+            .collect(),
+        p2_up_to(max_msg)
+            .into_iter()
+            .filter(|&m| m >= min_msg)
+            .collect(),
     ))
 }
 
@@ -93,9 +99,7 @@ pub fn collectives_from(args: &Args) -> Result<Vec<Collective>, String> {
             .iter()
             .map(|n| {
                 Collective::parse(n).ok_or_else(|| {
-                    format!(
-                        "unknown collective '{n}' (allgather | allreduce | bcast | reduce)"
-                    )
+                    format!("unknown collective '{n}' (allgather | allreduce | bcast | reduce)")
                 })
             })
             .collect(),

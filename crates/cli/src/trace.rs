@@ -25,11 +25,7 @@ impl TraceOutputs {
         let chrome = match args.get_or("trace-format", "jsonl") {
             "jsonl" => false,
             "chrome" => true,
-            other => {
-                return Err(format!(
-                    "unknown --trace-format '{other}' (jsonl | chrome)"
-                ))
-            }
+            other => return Err(format!("unknown --trace-format '{other}' (jsonl | chrome)")),
         };
         let obs = if trace_out.is_some() || metrics_out.is_some() {
             Obs::enabled()

@@ -211,7 +211,10 @@ mod tests {
         assert_eq!(sizes, vec![1_024, 2_048, 4_096]);
         // The ring pays no such penalty.
         let ring = AllgatherRing::new(8, 1_000).materialize();
-        assert!(ring.rounds.iter().all(|r| r.iter().all(|m| m.bytes == 1_000)));
+        assert!(ring
+            .rounds
+            .iter()
+            .all(|r| r.iter().all(|m| m.bytes == 1_000)));
     }
 
     #[test]

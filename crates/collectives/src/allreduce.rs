@@ -200,7 +200,9 @@ mod tests {
         assert_eq!(s.rounds.len(), 3);
         for round in &s.rounds {
             assert_eq!(round.len(), 8, "all ranks exchange every round");
-            assert!(round.iter().all(|m| m.bytes == 1_000 && m.reduce_bytes == 1_000));
+            assert!(round
+                .iter()
+                .all(|m| m.bytes == 1_000 && m.reduce_bytes == 1_000));
         }
     }
 
@@ -224,7 +226,9 @@ mod tests {
     #[test]
     fn rsag_moves_less_data_than_rd_for_large_vectors() {
         let (n, m) = (16u32, 1u64 << 20);
-        let rd = AllreduceRecursiveDoubling::new(n, m).materialize().total_bytes();
+        let rd = AllreduceRecursiveDoubling::new(n, m)
+            .materialize()
+            .total_bytes();
         let rsag = AllreduceReduceScatterAllgather::new(n, m)
             .materialize()
             .total_bytes();
@@ -263,10 +267,7 @@ mod tests {
             let recv = received_bytes_per_rank(&s);
             let own = Blocks::new(m, prev_power_of_two(n)).max_size();
             for (rank, &b) in recv.iter().enumerate() {
-                assert!(
-                    b + 2 * own >= m,
-                    "n={n} rank {rank} received {b} of {m}"
-                );
+                assert!(b + 2 * own >= m, "n={n} rank {rank} received {b} of {m}");
             }
         }
     }

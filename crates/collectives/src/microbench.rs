@@ -211,7 +211,15 @@ mod tests {
         let noise = NoiseModel::mild();
         let run = |seed| {
             let mut rng = StdRng::seed_from_u64(seed);
-            measure(&c, 2, Algorithm::AllgatherRing, 8_192, &cfg, &noise, &mut rng)
+            measure(
+                &c,
+                2,
+                Algorithm::AllgatherRing,
+                8_192,
+                &cfg,
+                &noise,
+                &mut rng,
+            )
         };
         assert_eq!(run(7), run(7));
         assert_ne!(run(7).mean_us, run(8).mean_us);

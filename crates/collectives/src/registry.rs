@@ -122,8 +122,9 @@ impl Algorithm {
             Algorithm::AllgatherRing
             | Algorithm::AllgatherRecursiveDoubling
             | Algorithm::AllgatherBrucks => Collective::Allgather,
-            Algorithm::AllreduceRecursiveDoubling
-            | Algorithm::AllreduceReduceScatterAllgather => Collective::Allreduce,
+            Algorithm::AllreduceRecursiveDoubling | Algorithm::AllreduceReduceScatterAllgather => {
+                Collective::Allreduce
+            }
             Algorithm::BcastBinomial
             | Algorithm::BcastScatterRecursiveDoublingAllgather
             | Algorithm::BcastScatterRingAllgather => Collective::Bcast,

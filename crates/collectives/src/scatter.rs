@@ -69,11 +69,7 @@ mod tests {
     fn round_count_is_ceil_log2() {
         for n in [2u32, 3, 4, 5, 7, 8, 9, 16, 17, 31, 32, 33] {
             let s = materialize(n, 1 << 16);
-            assert_eq!(
-                s.rounds.len() as u32,
-                ceil_log2(n),
-                "wrong depth for n={n}"
-            );
+            assert_eq!(s.rounds.len() as u32, ceil_log2(n), "wrong depth for n={n}");
         }
     }
 

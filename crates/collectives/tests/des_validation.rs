@@ -83,12 +83,16 @@ fn nonp2_rank_counts_cost_more_for_p2_favoring_algorithms() {
     let t8 = rs.simulate(
         &cluster(8),
         1,
-        Algorithm::AllreduceRecursiveDoubling.schedule(8, m).as_ref(),
+        Algorithm::AllreduceRecursiveDoubling
+            .schedule(8, m)
+            .as_ref(),
     );
     let t9 = rs.simulate(
         &cluster(9),
         1,
-        Algorithm::AllreduceRecursiveDoubling.schedule(9, m).as_ref(),
+        Algorithm::AllreduceRecursiveDoubling
+            .schedule(9, m)
+            .as_ref(),
     );
     assert!(
         t9 > 1.3 * t8,
@@ -120,11 +124,8 @@ fn nonp2_message_sizes_penalize_whole_transfers_but_padding_escapes() {
     let c = cluster(8);
     let p2 = 262_144u64;
     let nonp2 = 262_144 + 4_096; // 64-aligned but not a power of two
-    let bin_ratio = rs.simulate(
-        &c,
-        1,
-        Algorithm::BcastBinomial.schedule(8, nonp2).as_ref(),
-    ) / rs.simulate(&c, 1, Algorithm::BcastBinomial.schedule(8, p2).as_ref());
+    let bin_ratio = rs.simulate(&c, 1, Algorithm::BcastBinomial.schedule(8, nonp2).as_ref())
+        / rs.simulate(&c, 1, Algorithm::BcastBinomial.schedule(8, p2).as_ref());
     assert!(
         bin_ratio > 1.2,
         "binomial must pay the non-P2 slow path: ratio {bin_ratio}"

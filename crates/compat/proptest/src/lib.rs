@@ -117,7 +117,10 @@ where
                 return v;
             }
         }
-        panic!("prop_filter_map `{}` rejected 10000 draws in a row", self.whence);
+        panic!(
+            "prop_filter_map `{}` rejected 10000 draws in a row",
+            self.whence
+        );
     }
 }
 

@@ -220,7 +220,9 @@ mod tests {
             })
             .collect();
         let n = seen.lock().unwrap().len();
-        let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+        let cores = std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1);
         assert!(n >= 1 && n <= cores.max(1));
         if cores > 1 {
             assert!(n > 1, "expected parallel execution on a multi-core host");

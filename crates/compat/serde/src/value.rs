@@ -242,10 +242,7 @@ impl Map {
 
     /// Look a key up.
     pub fn get(&self, key: &str) -> Option<&Value> {
-        self.entries
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
+        self.entries.iter().find(|(k, _)| k == key).map(|(_, v)| v)
     }
 
     /// Number of entries.

@@ -32,15 +32,23 @@ struct VariantDef {
 
 #[derive(Debug)]
 enum Item {
-    Struct { name: String, fields: Fields },
-    Enum { name: String, variants: Vec<VariantDef> },
+    Struct {
+        name: String,
+        fields: Fields,
+    },
+    Enum {
+        name: String,
+        variants: Vec<VariantDef>,
+    },
 }
 
 /// Derive `serde::Serialize`.
 #[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     match parse_item(input) {
-        Ok(item) => emit_serialize(&item).parse().expect("generated impl parses"),
+        Ok(item) => emit_serialize(&item)
+            .parse()
+            .expect("generated impl parses"),
         Err(msg) => error(&msg),
     }
 }
@@ -49,13 +57,17 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
 #[proc_macro_derive(Deserialize, attributes(serde))]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     match parse_item(input) {
-        Ok(item) => emit_deserialize(&item).parse().expect("generated impl parses"),
+        Ok(item) => emit_deserialize(&item)
+            .parse()
+            .expect("generated impl parses"),
         Err(msg) => error(&msg),
     }
 }
 
 fn error(msg: &str) -> TokenStream {
-    format!("compile_error!({msg:?});").parse().expect("literal parses")
+    format!("compile_error!({msg:?});")
+        .parse()
+        .expect("literal parses")
 }
 
 // ---------------------------------------------------------------------
@@ -72,7 +84,9 @@ fn parse_item(input: TokenStream) -> Result<Item, String> {
     let name = ident_at(&tokens, i).ok_or("expected item name")?;
     i += 1;
     if matches!(&tokens.get(i), Some(TokenTree::Punct(p)) if p.as_char() == '<') {
-        return Err(format!("serde compat derive: generic type `{name}` unsupported"));
+        return Err(format!(
+            "serde compat derive: generic type `{name}` unsupported"
+        ));
     }
 
     match keyword.as_str() {
@@ -403,9 +417,9 @@ fn deserialize_struct_body(name: &str, fields: &Fields) -> String {
             "let m = v.as_object().ok_or_else(|| ::serde::Error::expected(\"object\", v))?;\n{}",
             named_fields_constructor(name, fs, "m")
         ),
-        Fields::Tuple(1) => format!(
-            "::core::result::Result::Ok({name}(::serde::Deserialize::from_value(v)?))"
-        ),
+        Fields::Tuple(1) => {
+            format!("::core::result::Result::Ok({name}(::serde::Deserialize::from_value(v)?))")
+        }
         Fields::Tuple(n) => {
             let mut out = format!(
                 "let a = v.as_array().ok_or_else(|| ::serde::Error::expected(\"array\", v))?;\n\

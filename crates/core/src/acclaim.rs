@@ -67,7 +67,10 @@ impl JobTuning {
     /// Host CPU time spent on model updates — forest fits/refits and
     /// variance scans (µs, real clock, not simulated).
     pub fn model_update_wall_us(&self) -> f64 {
-        self.reports.iter().map(|(_, o)| o.model_update_wall_us).sum()
+        self.reports
+            .iter()
+            .map(|(_, o)| o.model_update_wall_us)
+            .sum()
     }
 
     /// All-in training cost: machine time plus model-update CPU time
@@ -105,7 +108,11 @@ impl JobTuning {
                 o.stats.waves,
                 o.stats.wall_us / 60e6,
                 o.stats.speedup(),
-                if o.converged { "converged" } else { "budget hit" },
+                if o.converged {
+                    "converged"
+                } else {
+                    "budget hit"
+                },
             );
         }
         let _ = writeln!(
@@ -226,8 +233,7 @@ impl Acclaim {
                 break;
             }
             let warm = warm_for(c);
-            let outcome =
-                learner.train_warm(db, c, &self.config.space, None, obs, warm.as_ref());
+            let outcome = learner.train_warm(db, c, &self.config.space, None, obs, warm.as_ref());
             {
                 let _span = obs.span("learner", "generate_rules");
                 tables.push(generate_rules(&outcome.model, &self.config.space));
@@ -328,8 +334,8 @@ mod tests {
     #[test]
     fn tune_produces_a_table_per_collective() {
         let db = BenchmarkDatabase::new(DatasetConfig::tiny());
-        let tuning = Acclaim::new(fast_config())
-            .tune(&db, &[Collective::Bcast, Collective::Reduce]);
+        let tuning =
+            Acclaim::new(fast_config()).tune(&db, &[Collective::Bcast, Collective::Reduce]);
         assert_eq!(tuning.reports.len(), 2);
         assert_eq!(tuning.tuning_file.collectives.len(), 2);
         assert!(tuning.training_wall_us() > 0.0);
@@ -343,7 +349,10 @@ mod tests {
         let tuning = Acclaim::new(fast_config()).tune(&db, &[Collective::Bcast]);
         let sel = tuning.selector();
         let p = acclaim_dataset::Point::new(4, 2, 1_024);
-        assert_eq!(sel.select(Collective::Bcast, p).collective(), Collective::Bcast);
+        assert_eq!(
+            sel.select(Collective::Bcast, p).collective(),
+            Collective::Bcast
+        );
         // Untuned collective falls back to the heuristic.
         assert_eq!(
             sel.select(Collective::Allgather, p),
@@ -378,13 +387,8 @@ mod tests {
         let db = BenchmarkDatabase::new(DatasetConfig::tiny());
         let both = [Collective::Bcast, Collective::Reduce];
         let full = Acclaim::new(fast_config()).tune(&db, &both);
-        let (same, done) = Acclaim::new(fast_config()).tune_while(
-            &db,
-            &both,
-            &Obs::disabled(),
-            |_| None,
-            || true,
-        );
+        let (same, done) =
+            Acclaim::new(fast_config()).tune_while(&db, &both, &Obs::disabled(), |_| None, || true);
         assert!(done);
         assert_eq!(full.tuning_file, same.tuning_file);
         // Cancelling after the first check stops at the collective
@@ -404,7 +408,10 @@ mod tests {
         assert_eq!(partial.reports.len(), 1);
         assert_eq!(partial.reports[0].0, Collective::Bcast);
         assert_eq!(partial.tuning_file.collectives.len(), 1);
-        assert_eq!(partial.tuning_file.collectives[0], full.tuning_file.collectives[0]);
+        assert_eq!(
+            partial.tuning_file.collectives[0],
+            full.tuning_file.collectives[0]
+        );
     }
 
     #[test]
@@ -422,8 +429,8 @@ mod tests {
     #[test]
     fn application_impact_runs_on_a_trace() {
         let db = BenchmarkDatabase::new(DatasetConfig::tiny());
-        let tuning = Acclaim::new(fast_config())
-            .tune(&db, &[Collective::Allreduce, Collective::Bcast]);
+        let tuning =
+            Acclaim::new(fast_config()).tune(&db, &[Collective::Allreduce, Collective::Bcast]);
         let trace = acclaim_dataset::traces::synthetic_trace("AMG", 64, 4_096).unwrap();
         let impact = application_impact(&db, &trace, 8, 2, &tuning.selector());
         assert!(impact.default_us > 0.0 && impact.tuned_us > 0.0);

@@ -103,8 +103,11 @@ impl HunoldModel {
     /// Predicted time (µs) of one algorithm at a point.
     pub fn predict(&self, point: Point, algorithm: Algorithm) -> f64 {
         assert_eq!(algorithm.collective(), self.collective);
-        self.forests[algorithm.index_within_collective()]
-            .predict(&[point.msg_bytes as f64, point.nodes as f64, point.ppn as f64])
+        self.forests[algorithm.index_within_collective()].predict(&[
+            point.msg_bytes as f64,
+            point.nodes as f64,
+            point.ppn as f64,
+        ])
     }
 
     /// The algorithm whose model predicts the lowest time (the original

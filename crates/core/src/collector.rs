@@ -51,11 +51,7 @@ impl Wave {
 ///
 /// Panics if the first candidate needs more nodes than the whole
 /// allocation (the feature space must be bounded by the job size).
-pub fn schedule_wave(
-    topology: &Topology,
-    allocation: &Allocation,
-    ordered: &[Candidate],
-) -> Wave {
+pub fn schedule_wave(topology: &Topology, allocation: &Allocation, ordered: &[Candidate]) -> Wave {
     let total = allocation.len();
     let mut wave = Wave::default();
     let mut next_free: u32 = 0;
@@ -85,8 +81,7 @@ pub fn schedule_wave(
         // Step 3: burn the rest of every rack the run touched.
         if next_free < total {
             let last_rack = topology.rack_of(allocation.node(next_free - 1));
-            while next_free < total && topology.rack_of(allocation.node(next_free)) == last_rack
-            {
+            while next_free < total && topology.rack_of(allocation.node(next_free)) == last_rack {
                 next_free += 1;
             }
         }
@@ -495,7 +490,10 @@ mod tests {
         let w = schedule_wave(&t, &alloc, &[cand(4), cand(4), cand(4), cand(4)]);
         assert_eq!(w.parallelism(), 4);
         assert_eq!(
-            w.placements.iter().map(|p| p.start_node).collect::<Vec<_>>(),
+            w.placements
+                .iter()
+                .map(|p| p.start_node)
+                .collect::<Vec<_>>(),
             vec![0, 4, 8, 12]
         );
     }

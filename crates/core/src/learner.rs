@@ -810,8 +810,8 @@ impl ActiveLearner {
             model_update_wall_us += model_update_us;
             g_cumvar.set(primary_ranking.cumulative);
             g_samples.set(collected.len() as f64);
-            let oracle_slowdown = eval_points
-                .map(|pts| db.average_slowdown(collective, pts, |p| model.select(p)));
+            let oracle_slowdown =
+                eval_points.map(|pts| db.average_slowdown(collective, pts, |p| model.select(p)));
             log.push(IterationRecord {
                 iteration,
                 samples: collected.len(),
@@ -877,20 +877,19 @@ impl ActiveLearner {
                         // The surrogate refits (warm-started when
                         // `incremental`) and keeps its own scan cache.
                         let sur_start = Instant::now();
-                        let sur_changed =
-                            match surrogate_model.as_mut().filter(|_| cfg.incremental) {
-                                Some(m) => m.fit_incremental(&collected, surrogate),
-                                None => {
-                                    surrogate_model =
-                                        Some(PerfModel::fit(collective, &collected, surrogate));
-                                    TreeUpdate::full_refit(surrogate.n_trees)
-                                }
-                            };
+                        let sur_changed = match surrogate_model.as_mut().filter(|_| cfg.incremental)
+                        {
+                            Some(m) => m.fit_incremental(&collected, surrogate),
+                            None => {
+                                surrogate_model =
+                                    Some(PerfModel::fit(collective, &collected, surrogate));
+                                TreeUpdate::full_refit(surrogate.n_trees)
+                            }
+                        };
                         let sm = surrogate_model.as_ref().expect("surrogate fitted above");
-                        let sc = surrogate_cache
-                            .get_or_insert_with(|| {
-                                VarianceScanCache::new(remaining.clone()).with_flat(cfg.flat)
-                            });
+                        let sc = surrogate_cache.get_or_insert_with(|| {
+                            VarianceScanCache::new(remaining.clone()).with_flat(cfg.flat)
+                        });
                         sc.retain(|c| !collected_set.contains(c));
                         sc.refresh(sm, &sur_changed);
                         let sr = sc.ranking();
@@ -1281,7 +1280,8 @@ impl FaultRuntime {
         if count > 0 {
             self.stats.candidates_dropped += count as u64;
             self.m_dropped.add(count as u64);
-            self.events.push(FaultEvent::CandidatesDropped { wave, count });
+            self.events
+                .push(FaultEvent::CandidatesDropped { wave, count });
         }
     }
 }
@@ -1472,7 +1472,10 @@ mod tests {
             last <= first,
             "more data should not hurt on average: {first} -> {last}"
         );
-        assert!(last < 1.15, "near-exhaustive training should be good: {last}");
+        assert!(
+            last < 1.15,
+            "near-exhaustive training should be good: {last}"
+        );
     }
 
     #[test]
@@ -1584,10 +1587,18 @@ mod tests {
     fn different_policies_choose_different_points() {
         let db = tiny_db();
         let space = FeatureSpace::tiny();
-        let own = ActiveLearner::new(budget_config(SelectionPolicy::OwnVariance, 40))
-            .train(&db, Collective::Bcast, &space, None);
-        let random = ActiveLearner::new(budget_config(SelectionPolicy::Random, 40))
-            .train(&db, Collective::Bcast, &space, None);
+        let own = ActiveLearner::new(budget_config(SelectionPolicy::OwnVariance, 40)).train(
+            &db,
+            Collective::Bcast,
+            &space,
+            None,
+        );
+        let random = ActiveLearner::new(budget_config(SelectionPolicy::Random, 40)).train(
+            &db,
+            Collective::Bcast,
+            &space,
+            None,
+        );
         assert_ne!(own.collected, random.collected);
     }
 
@@ -1711,8 +1722,12 @@ mod tests {
     fn no_candidate_is_collected_twice() {
         let db = tiny_db();
         let space = FeatureSpace::tiny();
-        let out = ActiveLearner::new(budget_config(SelectionPolicy::OwnVariance, 40))
-            .train(&db, Collective::Allreduce, &space, None);
+        let out = ActiveLearner::new(budget_config(SelectionPolicy::OwnVariance, 40)).train(
+            &db,
+            Collective::Allreduce,
+            &space,
+            None,
+        );
         let mut seen = HashSet::new();
         for s in &out.collected {
             assert!(

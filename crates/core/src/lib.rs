@@ -45,5 +45,6 @@ pub use learner::{
 pub use model::{PerfModel, TrainingSample};
 pub use rules::{generate_rules, CollectiveRules, Rule, RuleSet, TunedSelector, TuningFile};
 pub use selection::{
-    all_candidates, rank_by_variance, rank_by_variance_flat, Candidate, NonP2Injector, RefreshStats, VarianceScanCache,
+    all_candidates, rank_by_variance, rank_by_variance_flat, Candidate, NonP2Injector,
+    RefreshStats, VarianceScanCache,
 };

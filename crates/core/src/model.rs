@@ -67,17 +67,16 @@ impl PerfModel {
                 "sample from the wrong collective"
             );
             assert!(s.time_us > 0.0, "times must be positive");
-            x.push_row(&s.point.features_with_algorithm(s.algorithm.index_within_collective()));
+            x.push_row(
+                &s.point
+                    .features_with_algorithm(s.algorithm.index_within_collective()),
+            );
             y.push(s.time_us.ln());
         }
     }
 
     /// Fit the model on the collected samples (all of one collective).
-    pub fn fit(
-        collective: Collective,
-        samples: &[TrainingSample],
-        config: &ForestConfig,
-    ) -> Self {
+    pub fn fit(collective: Collective, samples: &[TrainingSample], config: &ForestConfig) -> Self {
         assert!(!samples.is_empty(), "cannot fit a model on zero samples");
         let mut x = FeatureMatrix::new(5);
         let mut y = Vec::with_capacity(samples.len());
@@ -115,7 +114,12 @@ impl PerfModel {
             "samples must only ever be appended ({} < {fitted})",
             samples.len()
         );
-        Self::featurize(self.collective, &samples[fitted..], &mut self.x, &mut self.y);
+        Self::featurize(
+            self.collective,
+            &samples[fitted..],
+            &mut self.x,
+            &mut self.y,
+        );
         self.forest.refit_incremental(config, &self.x, &self.y)
     }
 
@@ -160,12 +164,7 @@ impl PerfModel {
 
     /// All per-tree predictions at a candidate (log-time space), written
     /// into `out`.
-    pub fn per_tree_log_predictions(
-        &self,
-        point: Point,
-        algorithm: Algorithm,
-        out: &mut Vec<f64>,
-    ) {
+    pub fn per_tree_log_predictions(&self, point: Point, algorithm: Algorithm, out: &mut Vec<f64>) {
         debug_assert_eq!(algorithm.collective(), self.collective);
         self.forest.predict_per_tree(
             &point.features_with_algorithm(algorithm.index_within_collective()),
@@ -250,7 +249,10 @@ mod tests {
         );
         let pts = FeatureSpace::tiny().points();
         let slowdown = db.average_slowdown(Collective::Reduce, &pts, |p| m.select(p));
-        assert!(slowdown < 1.1, "full-data model should be near-optimal: {slowdown}");
+        assert!(
+            slowdown < 1.1,
+            "full-data model should be near-optimal: {slowdown}"
+        );
     }
 
     #[test]

@@ -71,7 +71,9 @@ impl RuleSet {
     /// No two consecutive rules resolve to the same algorithm
     /// (minimizing selection delay, Sec. V).
     pub fn is_pruned(&self) -> bool {
-        self.rules.windows(2).all(|w| w[0].algorithm != w[1].algorithm)
+        self.rules
+            .windows(2)
+            .all(|w| w[0].algorithm != w[1].algorithm)
     }
 }
 
@@ -367,7 +369,10 @@ mod tests {
         assert!(rs.is_complete() && rs.is_pruned());
         assert_eq!(rs.select(100), Algorithm::BcastBinomial);
         assert_eq!(rs.select(101), Algorithm::BcastScatterRingAllgather);
-        assert_eq!(rs.select(1_001), Algorithm::BcastScatterRecursiveDoublingAllgather);
+        assert_eq!(
+            rs.select(1_001),
+            Algorithm::BcastScatterRecursiveDoublingAllgather
+        );
     }
 
     #[test]

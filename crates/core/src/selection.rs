@@ -32,9 +32,7 @@ pub fn all_candidates(collective: Collective, space: &FeatureSpace) -> Vec<Candi
     collective
         .algorithms()
         .iter()
-        .flat_map(|&algorithm| {
-            pts.iter().map(move |&point| Candidate { point, algorithm })
-        })
+        .flat_map(|&algorithm| pts.iter().map(move |&point| Candidate { point, algorithm }))
         .collect()
 }
 
@@ -419,9 +417,7 @@ mod tests {
         let all: Vec<TrainingSample> = space
             .points()
             .into_iter()
-            .flat_map(|p| {
-                Collective::Bcast.algorithms().iter().map(move |&a| (p, a))
-            })
+            .flat_map(|p| Collective::Bcast.algorithms().iter().map(move |&a| (p, a)))
             .map(|(p, a)| TrainingSample {
                 point: p,
                 algorithm: a,
@@ -452,9 +448,7 @@ mod tests {
         let all: Vec<TrainingSample> = space
             .points()
             .into_iter()
-            .flat_map(|p| {
-                Collective::Bcast.algorithms().iter().map(move |&a| (p, a))
-            })
+            .flat_map(|p| Collective::Bcast.algorithms().iter().map(move |&a| (p, a)))
             .map(|(p, a)| TrainingSample {
                 point: p,
                 algorithm: a,

@@ -10,9 +10,7 @@
 //! built databases agree bit-for-bit.
 
 use crate::space::{FeatureSpace, Point};
-use acclaim_collectives::{
-    measure_with_obs, Algorithm, Collective, Measurement, MicrobenchConfig,
-};
+use acclaim_collectives::{measure_with_obs, Algorithm, Collective, Measurement, MicrobenchConfig};
 use acclaim_netsim::{Cluster, NoiseModel};
 use acclaim_obs::{Counter, Histogram, Obs};
 use rand::{rngs::StdRng, SeedableRng};
@@ -204,7 +202,12 @@ impl BenchmarkDatabase {
 
     /// Look a sample up, benchmarking and memoizing on first access.
     pub fn sample(&self, algorithm: Algorithm, point: Point) -> Sample {
-        if let Some(&s) = self.cache.lock().expect("cache lock").get(&(algorithm, point)) {
+        if let Some(&s) = self
+            .cache
+            .lock()
+            .expect("cache lock")
+            .get(&(algorithm, point))
+        {
             self.cache_hits.incr();
             return s;
         }
@@ -328,8 +331,8 @@ impl BenchmarkDatabase {
 
     /// Save the snapshot as JSON.
     pub fn save(&self, path: &std::path::Path) -> std::io::Result<()> {
-        let json = serde_json::to_string(&self.snapshot())
-            .expect("snapshot serialization is infallible");
+        let json =
+            serde_json::to_string(&self.snapshot()).expect("snapshot serialization is infallible");
         std::fs::write(path, json)
     }
 
@@ -436,9 +439,7 @@ mod tests {
     fn average_slowdown_of_oracle_is_one() {
         let db = tiny_db();
         let pts: Vec<Point> = FeatureSpace::tiny().points();
-        let s = db.average_slowdown(Collective::Bcast, &pts, |p| {
-            db.best(Collective::Bcast, p).0
-        });
+        let s = db.average_slowdown(Collective::Bcast, &pts, |p| db.best(Collective::Bcast, p).0);
         assert_eq!(s, 1.0);
     }
 
@@ -512,8 +513,10 @@ mod tests {
         let a = db.snapshot();
         let b = db.snapshot();
         assert_eq!(a.entries, b.entries);
-        assert!(a.entries.windows(2).all(|w| (w[0].algorithm, w[0].point)
-            < (w[1].algorithm, w[1].point)));
+        assert!(a
+            .entries
+            .windows(2)
+            .all(|w| (w[0].algorithm, w[0].point) < (w[1].algorithm, w[1].point)));
     }
 
     #[test]

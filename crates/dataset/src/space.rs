@@ -59,7 +59,9 @@ impl Point {
 
     /// True when every coordinate is a power of two.
     pub fn is_p2(&self) -> bool {
-        self.nodes.is_power_of_two() && self.ppn.is_power_of_two() && self.msg_bytes.is_power_of_two()
+        self.nodes.is_power_of_two()
+            && self.ppn.is_power_of_two()
+            && self.msg_bytes.is_power_of_two()
     }
 }
 
@@ -129,11 +131,7 @@ impl FeatureSpace {
 
     /// A tiny space for unit tests (2-8 nodes, 1-2 ppn, 64B-4KB).
     pub fn tiny() -> Self {
-        FeatureSpace::new(
-            vec![2, 4, 8],
-            vec![1, 2],
-            vec![64, 256, 1_024, 4_096],
-        )
+        FeatureSpace::new(vec![2, 4, 8], vec![1, 2], vec![64, 256, 1_024, 4_096])
     }
 
     /// Number of grid points.

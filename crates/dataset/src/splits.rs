@@ -100,10 +100,7 @@ mod tests {
         let space = FeatureSpace::tiny();
         let mut r = rng();
         assert_eq!(random_fraction(&space, 1.0, &mut r).len(), space.len());
-        assert_eq!(
-            random_fraction(&space, 0.5, &mut r).len(),
-            space.len() / 2
-        );
+        assert_eq!(random_fraction(&space, 0.5, &mut r).len(), space.len() / 2);
         // Never empty.
         assert_eq!(random_fraction(&space, 0.0, &mut r).len(), 1);
     }

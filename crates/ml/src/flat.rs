@@ -322,7 +322,10 @@ impl FlatForest {
                     #[cfg(target_arch = "x86_64")]
                     unsafe {
                         use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-                        _mm_prefetch(nodes.as_ptr().add(n.left as usize) as *const i8, _MM_HINT_T0);
+                        _mm_prefetch(
+                            nodes.as_ptr().add(n.left as usize) as *const i8,
+                            _MM_HINT_T0,
+                        );
                     }
                     let x = fblock[(fbase[l] + (n.feature as usize & (MAX_FEATS - 1))) & FMASK];
                     cur[l] = n.left as usize + (x > n.threshold) as usize;
@@ -342,8 +345,7 @@ impl FlatForest {
                 // `row_of[l] * stride + tree` with `row_of[l] < m` and
                 // `tree < stride`, which is inside `out`'s
                 // `m * stride` slice by the caller's shape assert.
-                let at_leaf =
-                    unsafe { nodes.get_unchecked(cur[l]).left as usize == cur[l] };
+                let at_leaf = unsafe { nodes.get_unchecked(cur[l]).left as usize == cur[l] };
                 if !parked[l] && at_leaf {
                     unsafe {
                         *out.get_unchecked_mut(row_of[l] * stride + tree) =

@@ -148,7 +148,10 @@ impl RandomForest {
             .into_par_iter()
             .map(|t| Self::fit_tree(config, x, y, t))
             .collect();
-        RandomForest { trees, n_samples: n }
+        RandomForest {
+            trees,
+            n_samples: n,
+        }
     }
 
     /// The seed tree `t` builds with (per-node streams derive from it).
@@ -169,7 +172,13 @@ impl RandomForest {
         let n = x.len();
         if !config.bootstrap {
             let indices: Vec<usize> = (0..n).collect();
-            return DecisionTree::fit_seeded(&config.tree, x, y, &indices, Self::tree_seed(config, t));
+            return DecisionTree::fit_seeded(
+                &config.tree,
+                x,
+                y,
+                &indices,
+                Self::tree_seed(config, t),
+            );
         }
         match config.scheme {
             BootstrapScheme::Resample => {
@@ -210,7 +219,11 @@ impl RandomForest {
         y: &[f64],
     ) -> Vec<TreeUpdate> {
         assert_eq!(x.len(), y.len(), "feature/target length mismatch");
-        assert_eq!(config.n_trees, self.trees.len(), "config/forest tree count mismatch");
+        assert_eq!(
+            config.n_trees,
+            self.trees.len(),
+            "config/forest tree count mismatch"
+        );
         assert!(
             x.len() >= self.n_samples,
             "fewer samples ({}) than the previous fit ({})",
@@ -276,7 +289,13 @@ impl RandomForest {
                 if w > 0 {
                     multiset.extend(std::iter::repeat_n(s, w));
                     fallback = false;
-                    tree = Some(DecisionTree::fit_seeded(&config.tree, x, y, &multiset, seed));
+                    tree = Some(DecisionTree::fit_seeded(
+                        &config.tree,
+                        x,
+                        y,
+                        &multiset,
+                        seed,
+                    ));
                 } else {
                     let all: Vec<usize> = (0..=s).collect();
                     tree = Some(DecisionTree::fit_seeded(&config.tree, x, y, &all, seed));
@@ -457,7 +476,9 @@ mod tests {
         // Mean multiplicity ~1 and ~37% zeros over a large draw.
         let n = 20_000;
         let total: usize = (0..n).map(|i| bootstrap_weight(0x5eed, 0, i)).sum();
-        let zeros = (0..n).filter(|&i| bootstrap_weight(0x5eed, 0, i) == 0).count();
+        let zeros = (0..n)
+            .filter(|&i| bootstrap_weight(0x5eed, 0, i) == 0)
+            .count();
         let mean = total as f64 / n as f64;
         assert!((mean - 1.0).abs() < 0.05, "mean weight {mean}");
         let zero_frac = zeros as f64 / n as f64;
@@ -477,12 +498,20 @@ mod tests {
         // Fit on a prefix, then append the rest in a few batches.
         let prefix = 40;
         let x0 = FeatureMatrix::from_rows(
-            &x_full.rows().take(prefix).map(<[f64]>::to_vec).collect::<Vec<_>>(),
+            &x_full
+                .rows()
+                .take(prefix)
+                .map(<[f64]>::to_vec)
+                .collect::<Vec<_>>(),
         );
         let mut forest = RandomForest::fit(&cfg, &x0, &y_full[..prefix]);
         for upto in [41, 50, 64, 80] {
             let x = FeatureMatrix::from_rows(
-                &x_full.rows().take(upto).map(<[f64]>::to_vec).collect::<Vec<_>>(),
+                &x_full
+                    .rows()
+                    .take(upto)
+                    .map(<[f64]>::to_vec)
+                    .collect::<Vec<_>>(),
             );
             let changed = forest.refit_incremental(&cfg, &x, &y_full[..upto]);
             let scratch = RandomForest::fit(&cfg, &x, &y_full[..upto]);
@@ -506,7 +535,11 @@ mod tests {
             ..ForestConfig::default()
         };
         let x0 = FeatureMatrix::from_rows(
-            &x_full.rows().take(49).map(<[f64]>::to_vec).collect::<Vec<_>>(),
+            &x_full
+                .rows()
+                .take(49)
+                .map(<[f64]>::to_vec)
+                .collect::<Vec<_>>(),
         );
         let mut forest = RandomForest::fit(&cfg, &x0, &y_full[..49]);
         let before = forest.clone();
@@ -535,7 +568,11 @@ mod tests {
             ..ForestConfig::default()
         };
         let x0 = FeatureMatrix::from_rows(
-            &x_full.rows().take(55).map(<[f64]>::to_vec).collect::<Vec<_>>(),
+            &x_full
+                .rows()
+                .take(55)
+                .map(<[f64]>::to_vec)
+                .collect::<Vec<_>>(),
         );
         let mut forest = RandomForest::fit(&cfg, &x0, &y_full[..55]);
         let before = forest.clone();
@@ -576,12 +613,20 @@ mod tests {
             ..ForestConfig::default()
         };
         let x0 = FeatureMatrix::from_rows(
-            &x_full.rows().take(20).map(<[f64]>::to_vec).collect::<Vec<_>>(),
+            &x_full
+                .rows()
+                .take(20)
+                .map(<[f64]>::to_vec)
+                .collect::<Vec<_>>(),
         );
         let mut forest = RandomForest::fit(&cfg, &x0, &y_full[..20]);
         let changed = forest.refit_incremental(&cfg, &x_full, &y_full);
         let reported: Vec<usize> = changed.iter().map(|u| u.tree).collect();
-        assert_eq!(reported, (0..4).collect::<Vec<_>>(), "all trees see all samples");
+        assert_eq!(
+            reported,
+            (0..4).collect::<Vec<_>>(),
+            "all trees see all samples"
+        );
         assert_eq!(forest, RandomForest::fit(&cfg, &x_full, &y_full));
     }
 
@@ -594,7 +639,11 @@ mod tests {
             ..ForestConfig::default()
         };
         let x0 = FeatureMatrix::from_rows(
-            &x_full.rows().take(20).map(<[f64]>::to_vec).collect::<Vec<_>>(),
+            &x_full
+                .rows()
+                .take(20)
+                .map(<[f64]>::to_vec)
+                .collect::<Vec<_>>(),
         );
         let mut forest = RandomForest::fit(&cfg, &x0, &y_full[..20]);
         let changed = forest.refit_incremental(&cfg, &x_full, &y_full);

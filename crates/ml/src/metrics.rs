@@ -21,7 +21,12 @@ pub fn mse(truth: &[f64], pred: &[f64]) -> f64 {
 pub fn mae(truth: &[f64], pred: &[f64]) -> f64 {
     assert_eq!(truth.len(), pred.len());
     assert!(!truth.is_empty());
-    truth.iter().zip(pred).map(|(t, p)| (t - p).abs()).sum::<f64>() / truth.len() as f64
+    truth
+        .iter()
+        .zip(pred)
+        .map(|(t, p)| (t - p).abs())
+        .sum::<f64>()
+        / truth.len() as f64
 }
 
 /// Coefficient of determination (1 = perfect; can be negative).
@@ -30,11 +35,7 @@ pub fn r2(truth: &[f64], pred: &[f64]) -> f64 {
     assert!(!truth.is_empty());
     let mean = truth.iter().sum::<f64>() / truth.len() as f64;
     let ss_tot: f64 = truth.iter().map(|t| (t - mean) * (t - mean)).sum();
-    let ss_res: f64 = truth
-        .iter()
-        .zip(pred)
-        .map(|(t, p)| (t - p) * (t - p))
-        .sum();
+    let ss_res: f64 = truth.iter().zip(pred).map(|(t, p)| (t - p) * (t - p)).sum();
     if ss_tot == 0.0 {
         if ss_res == 0.0 {
             1.0

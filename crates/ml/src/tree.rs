@@ -251,11 +251,9 @@ impl DirtyRegion {
 
     /// Whether `row`'s prediction may have changed.
     pub fn contains(&self, row: &[f64]) -> bool {
-        self.regions.iter().any(|conds| {
-            conds
-                .iter()
-                .all(|&(f, lo, hi)| row[f] > lo && row[f] <= hi)
-        })
+        self.regions
+            .iter()
+            .any(|conds| conds.iter().all(|&(f, lo, hi)| row[f] > lo && row[f] <= hi))
     }
 
     /// Union with another region (e.g. a later append to the same tree).

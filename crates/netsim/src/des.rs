@@ -156,8 +156,14 @@ pub enum QueueEngine {
 /// The event loop's priority queue, behind the engine switch. Owns the
 /// `seq` tiebreaker so pushes are totally ordered no matter the engine.
 enum EventQueue {
-    Calendar { seq: u64, q: CalendarQueue<Event> },
-    Heap { seq: u64, q: BinaryHeap<Reverse<QueuedEvent>> },
+    Calendar {
+        seq: u64,
+        q: CalendarQueue<Event>,
+    },
+    Heap {
+        seq: u64,
+        q: BinaryHeap<Reverse<QueuedEvent>>,
+    },
 }
 
 impl EventQueue {
@@ -256,12 +262,7 @@ impl FlowSim {
 
     /// Simulate one execution; returns the completion time (µs) at which
     /// every rank has finished all of its rounds.
-    pub fn simulate(
-        &mut self,
-        cluster: &Cluster,
-        ppn: u32,
-        sched: &MaterializedSchedule,
-    ) -> f64 {
+    pub fn simulate(&mut self, cluster: &Cluster, ppn: u32, sched: &MaterializedSchedule) -> f64 {
         assert!(ppn >= 1, "ppn must be positive");
         let ranks = sched.num_ranks;
         assert!(
@@ -386,9 +387,13 @@ impl FlowSim {
                         f.last_update = time;
                     }
                     active_flows.push(fid);
-                    recompute_rates(time, &mut flows, &mut active_flows, &resources, |t, f, g| {
-                        queue.push(t, Event::TransferEnd(f, g))
-                    });
+                    recompute_rates(
+                        time,
+                        &mut flows,
+                        &mut active_flows,
+                        &resources,
+                        |t, f, g| queue.push(t, Event::TransferEnd(f, g)),
+                    );
                 }
                 Event::TransferEnd(fid, generation) => {
                     let f = &flows[fid as usize];
@@ -406,9 +411,13 @@ impl FlowSim {
                     let round = f.round;
                     flows[fid as usize].active = false;
                     active_flows.retain(|&x| x != fid);
-                    recompute_rates(time, &mut flows, &mut active_flows, &resources, |t, f, g| {
-                        queue.push(t, Event::TransferEnd(f, g))
-                    });
+                    recompute_rates(
+                        time,
+                        &mut flows,
+                        &mut active_flows,
+                        &resources,
+                        |t, f, g| queue.push(t, Event::TransferEnd(f, g)),
+                    );
                     // Sender completes its message at wire drain.
                     complete_message(
                         src,
@@ -425,9 +434,8 @@ impl FlowSim {
                 }
                 Event::Delivery(fid) => {
                     let f = &flows[fid as usize];
-                    let done = time
-                        + params.reduce_time(f.msg.reduce_bytes)
-                        + params.cpu_overhead_us;
+                    let done =
+                        time + params.reduce_time(f.msg.reduce_bytes) + params.cpu_overhead_us;
                     let dst = f.msg.dst;
                     let round = f.round;
                     finish = finish.max(done);
@@ -470,7 +478,14 @@ impl FlowSim {
             if *p == 0 && rank_round[rank as usize] == round {
                 rank_round[rank as usize] = round + 1;
                 enter_rounds(
-                    rank, now, n_rounds, cpu_overhead, rank_round, pending, sends, queue,
+                    rank,
+                    now,
+                    n_rounds,
+                    cpu_overhead,
+                    rank_round,
+                    pending,
+                    sends,
+                    queue,
                 );
             }
         }
@@ -592,7 +607,10 @@ mod tests {
         let mut sim = FlowSim::new();
         let t1 = sim.simulate(&c, 2, &lone);
         let t2 = sim.simulate(&c, 2, &shared);
-        assert!(t2 > 1.7 * t1, "NIC sharing must slow both flows: {t1} vs {t2}");
+        assert!(
+            t2 > 1.7 * t1,
+            "NIC sharing must slow both flows: {t1} vs {t2}"
+        );
     }
 
     #[test]
@@ -627,7 +645,10 @@ mod tests {
         let mut sim = FlowSim::new();
         let t_relay = sim.simulate(&c, 1, &relay);
         let t_single = sim.simulate(&c, 1, &single);
-        assert!(t_relay > 1.9 * t_single, "relay must serialize: {t_relay} vs {t_single}");
+        assert!(
+            t_relay > 1.9 * t_single,
+            "relay must serialize: {t_relay} vs {t_single}"
+        );
     }
 
     #[test]
@@ -656,7 +677,10 @@ mod tests {
         let tp = sim.simulate(&c, 1, &plain);
         let tr = sim.simulate(&c, 1, &reducing);
         let extra = c.params.reduce_time(1 << 20);
-        assert!((tr - tp - extra).abs() < 1e-6, "tp={tp} tr={tr} extra={extra}");
+        assert!(
+            (tr - tp - extra).abs() < 1e-6,
+            "tp={tp} tr={tr} extra={extra}"
+        );
     }
 
     #[test]

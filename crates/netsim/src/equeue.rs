@@ -296,11 +296,8 @@ impl<T> CalendarQueue<T> {
     /// Redistribute every entry over `n` buckets of time width `width`.
     fn rehash(&mut self, n: usize, width: f64) {
         debug_assert!(n.is_power_of_two(), "bucket count must stay a power of two");
-        let entries: Vec<Reverse<Entry<T>>> = self
-            .buckets
-            .iter_mut()
-            .flat_map(std::mem::take)
-            .collect();
+        let entries: Vec<Reverse<Entry<T>>> =
+            self.buckets.iter_mut().flat_map(std::mem::take).collect();
         if self.buckets.len() != n {
             self.buckets = (0..n).map(|_| Day::new()).collect();
         }

@@ -166,7 +166,10 @@ mod tests {
         // Straggle draws happen only on non-failing runs.
         let straggle_rate = straggles as f64 / (n - fails) as f64;
         assert!((fail_rate - 0.10).abs() < 0.01, "fail rate {fail_rate}");
-        assert!((straggle_rate - 0.20).abs() < 0.01, "straggle rate {straggle_rate}");
+        assert!(
+            (straggle_rate - 0.20).abs() < 0.01,
+            "straggle rate {straggle_rate}"
+        );
     }
 
     #[test]

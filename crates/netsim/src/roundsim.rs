@@ -458,7 +458,10 @@ mod tests {
         let mut sim = RoundSim::new();
         let t1 = sim.simulate(&c, 1, &one);
         let t2 = sim.simulate(&c, 1, &par);
-        assert!((t2 - t1).abs() < 1e-9, "disjoint flows must run at full rate");
+        assert!(
+            (t2 - t1).abs() < 1e-9,
+            "disjoint flows must run at full rate"
+        );
     }
 
     #[test]

@@ -279,7 +279,10 @@ mod tests {
         assert!(s.rounds.iter().flatten().all(|m| m.dst == (m.src + 1) % 4));
         assert_eq!(s.message_count(), 12);
         assert_eq!(s.total_bytes(), 30);
-        assert!(Ring(RingPhase::split(1, 10)).materialize().rounds.is_empty());
+        assert!(Ring(RingPhase::split(1, 10))
+            .materialize()
+            .rounds
+            .is_empty());
     }
 
     #[test]

@@ -117,7 +117,10 @@ impl Allocation {
     ///
     /// Panics if ids repeat or fall outside the topology.
     pub fn new(topology: &Topology, nodes: Vec<u32>) -> Self {
-        assert!(!nodes.is_empty(), "allocation must contain at least one node");
+        assert!(
+            !nodes.is_empty(),
+            "allocation must contain at least one node"
+        );
         let total = topology.total_nodes();
         let mut seen = vec![false; total as usize];
         for &n in &nodes {
@@ -185,7 +188,9 @@ impl Allocation {
             "need {count} rack pairs, topology has {}",
             topology.num_pairs()
         );
-        let nodes = (0..count).map(|i| 2 * i * topology.nodes_per_rack).collect();
+        let nodes = (0..count)
+            .map(|i| 2 * i * topology.nodes_per_rack)
+            .collect();
         Self::new(topology, nodes)
     }
 
@@ -331,11 +336,8 @@ mod tests {
     fn max_parallel_puts_every_node_in_its_own_pair() {
         let t = Topology::new(4, 8);
         let a = Allocation::max_parallel(&t, 4);
-        let pairs: std::collections::BTreeSet<u32> = a
-            .nodes()
-            .iter()
-            .map(|&n| t.pair_of(t.rack_of(n)))
-            .collect();
+        let pairs: std::collections::BTreeSet<u32> =
+            a.nodes().iter().map(|&n| t.pair_of(t.rack_of(n))).collect();
         assert_eq!(pairs.len(), 4, "each node must land in a distinct pair");
     }
 

@@ -16,12 +16,10 @@ fn cluster(nodes: u32) -> Cluster {
 
 /// Strategy: a well-formed random schedule on `ranks` ranks.
 fn schedules(ranks: u32) -> impl Strategy<Value = MaterializedSchedule> {
-    let msg = (0..ranks, 0..ranks, 1u64..500_000).prop_filter_map(
-        "no self-messages",
-        move |(src, dst, bytes)| {
+    let msg = (0..ranks, 0..ranks, 1u64..500_000)
+        .prop_filter_map("no self-messages", move |(src, dst, bytes)| {
             (src != dst).then(|| Msg::data(src, dst, bytes))
-        },
-    );
+        });
     let round = proptest::collection::vec(msg, 1..8);
     proptest::collection::vec(round, 1..6)
         .prop_map(move |rounds| MaterializedSchedule::new(ranks, rounds))

@@ -51,8 +51,9 @@ fn main() -> ExitCode {
             }
         };
         let outcome = match mode {
-            Mode::Trace => acclaim_obs::schema::validate_trace(&text)
-                .map(|n| format!("{n} lines ok")),
+            Mode::Trace => {
+                acclaim_obs::schema::validate_trace(&text).map(|n| format!("{n} lines ok"))
+            }
             Mode::MetricsJson => acclaim_obs::schema::validate_metrics_json(&text)
                 .map(|()| "metrics exposition ok".to_string()),
             Mode::Flight => acclaim_obs::schema::validate_flight_records(&text)

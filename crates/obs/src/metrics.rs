@@ -72,8 +72,12 @@ fn atomic_f64_fold(cell: &AtomicU64, v: f64, pick: impl Fn(f64, f64) -> f64) {
         if folded.to_bits() == cur {
             return;
         }
-        match cell.compare_exchange_weak(cur, folded.to_bits(), Ordering::Relaxed, Ordering::Relaxed)
-        {
+        match cell.compare_exchange_weak(
+            cur,
+            folded.to_bits(),
+            Ordering::Relaxed,
+            Ordering::Relaxed,
+        ) {
             Ok(_) => return,
             Err(seen) => cur = seen,
         }
@@ -107,7 +111,9 @@ impl Counter {
 
     /// Current value (0 when disabled).
     pub fn get(&self) -> u64 {
-        self.0.as_ref().map_or(0, |c| c.value.load(Ordering::Relaxed))
+        self.0
+            .as_ref()
+            .map_or(0, |c| c.value.load(Ordering::Relaxed))
     }
 }
 
@@ -573,7 +579,11 @@ mod tests {
             .unwrap();
         assert_eq!(hist.count, written);
         assert_eq!(hist.buckets.iter().map(|b| b.count).sum::<u64>(), written);
-        let (_, active) = final_snap.gauges.iter().find(|(k, _)| k == "active").unwrap();
+        let (_, active) = final_snap
+            .gauges
+            .iter()
+            .find(|(k, _)| k == "active")
+            .unwrap();
         assert_eq!(*active, 0.0);
     }
 }

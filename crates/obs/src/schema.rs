@@ -55,8 +55,8 @@ fn require_num(obj: &Value, field: &str, line: usize) -> Result<f64, String> {
 
 /// Validate one JSONL trace line (1-based `line` for error messages).
 pub fn validate_line(text: &str, line: usize) -> Result<(), String> {
-    let v: Value = serde_json::from_str(text)
-        .map_err(|e| format!("line {line}: not valid JSON: {e}"))?;
+    let v: Value =
+        serde_json::from_str(text).map_err(|e| format!("line {line}: not valid JSON: {e}"))?;
     if v.as_object().is_none() {
         return Err(format!("line {line}: top level must be a JSON object"));
     }
@@ -265,8 +265,8 @@ pub const FLIGHT_PHASES: [&str; 6] = [
 
 /// Validate one line of a flight-recorder dump.
 pub fn validate_flight_line(text: &str, line: usize) -> Result<(), String> {
-    let v: Value = serde_json::from_str(text)
-        .map_err(|e| format!("line {line}: not valid JSON: {e}"))?;
+    let v: Value =
+        serde_json::from_str(text).map_err(|e| format!("line {line}: not valid JSON: {e}"))?;
     if v.as_object().is_none() {
         return Err(format!("line {line}: top level must be a JSON object"));
     }
@@ -290,7 +290,9 @@ pub fn validate_flight_line(text: &str, line: usize) -> Result<(), String> {
     for field in FLIGHT_PHASES {
         let us = require_num(phases, field, line)?;
         if us < 0.0 {
-            return Err(format!("line {line}: `phases.{field}` must be >= 0, got {us}"));
+            return Err(format!(
+                "line {line}: `phases.{field}` must be >= 0, got {us}"
+            ));
         }
     }
     Ok(())
@@ -343,9 +345,11 @@ mod tests {
         assert!(validate_line(r#"{"type":"mystery"}"#, 1)
             .unwrap_err()
             .contains("unknown record type"));
-        assert!(validate_line(r#"{"type":"counter","name":"c","value":-1}"#, 1)
-            .unwrap_err()
-            .contains("non-negative"));
+        assert!(
+            validate_line(r#"{"type":"counter","name":"c","value":-1}"#, 1)
+                .unwrap_err()
+                .contains("non-negative")
+        );
         let bad_span = r#"{"type":"span","id":1,"parent":null,"name":"x","cat":"c","track":"t","timeline":"host","start_us":5.0,"end_us":1.0,"attrs":{}}"#;
         assert!(validate_line(bad_span, 1).unwrap_err().contains("precedes"));
         let bad_timeline = r#"{"type":"span","id":1,"parent":null,"name":"x","cat":"c","track":"t","timeline":"dream","start_us":0.0,"end_us":1.0,"attrs":{}}"#;
@@ -364,7 +368,9 @@ mod tests {
             "\n",
             r#"{"type":"span","id":2,"parent":7,"name":"x","cat":"c","track":"t","timeline":"host","start_us":0.0,"end_us":1.0,"attrs":{}}"#,
         );
-        assert!(validate_trace(orphan).unwrap_err().contains("unknown parent"));
+        assert!(validate_trace(orphan)
+            .unwrap_err()
+            .contains("unknown parent"));
         let bad_hist = concat!(
             r#"{"type":"meta","version":1,"clock":"manual"}"#,
             "\n",
@@ -377,7 +383,9 @@ mod tests {
     fn metrics_json_checks() {
         let ok = r#"{"type":"metrics","version":1,"counters":{"c":1},"gauges":{"g":0.5},"histograms":{"h":{"count":2,"sum":3.0,"min":1.0,"max":2.0,"mean":1.5,"p50":2.0,"p95":2.0,"p99":2.0,"buckets":[{"lo":1.0,"hi":2.0,"count":1},{"lo":2.0,"hi":null,"count":1}]}}}"#;
         validate_metrics_json(ok).unwrap();
-        assert!(validate_metrics_json("not json").unwrap_err().contains("JSON"));
+        assert!(validate_metrics_json("not json")
+            .unwrap_err()
+            .contains("JSON"));
         assert!(validate_metrics_json(r#"{"type":"trace"}"#)
             .unwrap_err()
             .contains("metrics"));
@@ -387,7 +395,9 @@ mod tests {
             .unwrap_err()
             .contains("non-negative"));
         let bad_sum = ok.replace(r#""count":2"#, r#""count":3"#);
-        assert!(validate_metrics_json(&bad_sum).unwrap_err().contains("sum to 2"));
+        assert!(validate_metrics_json(&bad_sum)
+            .unwrap_err()
+            .contains("sum to 2"));
         let bad_quantiles = ok.replace(r#""p95":2.0"#, r#""p95":0.5"#);
         assert!(validate_metrics_json(&bad_quantiles)
             .unwrap_err()
@@ -402,9 +412,11 @@ mod tests {
         assert!(validate_flight_line(&ok.replace("trained", "vanished"), 1)
             .unwrap_err()
             .contains("outcome"));
-        assert!(validate_flight_line(&ok.replace(r#""slow":false"#, r#""slow":0"#), 1)
-            .unwrap_err()
-            .contains("boolean"));
+        assert!(
+            validate_flight_line(&ok.replace(r#""slow":false"#, r#""slow":0"#), 1)
+                .unwrap_err()
+                .contains("boolean")
+        );
         assert!(
             validate_flight_line(&ok.replace(r#""probe_us":0.5"#, r#""probe_us":-0.5"#), 1)
                 .unwrap_err()

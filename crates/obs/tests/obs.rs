@@ -44,10 +44,7 @@ fn run_scenario(script: &[Step]) -> acclaim_obs::TraceSnapshot {
     let mut stack = Vec::new();
     for step in script {
         match step {
-            Step::Open => stack.push(
-                obs.span("test", "node")
-                    .attr("depth", stack.len() as u64),
-            ),
+            Step::Open => stack.push(obs.span("test", "node").attr("depth", stack.len() as u64)),
             Step::Close => {
                 stack.pop();
             }

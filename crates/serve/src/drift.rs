@@ -381,7 +381,9 @@ mod tests {
     }
 
     fn feed(d: &DriftDetector, key: &str, ratio: f64, n: u64) -> u64 {
-        (0..n).map(|_| u64::from(d.observe(key, ratio).trigger)).sum()
+        (0..n)
+            .map(|_| u64::from(d.observe(key, ratio).trigger))
+            .sum()
     }
 
     #[test]
@@ -414,7 +416,11 @@ mod tests {
         let d = DriftDetector::new(config(1.5, 2, 0));
         assert_eq!(feed(&d, "lo-edge", 1.0 / 1.5, 10), 0);
         let d = DriftDetector::new(config(1.5, 2, 0));
-        assert_eq!(feed(&d, "lo", 1.0 / 1.6, 10), 1, "pessimistic drift triggers too");
+        assert_eq!(
+            feed(&d, "lo", 1.0 / 1.6, 10),
+            1,
+            "pessimistic drift triggers too"
+        );
     }
 
     #[test]
@@ -443,7 +449,10 @@ mod tests {
         // trigger band but outside the re-arm band — stays disarmed,
         // never triggers.
         assert_eq!(feed(&d, "a", 1.8, 30), 0);
-        assert!(!d.status().signatures[0].armed, "1.8 must not re-arm at band 2.0");
+        assert!(
+            !d.status().signatures[0].armed,
+            "1.8 must not re-arm at band 2.0"
+        );
 
         // Pull the mean inside the re-arm band: re-arms, then a fresh
         // excursion triggers again.
@@ -466,7 +475,11 @@ mod tests {
         // counted from the trigger) holds the retry back until it
         // drains.
         assert_eq!(feed(&d, "a", 4.0, cooldown - 1), 0);
-        assert_eq!(feed(&d, "a", 4.0, 1), 1, "retry fires when the cooldown drains");
+        assert_eq!(
+            feed(&d, "a", 4.0, 1),
+            1,
+            "retry fires when the cooldown drains"
+        );
     }
 
     #[test]
@@ -493,7 +506,11 @@ mod tests {
         assert_eq!(feed(&d, "healthy", 1.0, 40), 0);
         let report = d.status();
         assert_eq!(report.triggered, 1);
-        let healthy = report.signatures.iter().find(|s| s.key == "healthy").unwrap();
+        let healthy = report
+            .signatures
+            .iter()
+            .find(|s| s.key == "healthy")
+            .unwrap();
         assert!(healthy.armed && !healthy.in_flight);
     }
 }

@@ -49,7 +49,9 @@ impl SharedStore {
         let store = TuningStore::open(dir)?;
         let this = SharedStore {
             store,
-            shards: (0..shards.max(1)).map(|_| RwLock::new(HashMap::new())).collect(),
+            shards: (0..shards.max(1))
+                .map(|_| RwLock::new(HashMap::new()))
+                .collect(),
         };
         for key in this.store.keys()? {
             if let Some(entry) = this.store.get(&key)? {

@@ -306,9 +306,9 @@ pub fn run(service: &TuneService, config: &LoadGenConfig) -> LoadReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::service::{ServeConfig, TuneService};
     use acclaim_obs::Obs;
     use acclaim_store::Compatibility;
-    use crate::service::{ServeConfig, TuneService};
 
     #[test]
     fn pool_entries_are_pairwise_incompatible() {

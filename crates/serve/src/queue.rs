@@ -395,7 +395,10 @@ mod tests {
             }
         }
         let after = popped_low_after.expect("low-priority job starved");
-        assert!(after <= window, "low job took {after} pops (window {window})");
+        assert!(
+            after <= window,
+            "low job took {after} pops (window {window})"
+        );
     }
 
     #[test]

@@ -347,9 +347,7 @@ impl RuleCache {
         let tick = self.touch();
         let mut shard = self.shard_for(&key).write().unwrap();
         let mut evicted = 0;
-        if self.per_shard_cap > 0
-            && !shard.contains_key(&key)
-            && shard.len() >= self.per_shard_cap
+        if self.per_shard_cap > 0 && !shard.contains_key(&key) && shard.len() >= self.per_shard_cap
         {
             if let Some(stale) = shard
                 .iter()
@@ -656,8 +654,11 @@ impl TuneService {
                 }
             }
             None => {
-                let algorithm =
-                    mpich_default(request.collective, request.point.ranks(), request.point.msg_bytes);
+                let algorithm = mpich_default(
+                    request.collective,
+                    request.point.ranks(),
+                    request.point.msg_bytes,
+                );
                 inner.counters.query_defaults.incr();
                 QueryResponse {
                     algorithm: algorithm.name().to_string(),
@@ -734,7 +735,12 @@ impl TuneService {
     /// inertness contract. With a trigger band configured, a sustained
     /// excursion enqueues a low-priority warm re-tune for the drifted
     /// signature (see [`TuneService::drift_status`]).
-    pub fn observe(&self, request: &QueryRequest, algorithm: &str, observed_us: f64) -> DriftSample {
+    pub fn observe(
+        &self,
+        request: &QueryRequest,
+        algorithm: &str,
+        observed_us: f64,
+    ) -> DriftSample {
         self.inner.observe_drift(request, algorithm, observed_us)
     }
 
@@ -812,10 +818,13 @@ impl ServiceInner {
             });
             return state;
         }
-        if self
-            .queue
-            .push(request.priority, fingerprint, request, state.clone(), retune)
-        {
+        if self.queue.push(
+            request.priority,
+            fingerprint,
+            request,
+            state.clone(),
+            retune,
+        ) {
             // Admissions and removals pair `add`/`sub` calls so the
             // gauge is exact under concurrent submitters (a `set` from
             // a racing re-read of `queue.len()` could go backwards).
@@ -910,7 +919,9 @@ impl ServiceInner {
             tables.push(m.rules.clone());
         }
         Some(TuneResult {
-            tuning_file: TuningFile { collectives: tables },
+            tuning_file: TuningFile {
+                collectives: tables,
+            },
             keys,
             iterations: 0,
             fresh_points: 0,
@@ -995,7 +1006,10 @@ impl ServiceInner {
                 probe_from,
                 obs.now_us(),
                 vec![
-                    ("collectives".into(), (request.collectives.len() as u64).into()),
+                    (
+                        "collectives".into(),
+                        (request.collectives.len() as u64).into(),
+                    ),
                     ("warm_hits".into(), (warms.len() as u64).into()),
                 ],
             );
@@ -1071,7 +1085,9 @@ impl ServiceInner {
         }
         self.counters.cache_size.set(self.cache.len() as f64);
         phases.write_back_us = write_back_started.elapsed().as_secs_f64() * 1e6;
-        self.counters.phase_write_back_us.record(phases.write_back_us);
+        self.counters
+            .phase_write_back_us
+            .record(phases.write_back_us);
         if obs.is_enabled() {
             obs.host_span_at(
                 "serve",
@@ -1224,10 +1240,13 @@ impl ServiceInner {
                     } else {
                         r.state.set(JobStatus::Queued);
                         let retune_keys = r.retune.as_ref().map(|spec| spec.keys.clone());
-                        if self
-                            .queue
-                            .push(r.priority, r.fingerprint, r.request, r.state.clone(), r.retune)
-                        {
+                        if self.queue.push(
+                            r.priority,
+                            r.fingerprint,
+                            r.request,
+                            r.state.clone(),
+                            r.retune,
+                        ) {
                             self.counters.queue_depth.add(1.0);
                         } else {
                             if let Some(keys) = &retune_keys {
@@ -1406,7 +1425,8 @@ impl ServiceInner {
             // Gauge per *full* store key. Keys are currently 16 hex
             // chars so truncation never bit, but two signatures must
             // never fold into one gauge if the key format widens.
-            self.obs.set_gauge(&format!("drift.ratio.{key}"), decision.mean);
+            self.obs
+                .set_gauge(&format!("drift.ratio.{key}"), decision.mean);
         }
         if decision.trigger {
             c.drift_triggered.incr();
@@ -1464,8 +1484,11 @@ mod tests {
     /// until the returned gate is opened. With one worker, the first
     /// hook call belongs to the first submitted job, deterministically.
     #[allow(clippy::type_complexity)]
-    fn first_call_gate() -> (ServiceHooks, Arc<(Mutex<bool>, Condvar)>, Arc<(Mutex<u32>, Condvar)>)
-    {
+    fn first_call_gate() -> (
+        ServiceHooks,
+        Arc<(Mutex<bool>, Condvar)>,
+        Arc<(Mutex<u32>, Condvar)>,
+    ) {
         let gate = Arc::new((Mutex::new(false), Condvar::new()));
         let entered = Arc::new((Mutex::new(0u32), Condvar::new()));
         let calls = Arc::new(AtomicU64::new(0));
@@ -1653,8 +1676,7 @@ mod tests {
     #[test]
     fn shutdown_cancels_queued_jobs_and_rejects_new_ones() {
         let dir = temp_dir("shutdown");
-        let service =
-            TuneService::open(&dir, ServeConfig::default(), Obs::disabled()).unwrap();
+        let service = TuneService::open(&dir, ServeConfig::default(), Obs::disabled()).unwrap();
         service.submit(request(1, vec![Collective::Bcast])).wait();
         service.shutdown();
         let late = service.submit(request(2, vec![Collective::Bcast]));
@@ -1691,8 +1713,7 @@ mod tests {
         assert!(records[0].phases.collect_us > 0.0);
         assert!(records[0].phases.write_back_us > 0.0);
         // The dump validates against the flight schema.
-        acclaim_obs::schema::validate_flight_records(&FlightRecorder::to_jsonl(&records))
-            .unwrap();
+        acclaim_obs::schema::validate_flight_records(&FlightRecorder::to_jsonl(&records)).unwrap();
 
         // Slow log: with factor 0 every request past the 8-sample
         // warm-up trips the threshold.
@@ -1794,7 +1815,10 @@ mod tests {
         let mut expected = Vec::new();
         for seed in [1, 2] {
             let req = request(seed, vec![Collective::Bcast]);
-            assert!(matches!(service.submit(req.clone()).wait(), JobStatus::Done(_)));
+            assert!(matches!(
+                service.submit(req.clone()).wait(),
+                JobStatus::Done(_)
+            ));
             let q = QueryRequest {
                 dataset: req.dataset.clone(),
                 config: req.config.clone(),
@@ -1836,7 +1860,10 @@ mod tests {
         let dir = temp_dir("drift-finite");
         let service = TuneService::open(&dir, ServeConfig::default(), Obs::enabled()).unwrap();
         let req = request(3, vec![Collective::Bcast]);
-        assert!(matches!(service.submit(req.clone()).wait(), JobStatus::Done(_)));
+        assert!(matches!(
+            service.submit(req.clone()).wait(),
+            JobStatus::Done(_)
+        ));
         let q = QueryRequest {
             dataset: req.dataset.clone(),
             config: req.config.clone(),
@@ -1883,7 +1910,10 @@ mod tests {
         let service = TuneService::open(&dir, config, Obs::enabled()).unwrap();
         let req_a = request(1, vec![Collective::Bcast]);
         let req_b = request(2, vec![Collective::Bcast]);
-        assert!(matches!(service.submit(req_a.clone()).wait(), JobStatus::Done(_)));
+        assert!(matches!(
+            service.submit(req_a.clone()).wait(),
+            JobStatus::Done(_)
+        ));
         let q = QueryRequest {
             dataset: req_a.dataset.clone(),
             config: req_a.config.clone(),

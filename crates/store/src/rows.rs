@@ -52,8 +52,7 @@ fn algorithm_index(a: Algorithm) -> u32 {
 
 /// Encode `samples` into a self-checking binary block.
 pub(crate) fn encode_rows(samples: &[TrainingSample]) -> Vec<u8> {
-    let mut out =
-        Vec::with_capacity(HEADER_BYTES + samples.len() * RECORD_BYTES + CHECKSUM_BYTES);
+    let mut out = Vec::with_capacity(HEADER_BYTES + samples.len() * RECORD_BYTES + CHECKSUM_BYTES);
     out.extend_from_slice(&ROWS_MAGIC);
     out.extend_from_slice(&(samples.len() as u64).to_le_bytes());
     for s in samples {

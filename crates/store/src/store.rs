@@ -466,13 +466,9 @@ impl TuningStore {
         let mut report = GcReport::default();
         for key in keys {
             let mut seen = 0usize;
-            for (path, binary) in
-                [(self.path_for(key), false), (self.bin_path_for(key), true)]
-            {
+            for (path, binary) in [(self.path_for(key), false), (self.bin_path_for(key), true)] {
                 let keep = match std::fs::read(&path) {
-                    Ok(bytes) => {
-                        parse_entry_bytes(&bytes, binary).is_some_and(|e| e.key() == *key)
-                    }
+                    Ok(bytes) => parse_entry_bytes(&bytes, binary).is_some_and(|e| e.key() == *key),
                     // Never written in this format, or vanished since
                     // the listing (a concurrent sweep or writer got
                     // there first). Nothing to reclaim at this path.

@@ -29,8 +29,7 @@ use crate::store::{Probe, StoreEntry, TuningStore, STORE_SCHEMA_VERSION};
 use acclaim_analytic::AnalyticPrior;
 use acclaim_collectives::Collective;
 use acclaim_core::{
-    Acclaim, AcclaimConfig, CollectiveRules, JobTuning, TrainingOutcome, TrainingSample,
-    WarmStart,
+    Acclaim, AcclaimConfig, CollectiveRules, JobTuning, TrainingOutcome, TrainingSample, WarmStart,
 };
 use acclaim_dataset::BenchmarkDatabase;
 use acclaim_netsim::Fingerprint;
@@ -167,11 +166,10 @@ pub fn tune_with_store(
     // results to the infallible training pipeline.
     let mut warms: HashMap<Collective, WarmStart> = HashMap::new();
     let mut signatures: HashMap<Collective, ClusterSignature> = HashMap::new();
-    let analytic = config
-        .learner
-        .analytic_priors
-        .enabled
-        .then(|| AnalyticPrior::from_dataset(db.config(), config.learner.analytic_priors.clone()));
+    let analytic =
+        config.learner.analytic_priors.enabled.then(|| {
+            AnalyticPrior::from_dataset(db.config(), config.learner.analytic_priors.clone())
+        });
     for &c in collectives {
         let sig = ClusterSignature::new(db.config(), &config.space, c, &config.learner.collection);
         let probe = store.probe(&sig)?;
@@ -188,9 +186,8 @@ pub fn tune_with_store(
         signatures.insert(c, sig);
     }
 
-    let tuning = Acclaim::new(config.clone()).tune_with_warm(db, collectives, obs, |c| {
-        warms.get(&c).cloned()
-    });
+    let tuning = Acclaim::new(config.clone())
+        .tune_with_warm(db, collectives, obs, |c| warms.get(&c).cloned());
 
     // Write back whatever was freshly measured.
     for (i, (c, outcome)) in tuning.reports.iter().enumerate() {
@@ -252,7 +249,10 @@ mod tests {
             &config.learner.collection,
         );
         let probe = store.probe(&sig).unwrap();
-        assert!(probe.exact.is_some(), "freshly tuned signature must exact-hit");
+        assert!(
+            probe.exact.is_some(),
+            "freshly tuned signature must exact-hit"
+        );
 
         let obs = acclaim_obs::Obs::enabled();
         let trusted = warm_start_from_probe(&probe, &obs).unwrap();

@@ -58,7 +58,11 @@ fn main() {
                     .schedule(nodes * ppn, m)
                     .as_ref(),
             );
-            let winner = if t_bin <= t_sg { "binomial" } else { "scat_gath" };
+            let winner = if t_bin <= t_sg {
+                "binomial"
+            } else {
+                "scat_gath"
+            };
             cells.push(format!(
                 "{winner:<9} {:>6.0} vs {:>6.0}",
                 t_bin.min(t_sg),

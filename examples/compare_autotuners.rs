@@ -27,7 +27,11 @@ fn main() {
     );
     let eval = space.points();
     let collective = Collective::Bcast;
-    println!("tuning {} over a {}-point grid\n", collective.name(), space.len());
+    println!(
+        "tuning {} over a {}-point grid\n",
+        collective.name(),
+        space.len()
+    );
 
     // Hunold et al.: random sample of 30% of the space.
     let hunold = HunoldAutotuner::default().train_with_fraction(&db, collective, &space, 0.3);
@@ -51,8 +55,7 @@ fn main() {
     );
 
     // ACCLAiM: everything on.
-    let acclaim =
-        ActiveLearner::new(LearnerConfig::acclaim()).train(&db, collective, &space, None);
+    let acclaim = ActiveLearner::new(LearnerConfig::acclaim()).train(&db, collective, &space, None);
     let a_slow = db.average_slowdown(collective, &eval, |p| acclaim.model.select(p));
     println!(
         "ACCLAiM       : {:>4} samples  {:>8.1} s collection  slowdown {:.3}  \

@@ -114,16 +114,13 @@ pub mod prelude {
         mpich_default, Algorithm, Collective, Measurement, MicrobenchConfig,
     };
     pub use acclaim_core::{
-        all_candidates, application_impact, rank_by_variance, rank_by_variance_flat,
-        Acclaim, AcclaimConfig, AnalyticPriorsConfig,
-        ActiveLearner, Candidate, CollectionPolicy, CollectionStrategy, CriterionConfig,
-        FaultEvent, FaultStats, JobTuning, LearnerConfig, PerfModel, RobustAgg,
-        SelectionPolicy, TrainingOutcome, TrainingSample, TunedSelector, TuningFile,
-        VarianceConvergence, VarianceScanCache, WarmStart,
+        all_candidates, application_impact, rank_by_variance, rank_by_variance_flat, Acclaim,
+        AcclaimConfig, ActiveLearner, AnalyticPriorsConfig, Candidate, CollectionPolicy,
+        CollectionStrategy, CriterionConfig, FaultEvent, FaultStats, JobTuning, LearnerConfig,
+        PerfModel, RobustAgg, SelectionPolicy, TrainingOutcome, TrainingSample, TunedSelector,
+        TuningFile, VarianceConvergence, VarianceScanCache, WarmStart,
     };
-    pub use acclaim_dataset::{
-        BenchmarkDatabase, DatasetConfig, FeatureSpace, Point, Sample,
-    };
+    pub use acclaim_dataset::{BenchmarkDatabase, DatasetConfig, FeatureSpace, Point, Sample};
     pub use acclaim_ml::{
         average_slowdown, DirtyRegion, FlatForest, ForestConfig, RandomForest, TreeUpdate,
         CONVERGENCE_SLOWDOWN,
@@ -132,9 +129,7 @@ pub mod prelude {
         Allocation, Cluster, FaultModel, FlowSim, NetworkParams, NoiseModel, RoundSim, Topology,
     };
     pub use acclaim_obs::{Diag, Obs};
-    pub use acclaim_serve::{
-        JobStatus, Priority, ServeConfig, TuneRequest, TuneService,
-    };
+    pub use acclaim_serve::{JobStatus, Priority, ServeConfig, TuneRequest, TuneService};
     pub use acclaim_store::{
         tune_with_store, ClusterSignature, Compatibility, StoreEntry, TuningStore,
     };

@@ -53,7 +53,11 @@ fn assert_outcomes_identical(a: &TrainingOutcome, b: &TrainingOutcome, what: &st
             .collect()
     };
     assert_eq!(a.collected, b.collected, "{what}: collected rows differ");
-    assert_eq!(strip(&a.log), strip(&b.log), "{what}: iteration logs differ");
+    assert_eq!(
+        strip(&a.log),
+        strip(&b.log),
+        "{what}: iteration logs differ"
+    );
     assert_eq!(a.converged, b.converged, "{what}: convergence differs");
     assert_eq!(a.stats, b.stats, "{what}: collection stats differ");
 }
@@ -103,7 +107,10 @@ fn disabled_config_is_bit_identical_to_plain_tune() {
     let db = db();
     for seed in 0..5u64 {
         let config = config_with_seed(seed);
-        assert!(!config.learner.analytic_priors.enabled, "default must be off");
+        assert!(
+            !config.learner.analytic_priors.enabled,
+            "default must be off"
+        );
         let plain = Acclaim::new(config.clone()).tune(&db, &[Collective::Reduce]);
         let gated = tune_with_analytic(&config, &db, &[Collective::Reduce], &Obs::disabled());
         assert_outcomes_identical(
@@ -151,9 +158,8 @@ fn wrong_model_still_converges_to_good_selections() {
 
     for &collective in &Collective::ALL {
         let good = tune_with_analytic(&config, &db, &[collective], &obs);
-        let bad = Acclaim::new(config.clone()).tune_with_warm(&db, &[collective], &obs, |c| {
-            warms.get(&c).cloned()
-        });
+        let bad = Acclaim::new(config.clone())
+            .tune_with_warm(&db, &[collective], &obs, |c| warms.get(&c).cloned());
         assert!(
             bad.reports[0].1.converged,
             "{collective:?}: wrong-model run must converge"

@@ -96,7 +96,10 @@ fn torn_entry_quarantines_probe_and_tune_degrades_to_cold() {
     let obs = Obs::enabled();
     let rerun = tune_with_store(&store, &cfg, &db, &[Collective::Bcast], &obs).unwrap();
     assert!(rerun.reports[0].1.converged);
-    assert_eq!(rerun.reports[0].1.reused_points, 0, "torn entry was trusted");
+    assert_eq!(
+        rerun.reports[0].1.reused_points, 0,
+        "torn entry was trusted"
+    );
     let snap = obs.snapshot();
     let counter = |name: &str| {
         snap.metrics

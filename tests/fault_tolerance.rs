@@ -42,11 +42,18 @@ fn assert_outcomes_identical(a: &TrainingOutcome, b: &TrainingOutcome, label: &s
     assert_eq!(a.converged, b.converged, "{label}: convergence diverged");
     assert_eq!(a.stats, b.stats, "{label}: collection stats diverged");
     assert_eq!(a.faults, b.faults, "{label}: fault stats diverged");
-    assert_eq!(a.fault_events, b.fault_events, "{label}: event log diverged");
+    assert_eq!(
+        a.fault_events, b.fault_events,
+        "{label}: event log diverged"
+    );
     assert_eq!(a.log.len(), b.log.len(), "{label}: log length diverged");
     for (x, y) in a.log.iter().zip(&b.log) {
         assert_eq!(x.iteration, y.iteration);
-        assert_eq!(x.samples, y.samples, "{label}: samples at iter {}", x.iteration);
+        assert_eq!(
+            x.samples, y.samples,
+            "{label}: samples at iter {}",
+            x.iteration
+        );
         assert_eq!(
             x.wall_us.to_bits(),
             y.wall_us.to_bits(),
@@ -90,7 +97,10 @@ fn disabled_faults_are_bit_identical_for_seeds_0_to_4() {
         })
         .train(&db, Collective::Bcast, &space, None);
         assert_outcomes_identical(&base, &knobs, &format!("seed {seed}"));
-        assert!(knobs.faults.is_quiet(), "seed {seed}: phantom fault activity");
+        assert!(
+            knobs.faults.is_quiet(),
+            "seed {seed}: phantom fault activity"
+        );
         assert!(knobs.fault_events.is_empty());
     }
 }
@@ -187,8 +197,9 @@ fn learner_converges_and_beats_defaults_under_production_faults() {
     // The tuned rule file must beat the default heuristic on average.
     let sel = tuning.selector();
     let pts = space.points();
-    let tuned =
-        db.average_slowdown(Collective::Reduce, &pts, |p| sel.select(Collective::Reduce, p));
+    let tuned = db.average_slowdown(Collective::Reduce, &pts, |p| {
+        sel.select(Collective::Reduce, p)
+    });
     let default = db.average_slowdown(Collective::Reduce, &pts, |p| {
         mpich_default(Collective::Reduce, p.ranks(), p.msg_bytes)
     });
@@ -206,12 +217,8 @@ fn mid_run_node_failure_reschedules_on_the_survivors() {
     let (db, space) = env();
     // Calibrate the onset from a clean run so the failure lands
     // mid-collection (after the seed phase, before the end).
-    let clean = ActiveLearner::new(LearnerConfig::acclaim()).train(
-        &db,
-        Collective::Bcast,
-        &space,
-        None,
-    );
+    let clean =
+        ActiveLearner::new(LearnerConfig::acclaim()).train(&db, Collective::Bcast, &space, None);
     let onset_us = clean.stats.wall_us * 0.5;
     assert!(onset_us > 0.0);
 

@@ -125,7 +125,11 @@ fn assert_decision_identical(mut cfg: LearnerConfig, seed: u64) {
         a.converged, b.converged,
         "seed {seed}: convergence decision diverged"
     );
-    assert_eq!(a.log.len(), b.log.len(), "seed {seed}: iteration counts diverged");
+    assert_eq!(
+        a.log.len(),
+        b.log.len(),
+        "seed {seed}: iteration counts diverged"
+    );
     for (ra, rb) in a.log.iter().zip(&b.log) {
         assert_eq!(
             ra.cumulative_variance.to_bits(),
@@ -137,7 +141,11 @@ fn assert_decision_identical(mut cfg: LearnerConfig, seed: u64) {
     }
     // The final models agree on every selection the tuning file will make.
     for p in space.points() {
-        assert_eq!(a.model.select(p), b.model.select(p), "seed {seed}: final model diverged");
+        assert_eq!(
+            a.model.select(p),
+            b.model.select(p),
+            "seed {seed}: final model diverged"
+        );
     }
 }
 

@@ -33,18 +33,35 @@ fn env() -> (BenchmarkDatabase, FeatureSpace) {
 /// measurements and legitimately differ between runs; everything else
 /// must match to the bit.
 fn assert_outcomes_identical(plain: &TrainingOutcome, traced: &TrainingOutcome, label: &str) {
-    assert_eq!(plain.collected, traced.collected, "{label}: samples diverged");
-    assert_eq!(plain.converged, traced.converged, "{label}: convergence diverged");
-    assert_eq!(plain.stats, traced.stats, "{label}: collection stats diverged");
+    assert_eq!(
+        plain.collected, traced.collected,
+        "{label}: samples diverged"
+    );
+    assert_eq!(
+        plain.converged, traced.converged,
+        "{label}: convergence diverged"
+    );
+    assert_eq!(
+        plain.stats, traced.stats,
+        "{label}: collection stats diverged"
+    );
     assert_eq!(
         plain.test_wall_us.to_bits(),
         traced.test_wall_us.to_bits(),
         "{label}: test cost diverged"
     );
-    assert_eq!(plain.log.len(), traced.log.len(), "{label}: log length diverged");
+    assert_eq!(
+        plain.log.len(),
+        traced.log.len(),
+        "{label}: log length diverged"
+    );
     for (a, b) in plain.log.iter().zip(&traced.log) {
         assert_eq!(a.iteration, b.iteration);
-        assert_eq!(a.samples, b.samples, "{label}: samples at iter {}", a.iteration);
+        assert_eq!(
+            a.samples, b.samples,
+            "{label}: samples at iter {}",
+            a.iteration
+        );
         assert_eq!(
             a.wall_us.to_bits(),
             b.wall_us.to_bits(),
@@ -148,7 +165,10 @@ fn training_trace_validates_and_covers_the_span_taxonomy() {
     let snapshot = obs.snapshot();
     let jsonl = export::to_jsonl(&snapshot);
     let lines = schema::validate_trace(&jsonl).expect("trace validates");
-    assert!(lines > 10, "expected a substantial trace, got {lines} lines");
+    assert!(
+        lines > 10,
+        "expected a substantial trace, got {lines} lines"
+    );
 
     for name in [
         "train",
@@ -185,7 +205,10 @@ fn training_trace_validates_and_covers_the_span_taxonomy() {
             .iter()
             .any(|b| a.id != b.id && a.start_us == b.start_us)
     });
-    assert!(overlapping, "parallel waves should produce concurrent slots");
+    assert!(
+        overlapping,
+        "parallel waves should produce concurrent slots"
+    );
 
     // Counters recorded the loop's bookkeeping.
     let counter = |name: &str| {
@@ -198,16 +221,15 @@ fn training_trace_validates_and_covers_the_span_taxonomy() {
             .unwrap_or_else(|| panic!("counter {name} missing"))
     };
     assert!(counter("learner.non_p2_injections") > 0);
-    assert!(counter("learner.scan_cells_reused") > 0, "dirty-region reuse never fired");
+    assert!(
+        counter("learner.scan_cells_reused") > 0,
+        "dirty-region reuse never fired"
+    );
     assert!(counter("netsim.roundsim.calls") > 0);
     assert_eq!(
         counter("learner.trees_refitted") + counter("learner.trees_reused"),
         LearnerConfig::acclaim().forest.n_trees as u64
-            * snapshot
-                .spans
-                .iter()
-                .filter(|s| s.name == "fit")
-                .count() as u64,
+            * snapshot.spans.iter().filter(|s| s.name == "fit").count() as u64,
         "per-iteration tree accounting must partition the forest"
     );
 }

@@ -74,10 +74,18 @@ fn acclaim_uses_less_machine_time_than_test_set_methods() {
     let db = small_db(16);
     let space = small_space();
 
-    let acclaim = ActiveLearner::new(fast_learner(LearnerConfig::acclaim()))
-        .train(&db, Collective::Bcast, &space, None);
-    let fact = ActiveLearner::new(fast_learner(LearnerConfig::fact()))
-        .train(&db, Collective::Bcast, &space, None);
+    let acclaim = ActiveLearner::new(fast_learner(LearnerConfig::acclaim())).train(
+        &db,
+        Collective::Bcast,
+        &space,
+        None,
+    );
+    let fact = ActiveLearner::new(fast_learner(LearnerConfig::fact())).train(
+        &db,
+        Collective::Bcast,
+        &space,
+        None,
+    );
 
     assert_eq!(acclaim.test_wall_us, 0.0, "ACCLAiM collects no test set");
     assert!(fact.test_wall_us > 0.0, "FACT pays for its test set");
@@ -143,10 +151,9 @@ fn hunold_baseline_needs_more_data_than_acclaim_for_same_quality() {
     let space = small_space();
     let pts = space.points();
 
-    let acclaim = ActiveLearner::new(
-        fast_learner(LearnerConfig::acclaim_sequential()).with_budget(50),
-    )
-    .train(&db, Collective::Bcast, &space, None);
+    let acclaim =
+        ActiveLearner::new(fast_learner(LearnerConfig::acclaim_sequential()).with_budget(50))
+            .train(&db, Collective::Bcast, &space, None);
     let a_slow = db.average_slowdown(Collective::Bcast, &pts, |p| acclaim.model.select(p));
 
     // Hunold with the same budget (50 of space*3 candidates).
@@ -192,11 +199,8 @@ fn simulators_agree_on_algorithm_ordering() {
             let fastest_des = &by_des[0];
             // Equal winner, or a photo-finish (within 20%).
             if fastest_rs.0 != fastest_des.0 {
-                let rs_time_of_des_winner = by_rs
-                    .iter()
-                    .find(|(n, _)| n == &fastest_des.0)
-                    .unwrap()
-                    .1;
+                let rs_time_of_des_winner =
+                    by_rs.iter().find(|(n, _)| n == &fastest_des.0).unwrap().1;
                 assert!(
                     rs_time_of_des_winner < 1.2 * fastest_rs.1,
                     "{} {m}B: engines disagree: roundsim {:?} vs des {:?}",

@@ -65,9 +65,7 @@ fn scattered_random_allocation_trains_without_panic() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(3);
     let alloc = Allocation::random(&machine.topology, 8, &mut rng);
     let db = BenchmarkDatabase::new(DatasetConfig {
-        cluster: machine
-            .with_allocation(alloc)
-            .with_job_latency_factor(2.5),
+        cluster: machine.with_allocation(alloc).with_job_latency_factor(2.5),
         bench: MicrobenchConfig::fast(),
         noise: NoiseModel::mild(),
         seed: 3,
@@ -136,10 +134,10 @@ fn extreme_latency_factor_flips_selections_toward_binomial() {
     let near = make_db(1.0, 5);
     let far = make_db(30.0, 5);
     let p = Point::new(16, 1, 16_384);
-    let t_near = near.time(Algorithm::ReduceScatterGather, p)
-        / near.time(Algorithm::ReduceBinomial, p);
-    let t_far = far.time(Algorithm::ReduceScatterGather, p)
-        / far.time(Algorithm::ReduceBinomial, p);
+    let t_near =
+        near.time(Algorithm::ReduceScatterGather, p) / near.time(Algorithm::ReduceBinomial, p);
+    let t_far =
+        far.time(Algorithm::ReduceScatterGather, p) / far.time(Algorithm::ReduceBinomial, p);
     assert!(
         t_far > t_near,
         "latency must shift the race toward binomial: near {t_near:.3} far {t_far:.3}"
@@ -200,7 +198,11 @@ fn single_tree_forest_refits_incrementally_without_divergence() {
         assert_eq!(cached, cold, "single-tree cache diverged at n={n}");
         let scratch = PerfModel::fit(Collective::Bcast, &samples[..n], &config);
         for p in space.points() {
-            assert_eq!(model.select(p), scratch.select(p), "single-tree select diverged at n={n}");
+            assert_eq!(
+                model.select(p),
+                scratch.select(p),
+                "single-tree select diverged at n={n}"
+            );
         }
     }
 

@@ -138,11 +138,7 @@ fn regime_shift_triggers_warm_retune_and_converges_back() {
                 // The window resets on a successful re-tune, so an
                 // in-band mean over a full window is post-re-tune
                 // evidence only.
-                if !sig.in_flight
-                    && sig.window >= 6
-                    && sig.mean < 1.4
-                    && sig.mean > 1.0 / 1.4
-                {
+                if !sig.in_flight && sig.window >= 6 && sig.mean < 1.4 && sig.mean > 1.0 / 1.4 {
                     settled = true;
                     break 'drive;
                 }
@@ -175,7 +171,10 @@ fn regime_shift_triggers_warm_retune_and_converges_back() {
         }
         std::thread::sleep(std::time::Duration::from_millis(1));
     }
-    assert!(retuned_record, "the re-tune must fly as low-priority 'retuned'");
+    assert!(
+        retuned_record,
+        "the re-tune must fly as low-priority 'retuned'"
+    );
 
     // The re-tune was warm: the republished entry's training run used
     // strictly fewer iterations than the cold shifted baseline.

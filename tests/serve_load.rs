@@ -96,7 +96,10 @@ fn thousand_concurrent_sessions_converge_and_reproduce_by_seed() {
 
     // A different seed draws a different pool and produces different
     // rules (everything is seeded, so this is deterministic too).
-    let other = LoadGenConfig { seed: 12, ..load.clone() };
+    let other = LoadGenConfig {
+        seed: 12,
+        ..load.clone()
+    };
     let dir = temp_dir("acclaim-serve-load-d");
     let service = TuneService::open(&dir, ServeConfig::default(), Obs::enabled()).unwrap();
     let report_d = loadgen::run(&service, &other);
@@ -132,8 +135,7 @@ fn single_session_is_bit_identical_to_tune_with_store() {
         // Service path, binary row format (the default): same rules,
         // same store rows, despite the different on-disk encoding.
         let dir_srv = temp_dir(&format!("acclaim-serve-ident-srv-{seed}"));
-        let service =
-            TuneService::open(&dir_srv, ServeConfig::default(), Obs::disabled()).unwrap();
+        let service = TuneService::open(&dir_srv, ServeConfig::default(), Obs::disabled()).unwrap();
         let handle = service.submit(request.clone());
         let JobStatus::Done(result) = handle.wait() else {
             panic!("seed {seed}: service job did not finish");

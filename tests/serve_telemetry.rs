@@ -114,7 +114,10 @@ fn telemetry_on_is_bit_identical_to_telemetry_off_for_seeds_0_to_4() {
         );
         let (tuning_again, entries_again) =
             tune_once(&on, &request, &format!("seed {seed} repeat"));
-        assert_eq!(tuning_off, tuning_again, "seed {seed}: cache served different rules");
+        assert_eq!(
+            tuning_off, tuning_again,
+            "seed {seed}: cache served different rules"
+        );
         assert_eq!(
             entries_off, entries_again,
             "seed {seed}: drift observation perturbed the store"
@@ -174,7 +177,10 @@ fn expositions_validate_and_cover_the_documented_series() {
         "drift_observations 1",
         "drift_unmatched 1",
     ] {
-        assert!(prometheus.contains(series), "missing {series:?} in:\n{prometheus}");
+        assert!(
+            prometheus.contains(series),
+            "missing {series:?} in:\n{prometheus}"
+        );
     }
 
     // The flight dump: one record per request — one trained, the rest

@@ -47,7 +47,14 @@ fn template_entry(name: &str) -> StoreEntry {
     let dir = temp_dir(name);
     let store = TuningStore::open(&dir).unwrap();
     let db = BenchmarkDatabase::new(DatasetConfig::tiny());
-    tune_with_store(&store, &config(), &db, &[Collective::Bcast], &Obs::disabled()).unwrap();
+    tune_with_store(
+        &store,
+        &config(),
+        &db,
+        &[Collective::Bcast],
+        &Obs::disabled(),
+    )
+    .unwrap();
     let key = store.keys().unwrap().remove(0);
     let entry = store.get(&key).unwrap().unwrap();
     std::fs::remove_dir_all(&dir).ok();
@@ -131,7 +138,9 @@ fn writers_gc_and_readers_race_without_losing_entries() {
                     } else {
                         EntryFormat::Json
                     };
-                    store.put_with(entry, format).expect("refresh must not fail");
+                    store
+                        .put_with(entry, format)
+                        .expect("refresh must not fail");
                 }
             });
         }

@@ -49,7 +49,11 @@ fn assert_outcomes_identical(a: &TrainingOutcome, b: &TrainingOutcome, what: &st
             .collect()
     };
     assert_eq!(a.collected, b.collected, "{what}: collected rows differ");
-    assert_eq!(strip(&a.log), strip(&b.log), "{what}: iteration logs differ");
+    assert_eq!(
+        strip(&a.log),
+        strip(&b.log),
+        "{what}: iteration logs differ"
+    );
     assert_eq!(a.converged, b.converged, "{what}: convergence differs");
     assert_eq!(a.stats, b.stats, "{what}: collection stats differ");
     assert_eq!(a.reused_points, 0, "{what}: cold run reused points");
@@ -140,9 +144,14 @@ fn storeless_runs_stay_bit_identical_for_seeds_0_to_4() {
         // A store-backed run whose probe misses is the store-less run.
         let dir = temp_dir(&format!("acclaim-warmstart-miss-{seed}"));
         let store = TuningStore::open(&dir).unwrap();
-        let via_store =
-            tune_with_store(&store, &config, &db, &[Collective::Reduce], &Obs::disabled())
-                .unwrap();
+        let via_store = tune_with_store(
+            &store,
+            &config,
+            &db,
+            &[Collective::Reduce],
+            &Obs::disabled(),
+        )
+        .unwrap();
         let plain = Acclaim::new(config.clone()).tune(&db, &[Collective::Reduce]);
         assert_outcomes_identical(
             &plain.reports[0].1,
@@ -166,9 +175,14 @@ fn export_import_preserves_forest_predictions_exactly() {
     let db = db();
     let config = config_with_seed(3);
 
-    let tuning =
-        tune_with_store(&store, &config, &db, &[Collective::Allgather], &Obs::disabled())
-            .unwrap();
+    let tuning = tune_with_store(
+        &store,
+        &config,
+        &db,
+        &[Collective::Allgather],
+        &Obs::disabled(),
+    )
+    .unwrap();
     let original = &tuning.reports[0].1.model;
 
     assert_eq!(store.export(&bundle).unwrap(), 1);
