@@ -5,10 +5,13 @@
 //! jackknife variances. The scratch path rebuilds every tree and every
 //! per-tree prediction; the incremental path warm-starts the forest
 //! (only trees whose hashed bootstrap drew the new sample refit — a
-//! ~`1 − e⁻¹` fraction, each along a single presorted path) and
-//! recomputes only the cells of the cached variance scan inside the
-//! refitted trees' dirty regions. Both produce bit-identical rankings,
-//! so the ratio of these benchmarks is pure overhead removed.
+//! ~`1 − e⁻¹` fraction — each inserting the sample into its kept
+//! per-feature sorted orders and rebuilding only the sample's path,
+//! where every split stably partitions its node's window of those
+//! orders) and recomputes only the cells of the cached variance scan
+//! inside the refitted trees' dirty regions. Both produce bit-identical
+//! rankings, so the ratio of these benchmarks is pure overhead removed.
+//! `refit_only` times the incremental path's forest refits alone.
 //!
 //! Measured at the default `ForestConfig` on the 64-node Bebop-like
 //! simulation space the paper's Sec. VI-B experiments use, at a
@@ -94,6 +97,21 @@ fn bench_model_update(c: &mut Criterion) {
                 let changed = model.fit_incremental(&samples[..n], &config);
                 cache.refresh(&model, &changed);
                 black_box(cache.ranking());
+            }
+        })
+    });
+
+    // The fit layer alone: the incremental case's refits without the
+    // variance scan. The base model has been refit once already, so it
+    // carries the per-tree sorted orders a training run keeps between
+    // iterations; the clone copies them along with the trees.
+    let mut warm_model = PerfModel::fit(collective, &samples[..N0 - 1], &config);
+    warm_model.fit_incremental(&samples[..N0], &config);
+    group.bench_function("refit_only", |b| {
+        b.iter(|| {
+            let mut model = warm_model.clone();
+            for n in N0 + 1..=N0 + APPENDS {
+                black_box(model.fit_incremental(&samples[..n], &config));
             }
         })
     });

@@ -2,11 +2,15 @@
 //!
 //! The build environment has no crates.io access, so this crate vendors
 //! the surface the workspace uses: `into_par_iter().map(..).collect()`.
-//! Unlike a sequential shim it is genuinely parallel — items are split
-//! into per-core chunks and mapped on scoped threads, preserving input
-//! order. The eager model (each adapter runs to completion) is fine for
-//! the coarse-grained work the autotuner parallelizes: tree fits and
-//! microbenchmark simulations, each far heavier than a thread handoff.
+//! Unlike a sequential shim it is genuinely parallel — a map hands its
+//! items out one at a time to per-core scoped threads, the calling
+//! thread among them, and preserves input order. The eager model (each
+//! adapter runs to completion) is fine for the coarse-grained work the
+//! autotuner parallelizes: tree fits and microbenchmark simulations,
+//! each far heavier than a thread handoff.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 pub mod prelude {
     pub use crate::{IntoParallelIterator, ParChunksMut, ParIter, ParallelSliceMut};
@@ -169,20 +173,40 @@ fn par_map<T: Send, R: Send, F: Fn(T) -> R + Sync>(items: Vec<T>, f: &F) -> Vec<
     if threads <= 1 || len <= 1 {
         return items.into_iter().map(f).collect();
     }
-    let chunk = len.div_ceil(threads);
-    let mut slots: Vec<Option<T>> = items.into_iter().map(Some).collect();
+    // Items are handed out one at a time from a shared counter, so
+    // uneven item costs still keep every thread busy; the calling
+    // thread works too instead of idling in the join. (An item can thus
+    // see the caller's thread-local state, such as its open trace span.)
+    let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
+    let next = AtomicUsize::new(0);
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= len {
+                return done;
+            }
+            let item = slots[i]
+                .lock()
+                .expect("no worker panics while holding a slot")
+                .take()
+                .expect("each slot is taken once");
+            done.push((i, f(item)));
+        }
+    };
     let mut out: Vec<Option<R>> = std::iter::repeat_with(|| None).take(len).collect();
     std::thread::scope(|scope| {
-        for (input, output) in slots.chunks_mut(chunk).zip(out.chunks_mut(chunk)) {
-            scope.spawn(move || {
-                for (slot, dst) in input.iter_mut().zip(output.iter_mut()) {
-                    *dst = Some(f(slot.take().expect("slot filled once")));
-                }
-            });
+        let helpers: Vec<_> = (1..threads).map(|_| scope.spawn(work)).collect();
+        let mine = work();
+        let theirs = helpers
+            .into_iter()
+            .flat_map(|h| h.join().expect("parallel map worker panicked"));
+        for (i, r) in mine.into_iter().chain(theirs) {
+            out[i] = Some(r);
         }
     });
     out.into_iter()
-        .map(|o| o.expect("all chunks completed"))
+        .map(|o| o.expect("every item was mapped"))
         .collect()
 }
 
@@ -192,8 +216,24 @@ mod tests {
 
     #[test]
     fn map_preserves_order() {
-        let out: Vec<usize> = (0..1000).into_par_iter().map(|i| i * 2).collect();
+        let out: Vec<usize> = (0..1000usize).into_par_iter().map(|i| i * 2).collect();
         assert_eq!(out, (0..1000).map(|i| i * 2).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn uneven_item_costs_keep_input_order() {
+        // One slow item early on: the other items go to whichever
+        // thread is free, and the output order is still the input's.
+        let out: Vec<usize> = (0..64usize)
+            .into_par_iter()
+            .map(|i| {
+                if i == 1 {
+                    std::thread::sleep(std::time::Duration::from_millis(20));
+                }
+                i * 3
+            })
+            .collect();
+        assert_eq!(out, (0..64).map(|i| i * 3).collect::<Vec<_>>());
     }
 
     #[test]
@@ -212,7 +252,7 @@ mod tests {
         use std::collections::HashSet;
         use std::sync::Mutex;
         let seen = Mutex::new(HashSet::new());
-        let _: Vec<()> = (0..256)
+        let _: Vec<()> = (0..256usize)
             .into_par_iter()
             .map(|_| {
                 seen.lock().unwrap().insert(std::thread::current().id());

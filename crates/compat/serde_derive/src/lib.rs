@@ -7,7 +7,8 @@
 //! unit fields, or enum with unit / tuple / struct variants) and the
 //! impls are emitted as formatted source strings. Generics are not
 //! supported (nothing in the workspace derives on a generic type); the
-//! `#[serde(default)]` field attribute is honored on named fields.
+//! `#[serde(default)]` and `#[serde(skip)]` field attributes are honored
+//! on named fields.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -15,6 +16,15 @@ use proc_macro::{Delimiter, TokenStream, TokenTree};
 struct FieldDef {
     name: String,
     default: bool,
+    /// Never serialized; deserialized as `Default::default()`.
+    skip: bool,
+}
+
+/// The `#[serde(...)]` flags found on one field.
+#[derive(Debug, Default)]
+struct FieldAttrs {
+    default: bool,
+    skip: bool,
 }
 
 #[derive(Debug)]
@@ -125,9 +135,9 @@ fn ident_at(tokens: &[TokenTree], i: usize) -> Option<String> {
 }
 
 /// Skip leading `#[...]` attributes and a `pub` / `pub(...)` visibility;
-/// returns whether any skipped attribute was `#[serde(default)]`.
-fn skip_attrs_and_vis(tokens: &[TokenTree], i: &mut usize) -> Result<bool, String> {
-    let mut has_default = false;
+/// returns the `#[serde(default)]` / `#[serde(skip)]` flags among them.
+fn skip_attrs_and_vis(tokens: &[TokenTree], i: &mut usize) -> Result<FieldAttrs, String> {
+    let mut attrs = FieldAttrs::default();
     loop {
         match tokens.get(*i) {
             Some(TokenTree::Punct(p)) if p.as_char() == '#' => {
@@ -135,9 +145,8 @@ fn skip_attrs_and_vis(tokens: &[TokenTree], i: &mut usize) -> Result<bool, Strin
                     Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Bracket => g,
                     _ => return Err("malformed attribute".into()),
                 };
-                if attr_is_serde_default(group.stream()) {
-                    has_default = true;
-                }
+                attrs.default |= serde_attr_has(group.stream(), "default");
+                attrs.skip |= serde_attr_has(group.stream(), "skip");
                 *i += 2;
             }
             Some(TokenTree::Ident(id)) if id.to_string() == "pub" => {
@@ -147,12 +156,14 @@ fn skip_attrs_and_vis(tokens: &[TokenTree], i: &mut usize) -> Result<bool, Strin
                     *i += 1;
                 }
             }
-            _ => return Ok(has_default),
+            _ => return Ok(attrs),
         }
     }
 }
 
-fn attr_is_serde_default(stream: TokenStream) -> bool {
+/// Whether `stream` (an attribute's bracket contents) is
+/// `serde(..., flag, ...)`.
+fn serde_attr_has(stream: TokenStream, flag: &str) -> bool {
     let tokens: Vec<TokenTree> = stream.into_iter().collect();
     match (tokens.first(), tokens.get(1)) {
         (Some(TokenTree::Ident(name)), Some(TokenTree::Group(args)))
@@ -160,7 +171,7 @@ fn attr_is_serde_default(stream: TokenStream) -> bool {
         {
             args.stream()
                 .into_iter()
-                .any(|t| matches!(&t, TokenTree::Ident(id) if id.to_string() == "default"))
+                .any(|t| matches!(&t, TokenTree::Ident(id) if id.to_string() == flag))
         }
         _ => false,
     }
@@ -171,7 +182,7 @@ fn parse_named_fields(stream: TokenStream) -> Result<Fields, String> {
     let mut fields = Vec::new();
     let mut i = 0;
     while i < tokens.len() {
-        let default = skip_attrs_and_vis(&tokens, &mut i)?;
+        let attrs = skip_attrs_and_vis(&tokens, &mut i)?;
         if i >= tokens.len() {
             break;
         }
@@ -182,7 +193,11 @@ fn parse_named_fields(stream: TokenStream) -> Result<Fields, String> {
             _ => return Err(format!("expected `:` after field `{name}`")),
         }
         skip_type_until_comma(&tokens, &mut i);
-        fields.push(FieldDef { name, default });
+        fields.push(FieldDef {
+            name,
+            default: attrs.default,
+            skip: attrs.skip,
+        });
     }
     Ok(Fields::Named(fields))
 }
@@ -295,7 +310,7 @@ fn serialize_struct_body(fields: &Fields) -> String {
     match fields {
         Fields::Named(fs) => {
             let mut out = String::from("let mut m = ::serde::Map::new();\n");
-            for f in fs {
+            for f in fs.iter().filter(|f| !f.skip) {
                 out.push_str(&format!(
                     "m.insert(::std::string::String::from({n:?}), \
                      ::serde::Serialize::to_value(&self.{n}));\n",
@@ -345,9 +360,15 @@ fn serialize_enum_body(name: &str, variants: &[VariantDef]) -> String {
                 ));
             }
             Fields::Named(fs) => {
-                let binders: Vec<&str> = fs.iter().map(|f| f.name.as_str()).collect();
+                let binders: Vec<String> = fs
+                    .iter()
+                    .map(|f| match f.skip {
+                        true => format!("{}: _", f.name),
+                        false => f.name.clone(),
+                    })
+                    .collect();
                 let mut inner = String::from("let mut inner = ::serde::Map::new();\n");
-                for f in fs {
+                for f in fs.iter().filter(|f| !f.skip) {
                     inner.push_str(&format!(
                         "inner.insert(::std::string::String::from({n:?}), \
                          ::serde::Serialize::to_value({n}));\n",
@@ -391,6 +412,13 @@ fn emit_deserialize(item: &Item) -> String {
 fn named_fields_constructor(path: &str, fs: &[FieldDef], source: &str) -> String {
     let mut out = format!("::core::result::Result::Ok({path} {{\n");
     for f in fs {
+        if f.skip {
+            out.push_str(&format!(
+                "{}: ::core::default::Default::default(),\n",
+                f.name
+            ));
+            continue;
+        }
         let missing = if f.default {
             "::core::default::Default::default()".to_string()
         } else {

@@ -91,6 +91,50 @@ mod tests {
     }
 
     #[test]
+    fn skipped_fields_are_neither_written_nor_read() {
+        #[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+        struct Kept {
+            n: u32,
+            #[serde(skip)]
+            cache: Vec<u32>,
+        }
+        #[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+        enum Shape {
+            Sized {
+                n: u32,
+                #[serde(skip)]
+                cache: Vec<u32>,
+            },
+        }
+        let kept = Kept {
+            n: 3,
+            cache: vec![1, 2],
+        };
+        assert_eq!(to_string(&kept).unwrap(), r#"{"n":3}"#);
+        let back: Kept = from_str(r#"{"n":3,"cache":[9]}"#).unwrap();
+        assert_eq!(
+            back,
+            Kept {
+                n: 3,
+                cache: vec![]
+            }
+        );
+        let shape = Shape::Sized {
+            n: 4,
+            cache: vec![5],
+        };
+        assert_eq!(to_string(&shape).unwrap(), r#"{"Sized":{"n":4}}"#);
+        let back: Shape = from_str(r#"{"Sized":{"n":4}}"#).unwrap();
+        assert_eq!(
+            back,
+            Shape::Sized {
+                n: 4,
+                cache: vec![]
+            }
+        );
+    }
+
+    #[test]
     fn parses_literals_and_nesting() {
         let v: Value = from_str(r#"{"a": [1, -2, 3.5, true, false, null], "b": "x\ny"}"#).unwrap();
         let a = v.get("a").unwrap().as_array().unwrap();

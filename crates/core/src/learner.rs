@@ -1048,6 +1048,7 @@ impl ActiveLearner {
             match model {
                 Some(mut m) if cfg.incremental => {
                     m.fit_incremental(&collected, &cfg.forest);
+                    m.clear_refit_state();
                     m
                 }
                 _ => PerfModel::fit(collective, &collected, &cfg.forest),
@@ -1571,6 +1572,19 @@ mod tests {
         let out = ActiveLearner::new(cfg).train(&db, Collective::Reduce, &space, None);
         assert!(out.stats.wall_us <= out.stats.sequential_wall_us + 1e-9);
         assert!(out.stats.average_parallelism() >= 1.0);
+    }
+
+    #[test]
+    fn trained_models_keep_no_refit_state() {
+        let db = tiny_db();
+        let space = FeatureSpace::tiny();
+        let out = ActiveLearner::new(budget_config(SelectionPolicy::OwnVariance, 30)).train(
+            &db,
+            Collective::Bcast,
+            &space,
+            None,
+        );
+        assert!(!out.model.forest().has_refit_state());
     }
 
     #[test]

@@ -123,6 +123,13 @@ impl PerfModel {
         self.forest.refit_incremental(config, &self.x, &self.y)
     }
 
+    /// Drop the state the forest keeps between incremental refits
+    /// ([`RandomForest::clear_refit_state`]) once the model is final; a
+    /// later refit rebuilds it.
+    pub fn clear_refit_state(&mut self) {
+        self.forest.clear_refit_state();
+    }
+
     /// The collective this model serves.
     pub fn collective(&self) -> Collective {
         self.collective
@@ -296,6 +303,30 @@ mod tests {
                     assert_eq!(inc_preds, scratch_preds, "divergence at n={upto}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn json_round_trip_drops_refit_state_but_not_refit_results() {
+        let db = BenchmarkDatabase::new(DatasetConfig::tiny());
+        let all = samples_for(&db, Collective::Bcast);
+        let cfg = ForestConfig {
+            n_trees: 24,
+            ..ForestConfig::default()
+        };
+        let mut kept = PerfModel::fit(Collective::Bcast, &all[..10], &cfg);
+        kept.fit_incremental(&all[..14], &cfg);
+        assert!(kept.forest().has_refit_state());
+        let json = serde_json::to_string(&kept).unwrap();
+        // The kept state never reaches the serialized form.
+        let scratch = PerfModel::fit(Collective::Bcast, &all[..14], &cfg);
+        assert_eq!(json, serde_json::to_string(&scratch).unwrap());
+        let mut loaded: PerfModel = serde_json::from_str(&json).unwrap();
+        assert!(!loaded.forest().has_refit_state());
+        for upto in [15, 20, all.len()] {
+            let want = kept.fit_incremental(&all[..upto], &cfg);
+            assert_eq!(loaded.fit_incremental(&all[..upto], &cfg), want, "n={upto}");
+            assert_eq!(loaded.forest(), kept.forest(), "n={upto}");
         }
     }
 

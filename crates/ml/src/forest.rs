@@ -7,7 +7,7 @@
 //! predictions, which scikit-learn exposes and we therefore expose too.
 
 use crate::data::FeatureMatrix;
-use crate::tree::{DecisionTree, DirtyRegion, TreeConfig};
+use crate::tree::{DecisionTree, DirtyRegion, Presort, TreeConfig};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -129,12 +129,107 @@ impl TreeUpdate {
 }
 
 /// A fitted random forest.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// While a model trains, the forest also keeps each tree's training
+/// multiset with its per-feature sorted orders, so a refit appends to
+/// them instead of re-sorting. That refit state is neither serialized
+/// nor compared: two forests are equal when their trees and sample
+/// counts are. A forest without it — freshly fitted, deserialized, or
+/// after [`RandomForest::clear_refit_state`] — rebuilds it on its first
+/// [`RandomForest::refit_incremental`].
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RandomForest {
     trees: Vec<DecisionTree>,
     /// How many samples the forest was (re)fitted on; the watermark
     /// `refit_incremental` appends from.
     n_samples: usize,
+    /// One entry per tree while refits keep state, else empty.
+    #[serde(skip)]
+    refit_state: Vec<TreeSample>,
+}
+
+impl PartialEq for RandomForest {
+    fn eq(&self, other: &Self) -> bool {
+        self.trees == other.trees && self.n_samples == other.n_samples
+    }
+}
+
+/// What one tree was last fitted on, kept between incremental refits.
+#[derive(Debug, Clone)]
+struct TreeSample {
+    presort: Presort,
+    /// The hashed resample drew no sample yet, so the tree trained on
+    /// all of them (and must follow every append until one hashes in).
+    all_rows: bool,
+}
+
+impl TreeSample {
+    /// Tree `t`'s multiset at `n` samples, as [`RandomForest::fit`]
+    /// chose it for the incremental schemes.
+    fn new(config: &ForestConfig, x: &FeatureMatrix, t: usize, n: usize) -> Self {
+        let n = u32::try_from(n).expect("sample count exceeds u32");
+        let mut rows: Vec<u32> = if config.bootstrap {
+            RandomForest::hashed_indices(config, t, n)
+        } else {
+            (0..n).collect()
+        };
+        let all_rows = rows.is_empty();
+        if all_rows {
+            rows = (0..n).collect();
+        }
+        TreeSample {
+            presort: Presort::new(x, rows),
+            all_rows,
+        }
+    }
+
+    /// Apply the `appended` samples to tree `t` (currently `old`) and to
+    /// this, its kept sample, one at a time; `None` when the tree's
+    /// resample draws none of them. The returned [`DirtyRegion`] is the
+    /// union over appends, so it bounds where the final tree may
+    /// disagree with `old`.
+    fn refit(
+        &mut self,
+        config: &ForestConfig,
+        x: &FeatureMatrix,
+        y: &[f64],
+        t: usize,
+        old: &DecisionTree,
+        appended: std::ops::Range<usize>,
+    ) -> Option<(DecisionTree, DirtyRegion)> {
+        let seed = RandomForest::tree_seed(config, t);
+        let mut tree: Option<DecisionTree> = None;
+        let mut dirty = DirtyRegion::none();
+        for s in appended {
+            let w = if config.bootstrap {
+                bootstrap_weight(config.seed, t, s)
+            } else {
+                1
+            };
+            if self.all_rows {
+                if w > 0 {
+                    // The first sample to hash in replaces the fallback.
+                    let row = u32::try_from(s).expect("sample index exceeds u32");
+                    self.presort = Presort::new(x, vec![row; w]);
+                    self.all_rows = false;
+                } else {
+                    self.presort.append(x, s, 1);
+                }
+                let rows = self.presort.clone();
+                tree = Some(DecisionTree::grow(&config.tree, x, y, rows, seed, None).0);
+                dirty = DirtyRegion::whole();
+            } else if w > 0 {
+                self.presort.append(x, s, w);
+                let base = tree.as_ref().unwrap_or(old);
+                let rows = self.presort.clone();
+                let (refit, region) =
+                    DecisionTree::grow(&config.tree, x, y, rows, seed, Some((base, s)));
+                tree = Some(refit);
+                dirty.merge(region);
+            }
+        }
+        tree.map(|tree| (tree, dirty))
+    }
 }
 
 impl RandomForest {
@@ -151,6 +246,7 @@ impl RandomForest {
         RandomForest {
             trees,
             n_samples: n,
+            refit_state: Vec::new(),
         }
     }
 
@@ -161,50 +257,33 @@ impl RandomForest {
 
     /// Tree `t`'s resample under the hashed scheme, in canonical
     /// ascending order (copies adjacent). Empty when no sample hashes in.
-    fn hashed_indices(config: &ForestConfig, t: usize, n: usize) -> Vec<usize> {
+    fn hashed_indices(config: &ForestConfig, t: usize, n: u32) -> Vec<u32> {
         (0..n)
-            .flat_map(|i| std::iter::repeat_n(i, bootstrap_weight(config.seed, t, i)))
+            .flat_map(|i| std::iter::repeat_n(i, bootstrap_weight(config.seed, t, i as usize)))
             .collect()
     }
 
     /// Fit tree `t` from scratch on the first `x.len()` samples.
     fn fit_tree(config: &ForestConfig, x: &FeatureMatrix, y: &[f64], t: usize) -> DecisionTree {
         let n = x.len();
-        if !config.bootstrap {
-            let indices: Vec<usize> = (0..n).collect();
-            return DecisionTree::fit_seeded(
-                &config.tree,
-                x,
-                y,
-                &indices,
-                Self::tree_seed(config, t),
-            );
+        let seed = Self::tree_seed(config, t);
+        if config.bootstrap && config.scheme == BootstrapScheme::Resample {
+            // Independent, deterministic stream per tree.
+            let mut rng = StdRng::seed_from_u64(seed);
+            let indices: Vec<usize> = (0..n).map(|_| rng.random_range(0..n)).collect();
+            return DecisionTree::fit(&config.tree, x, y, &indices, &mut rng);
         }
-        match config.scheme {
-            BootstrapScheme::Resample => {
-                // Independent, deterministic stream per tree.
-                let mut rng = StdRng::seed_from_u64(Self::tree_seed(config, t));
-                let indices: Vec<usize> = (0..n).map(|_| rng.random_range(0..n)).collect();
-                DecisionTree::fit(&config.tree, x, y, &indices, &mut rng)
-            }
-            BootstrapScheme::Hashed => {
-                let mut indices = Self::hashed_indices(config, t, n);
-                if indices.is_empty() {
-                    // Every sample hashed out (likely only for tiny n):
-                    // fall back to training on everything.
-                    indices = (0..n).collect();
-                }
-                DecisionTree::fit_seeded(&config.tree, x, y, &indices, Self::tree_seed(config, t))
-            }
-        }
+        let rows = TreeSample::new(config, x, t, n).presort;
+        DecisionTree::grow(&config.tree, x, y, rows, seed, None).0
     }
 
     /// Refit after rows were appended to `(x, y)` (all rows before the
     /// previous fit's watermark must be unchanged). Only trees whose
     /// hashed resample actually draws one of the new samples are
     /// rebuilt — and those rebuilds recompute splits only along each new
-    /// sample's path (see [`DecisionTree::refit_appended`]). The result
-    /// is bit-for-bit identical to `RandomForest::fit` on the full data.
+    /// sample's path, on sorted orders kept from the previous refit. The
+    /// result is bit-for-bit identical to `RandomForest::fit` on the
+    /// full data.
     ///
     /// Returns a [`TreeUpdate`] per rebuilt tree — its index plus the
     /// feature-space region its predictions may have changed in — so
@@ -240,12 +319,20 @@ impl RandomForest {
             return TreeUpdate::full_refit(self.trees.len());
         }
 
-        let refitted: Vec<Option<(DecisionTree, DirtyRegion)>> = (0..self.trees.len())
+        let mut kept = std::mem::take(&mut self.refit_state).into_iter();
+        let jobs: Vec<(usize, Option<TreeSample>)> =
+            (0..self.trees.len()).map(|t| (t, kept.next())).collect();
+        let refitted: Vec<(TreeSample, Option<(DecisionTree, DirtyRegion)>)> = jobs
             .into_par_iter()
-            .map(|t| self.refit_tree(config, x, y, t, old_n, new_n))
+            .map(|(t, kept)| {
+                let mut sample = kept.unwrap_or_else(|| TreeSample::new(config, x, t, old_n));
+                let refit = sample.refit(config, x, y, t, &self.trees[t], old_n..new_n);
+                (sample, refit)
+            })
             .collect();
         let mut changed = Vec::new();
-        for (t, refit) in refitted.into_iter().enumerate() {
+        for (t, (sample, refit)) in refitted.into_iter().enumerate() {
+            self.refit_state.push(sample);
             if let Some((tree, dirty)) = refit {
                 self.trees[t] = tree;
                 changed.push(TreeUpdate { tree: t, dirty });
@@ -255,62 +342,15 @@ impl RandomForest {
         changed
     }
 
-    /// Apply samples `old_n..new_n` to tree `t`, one at a time; `None`
-    /// when the tree's resample never draws any of them. The returned
-    /// [`DirtyRegion`] is the union over appends, so it bounds where the
-    /// final tree may disagree with the pre-refit tree.
-    fn refit_tree(
-        &self,
-        config: &ForestConfig,
-        x: &FeatureMatrix,
-        y: &[f64],
-        t: usize,
-        old_n: usize,
-        new_n: usize,
-    ) -> Option<(DecisionTree, DirtyRegion)> {
-        let seed = Self::tree_seed(config, t);
-        let mut multiset = if config.bootstrap {
-            Self::hashed_indices(config, t, old_n)
-        } else {
-            (0..old_n).collect()
-        };
-        // A tree whose resample was empty was trained on ALL samples, so
-        // it must track every append until a sample finally hashes in.
-        let mut fallback = multiset.is_empty();
-        let mut tree: Option<DecisionTree> = None;
-        let mut dirty = DirtyRegion::none();
-        for s in old_n..new_n {
-            let w = if config.bootstrap {
-                bootstrap_weight(config.seed, t, s)
-            } else {
-                1
-            };
-            if fallback {
-                if w > 0 {
-                    multiset.extend(std::iter::repeat_n(s, w));
-                    fallback = false;
-                    tree = Some(DecisionTree::fit_seeded(
-                        &config.tree,
-                        x,
-                        y,
-                        &multiset,
-                        seed,
-                    ));
-                } else {
-                    let all: Vec<usize> = (0..=s).collect();
-                    tree = Some(DecisionTree::fit_seeded(&config.tree, x, y, &all, seed));
-                }
-                dirty = DirtyRegion::whole();
-            } else if w > 0 {
-                multiset.extend(std::iter::repeat_n(s, w));
-                let mut work = multiset.clone();
-                let base = tree.as_ref().unwrap_or(&self.trees[t]);
-                let (refit, region) = base.refit_appended(&config.tree, x, y, &mut work, seed, s);
-                tree = Some(refit);
-                dirty.merge(region);
-            }
-        }
-        tree.map(|tree| (tree, dirty))
+    /// Drop the per-tree state kept between incremental refits, e.g.
+    /// once training is over; the next refit rebuilds it.
+    pub fn clear_refit_state(&mut self) {
+        self.refit_state = Vec::new();
+    }
+
+    /// Whether the forest currently keeps per-tree refit state.
+    pub fn has_refit_state(&self) -> bool {
+        !self.refit_state.is_empty()
     }
 
     /// Ensemble prediction: the mean over trees.
@@ -659,6 +699,112 @@ mod tests {
         let before = forest.clone();
         assert!(forest.refit_incremental(&cfg, &x, &y).is_empty());
         assert_eq!(forest, before);
+    }
+
+    /// The first `n` rows of `(x, y)`.
+    fn prefix(x: &FeatureMatrix, y: &[f64], n: usize) -> (FeatureMatrix, Vec<f64>) {
+        let rows: Vec<Vec<f64>> = x.rows().take(n).map(<[f64]>::to_vec).collect();
+        (FeatureMatrix::from_rows(&rows), y[..n].to_vec())
+    }
+
+    #[test]
+    fn kept_orders_equal_a_fresh_presort_after_every_refit() {
+        let (x_full, y_full) = linear_dataset(40);
+        let cfg = ForestConfig::default();
+        // One sample: about e^-1 of the trees hash it out and fall back
+        // to training on every sample.
+        let (x1, y1) = prefix(&x_full, &y_full, 1);
+        let mut forest = RandomForest::fit(&cfg, &x1, &y1);
+        let mut fallback_seen = 0;
+        for upto in (2..=14).chain([23, 40]) {
+            let (x, y) = prefix(&x_full, &y_full, upto);
+            forest.refit_incremental(&cfg, &x, &y);
+            assert_eq!(forest.refit_state.len(), cfg.n_trees);
+            for (t, kept) in forest.refit_state.iter().enumerate() {
+                let rows = kept.presort.rows().to_vec();
+                assert_eq!(
+                    kept.presort,
+                    Presort::new(&x, rows.clone()),
+                    "tree {t} at n={upto}"
+                );
+                let hashed = RandomForest::hashed_indices(&cfg, t, upto as u32);
+                assert_eq!(kept.all_rows, hashed.is_empty(), "tree {t} at n={upto}");
+                let expected = match kept.all_rows {
+                    true => (0..upto as u32).collect(),
+                    false => hashed,
+                };
+                assert_eq!(rows, expected, "tree {t} multiset at n={upto}");
+                fallback_seen += kept.all_rows as usize;
+            }
+            assert_eq!(
+                forest,
+                RandomForest::fit(&cfg, &x, &y),
+                "divergence at n={upto}"
+            );
+        }
+        assert!(fallback_seen > 0, "no tree exercised the all-rows fallback");
+    }
+
+    #[test]
+    fn a_forest_without_refit_state_refits_like_one_that_kept_it() {
+        let (x_full, y_full) = linear_dataset(60);
+        let cfg = ForestConfig {
+            n_trees: 24,
+            ..ForestConfig::default()
+        };
+        let (x, y) = prefix(&x_full, &y_full, 30);
+        let mut kept = RandomForest::fit(&cfg, &x, &y);
+        let (x, y) = prefix(&x_full, &y_full, 34);
+        kept.refit_incremental(&cfg, &x, &y);
+        assert!(kept.has_refit_state());
+
+        let json = serde_json::to_string(&kept).unwrap();
+        let mut loaded: RandomForest = serde_json::from_str(&json).unwrap();
+        let mut cleared = kept.clone();
+        cleared.clear_refit_state();
+        assert!(!loaded.has_refit_state() && !cleared.has_refit_state());
+        assert_eq!(loaded, kept, "refit state takes no part in equality");
+
+        for upto in [35, 41, 60] {
+            let (x, y) = prefix(&x_full, &y_full, upto);
+            let want = kept.refit_incremental(&cfg, &x, &y);
+            assert_eq!(
+                loaded.refit_incremental(&cfg, &x, &y),
+                want,
+                "updates at n={upto}"
+            );
+            assert_eq!(
+                cleared.refit_incremental(&cfg, &x, &y),
+                want,
+                "updates at n={upto}"
+            );
+            assert_eq!(loaded, kept, "forest at n={upto}");
+            assert_eq!(cleared, kept, "forest at n={upto}");
+        }
+    }
+
+    #[test]
+    fn refit_state_adds_no_serialized_field() {
+        let (x_full, y_full) = linear_dataset(40);
+        let cfg = ForestConfig {
+            n_trees: 8,
+            ..ForestConfig::default()
+        };
+        let (x, y) = prefix(&x_full, &y_full, 30);
+        let mut forest = RandomForest::fit(&cfg, &x, &y);
+        forest.refit_incremental(&cfg, &x_full, &y_full);
+        assert!(forest.has_refit_state());
+        let json = serde_json::to_string(&forest).unwrap();
+        let scratch = RandomForest::fit(&cfg, &x_full, &y_full);
+        assert_eq!(json, serde_json::to_string(&scratch).unwrap());
+        let value: serde_json::Value = serde_json::from_str(&json).unwrap();
+        let keys: Vec<&str> = value
+            .as_object()
+            .unwrap()
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
+        assert_eq!(keys, ["trees", "n_samples"]);
     }
 
     #[test]

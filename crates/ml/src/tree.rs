@@ -6,13 +6,23 @@
 //! error of the two children; per-split feature subsampling supports the
 //! random forest above it.
 //!
+//! The builder is presorted end to end: a `Presort` holds the training
+//! multiset and, per feature, that multiset stably sorted by the
+//! feature's value. Each node owns one window `lo..hi` of all of these
+//! arrays; a split stably partitions the window, which leaves each
+//! child's window in exactly the order a fresh stable sort of the child
+//! would produce. `best_split` scans its orders straight from the
+//! window, so no node ever sorts.
+//!
 //! Builds are a pure function of `(multiset of training rows, tree
 //! seed)`: any randomness (per-split feature subsampling) is seeded from
 //! the node's position in the tree, never from a shared stream consumed
-//! in traversal order. That locality is what makes
-//! [`DecisionTree::refit_appended`] possible — rebuilding only the path
-//! a newly appended sample takes while reusing every untouched subtree
-//! bit-for-bit.
+//! in traversal order. That locality is what makes incremental refits
+//! possible — given the old tree, `DecisionTree::grow` rebuilds only the
+//! path a newly appended sample takes while reusing every untouched
+//! subtree bit-for-bit — and a forest keeps each tree's `Presort`
+//! between refits, so an append costs one insertion per feature order
+//! instead of a re-sort.
 
 use crate::data::FeatureMatrix;
 use rand::seq::SliceRandom;
@@ -92,79 +102,64 @@ impl DecisionTree {
         indices: &[usize],
         tree_seed: u64,
     ) -> Self {
-        assert_eq!(x.len(), y.len(), "feature/target length mismatch");
-        assert!(!indices.is_empty(), "cannot fit on zero samples");
-        let mut builder = Builder {
-            config,
-            x,
-            y,
-            tree_seed,
-            nodes: Vec::new(),
-            feature_pool: (0..x.n_features()).collect(),
-            scratch: Vec::new(),
-            region_conds: Vec::new(),
-            dirty: Vec::new(),
-            presorted: Vec::new(),
-        };
-        let mut idx = indices.to_vec();
-        builder.build(&mut idx, 0, 0);
-        DecisionTree {
-            nodes: builder.nodes,
-        }
+        let rows = indices
+            .iter()
+            .map(|&i| u32::try_from(i).expect("row index exceeds u32"))
+            .collect();
+        Self::grow(config, x, y, Presort::new(x, rows), tree_seed, None).0
     }
 
-    /// Rebuild this tree after appending `new_sample` to its training
-    /// multiset, producing exactly the tree [`DecisionTree::fit_seeded`]
-    /// would on `indices` — but recomputing splits only along the path
-    /// the new sample takes. Wherever the recomputed split partitions
-    /// the old rows the way the old split did, the sibling subtree
-    /// (whose multiset is unchanged) is copied verbatim instead of
-    /// rebuilt.
+    /// Grow the tree [`DecisionTree::fit_seeded`] builds on `presort`'s
+    /// multiset, consuming `presort` as the builder's working copy.
     ///
-    /// `indices` must be the *new* multiset: the multiset this tree was
-    /// fitted on, with the copies of `new_sample` appended at the end
-    /// (matching the canonical ascending order scratch fits use).
-    ///
-    /// Also returns the [`DirtyRegion`] outside of which the new tree
-    /// predicts bit-identically to `self`.
-    pub fn refit_appended(
-        &self,
+    /// With `base = Some((old, new_sample))`, `presort` must be the
+    /// multiset `old` was grown on with the copies of `new_sample`
+    /// appended at the end ([`Presort::append`]). Splits are then
+    /// recomputed only along the path the new sample takes: wherever
+    /// the recomputed split partitions the old rows the way the old
+    /// split did, the sibling subtree (whose multiset is unchanged) is
+    /// copied verbatim instead of rebuilt. The returned [`DirtyRegion`]
+    /// bounds where the new tree may predict differently from `old`;
+    /// without a base it is the whole space.
+    pub(crate) fn grow(
         config: &TreeConfig,
         x: &FeatureMatrix,
         y: &[f64],
-        indices: &mut [usize],
+        presort: Presort,
         tree_seed: u64,
-        new_sample: usize,
+        base: Option<(&DecisionTree, usize)>,
     ) -> (Self, DirtyRegion) {
         assert_eq!(x.len(), y.len(), "feature/target length mismatch");
-        assert!(!indices.is_empty(), "cannot fit on zero samples");
-        let presorted: Vec<Vec<usize>> = (0..x.n_features())
-            .map(|f| {
-                let mut o = indices.to_vec();
-                o.sort_by(|&a, &b| x.get(a, f).total_cmp(&x.get(b, f)));
-                o
-            })
-            .collect();
+        let n = presort.rows.len();
+        assert!(n > 0, "cannot fit on zero samples");
         let mut builder = Builder {
             config,
             x,
             y,
             tree_seed,
             nodes: Vec::new(),
-            feature_pool: (0..x.n_features()).collect(),
+            window: presort,
             scratch: Vec::new(),
             region_conds: Vec::new(),
             dirty: Vec::new(),
-            presorted,
         };
-        builder.rebuild_path(&self.nodes, 0, indices, 0, 0, new_sample);
+        let dirty = match base {
+            Some((old, new_sample)) => {
+                builder.rebuild_path(&old.nodes, 0, 0, n, 0, 0, new_sample);
+                DirtyRegion {
+                    regions: builder.dirty,
+                }
+            }
+            None => {
+                builder.build(0, n, 0, 0);
+                DirtyRegion::whole()
+            }
+        };
         (
             DecisionTree {
                 nodes: builder.nodes,
             },
-            DirtyRegion {
-                regions: builder.dirty,
-            },
+            dirty,
         )
     }
 
@@ -214,7 +209,7 @@ type Cond = (usize, f64, f64);
 ///
 /// A union of axis-aligned boxes (conjunctions of `(feature, lo, hi)`
 /// conditions), collected
-/// while [`DecisionTree::refit_appended`] walks the new sample's path:
+/// while an incremental refit walks the new sample's path:
 /// the box delimiting each rebuilt subtree, plus — when a reused split
 /// kept its partition but moved its threshold — the band between the old
 /// and new thresholds (rows in the band route differently even though
@@ -285,28 +280,71 @@ fn node_seed(tree_seed: u64, depth: usize, path: u64) -> u64 {
     h
 }
 
+/// A training multiset with one stable order per feature: `orders[f]`
+/// is `rows` stably sorted by `x[., f]` (ties keep their order in
+/// `rows`). Indices are `u32` to keep the kept per-tree copies small.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Presort {
+    rows: Vec<u32>,
+    orders: Vec<Vec<u32>>,
+}
+
+impl Presort {
+    /// Sort `rows` once per feature.
+    pub(crate) fn new(x: &FeatureMatrix, rows: Vec<u32>) -> Self {
+        let orders = (0..x.n_features())
+            .map(|f| {
+                let mut order = rows.clone();
+                order.sort_by(|&a, &b| value(x, a, f).total_cmp(&value(x, b, f)));
+                order
+            })
+            .collect();
+        Presort { rows, orders }
+    }
+
+    /// The multiset, in its canonical order.
+    #[cfg(test)]
+    pub(crate) fn rows(&self) -> &[u32] {
+        &self.rows
+    }
+
+    /// Append `copies` copies of row `sample` to the multiset. In each
+    /// feature order they go in at the upper bound of their value — the
+    /// position a fresh stable sort gives rows that come last in
+    /// `rows` — so the orders stay exactly [`Presort::new`]'s without a
+    /// re-sort.
+    pub(crate) fn append(&mut self, x: &FeatureMatrix, sample: usize, copies: usize) {
+        let row = u32::try_from(sample).expect("row index exceeds u32");
+        self.rows.extend(std::iter::repeat_n(row, copies));
+        for (f, order) in self.orders.iter_mut().enumerate() {
+            let v = x.get(sample, f);
+            let at = order.partition_point(|&i| value(x, i, f).total_cmp(&v).is_le());
+            order.splice(at..at, std::iter::repeat_n(row, copies));
+        }
+    }
+}
+
+#[inline]
+fn value(x: &FeatureMatrix, row: u32, f: usize) -> f64 {
+    x.get(row as usize, f)
+}
+
 struct Builder<'a> {
     config: &'a TreeConfig,
     x: &'a FeatureMatrix,
     y: &'a [f64],
     tree_seed: u64,
     nodes: Vec<Node>,
-    feature_pool: Vec<usize>,
-    scratch: Vec<usize>,
+    /// The working copy of the tree's presort. The node being split owns
+    /// the window `lo..hi` of its rows and of every feature order; a
+    /// split stably partitions that window into its children's.
+    window: Presort,
+    scratch: Vec<u32>,
     /// Conjunction of split decisions taken so far on the refit path
     /// (maintained by `rebuild_path` only).
     region_conds: Vec<Cond>,
     /// Accumulated dirty boxes (see [`DirtyRegion`]).
     dirty: Vec<Vec<Cond>>,
-    /// Per-feature presorted index orders for the refit-path node
-    /// currently being split (`rebuild_path` only). Sorted once at the
-    /// root and filtered linearly on each descent, these let path nodes
-    /// skip `best_split`'s per-feature sort. Filtering a stable sort
-    /// preserves relative order among equal values, so the filtered
-    /// order is exactly the permutation a fresh stable sort of the
-    /// child's canonical index order would produce — bit-exactness of
-    /// the prefix-scan float sums is preserved.
-    presorted: Vec<Vec<usize>>,
 }
 
 struct BestSplit {
@@ -316,37 +354,39 @@ struct BestSplit {
 }
 
 impl Builder<'_> {
-    /// Build the subtree over `indices`; returns its node index.
-    fn build(&mut self, indices: &mut [usize], depth: usize, path: u64) -> u32 {
-        let node_id = self.push_leaf(indices);
-        let Some(split) = self.try_split(indices, depth, path) else {
+    /// Build the subtree over the window `lo..hi`; returns its node
+    /// index.
+    fn build(&mut self, lo: usize, hi: usize, depth: usize, path: u64) -> u32 {
+        let node_id = self.push_leaf(lo, hi);
+        let Some(split) = self.try_split(lo, hi, depth, path) else {
             return node_id;
         };
-        let mid = partition(self.x, indices, &split, &mut self.scratch);
-        let (left_idx, right_idx) = indices.split_at_mut(mid);
-        let left = self.build(left_idx, depth + 1, path.wrapping_shl(1));
-        let right = self.build(right_idx, depth + 1, path.wrapping_shl(1) | 1);
+        let mid = self.partition(lo, hi, &split);
+        let left = self.build(lo, mid, depth + 1, path.wrapping_shl(1));
+        let right = self.build(mid, hi, depth + 1, path.wrapping_shl(1) | 1);
         self.finish_split(node_id, &split, left, right);
         node_id
     }
 
-    /// Rebuild the subtree over `indices` (the old subtree's multiset
-    /// plus appended copies of `new_sample`), reusing subtrees whose
-    /// multiset did not change. `old_i` is the corresponding node in the
-    /// pre-append tree. Produces bit-for-bit what `build` would, and
-    /// records in `self.dirty` the boxes where predictions may differ
-    /// from the old subtree's.
+    /// Rebuild the subtree over the window `lo..hi` (the old subtree's
+    /// multiset plus appended copies of `new_sample`), reusing subtrees
+    /// whose multiset did not change. `old_i` is the corresponding node
+    /// in the pre-append tree. Produces bit-for-bit what `build` would,
+    /// and records in `self.dirty` the boxes where predictions may
+    /// differ from the old subtree's.
+    #[allow(clippy::too_many_arguments)]
     fn rebuild_path(
         &mut self,
         old: &[Node],
         old_i: u32,
-        indices: &mut [usize],
+        lo: usize,
+        hi: usize,
         depth: usize,
         path: u64,
         new_sample: usize,
     ) -> u32 {
-        let node_id = self.push_leaf(indices);
-        let Some(split) = self.try_split(indices, depth, path) else {
+        let node_id = self.push_leaf(lo, hi);
+        let Some(split) = self.try_split(lo, hi, depth, path) else {
             // Rebuilt leaf: its mean absorbed the appended copies.
             self.dirty.push(self.region_conds.clone());
             return node_id;
@@ -359,12 +399,11 @@ impl Builder<'_> {
         // the old rows for a disagreement.
         let reusable = old_node.feature == split.feature
             && (old_node.threshold == split.threshold
-                || indices.iter().all(|&i| {
-                    let v = self.x.get(i, split.feature);
-                    i == new_sample || (v <= old_node.threshold) == (v <= split.threshold)
+                || self.window.rows[lo..hi].iter().all(|&i| {
+                    let v = value(self.x, i, split.feature);
+                    i as usize == new_sample || (v <= old_node.threshold) == (v <= split.threshold)
                 }));
-        let mid = partition(self.x, indices, &split, &mut self.scratch);
-        let (left_idx, right_idx) = indices.split_at_mut(mid);
+        let mid = self.partition(lo, hi, &split);
         let (left, right) = if reusable {
             // Every appended copy lands on one side, so the other side's
             // multiset — and therefore its entire subtree — is unchanged
@@ -384,11 +423,11 @@ impl Builder<'_> {
             if self.x.get(new_sample, split.feature) <= split.threshold {
                 self.region_conds
                     .push((split.feature, f64::NEG_INFINITY, split.threshold));
-                self.filter_presorted(split.feature, split.threshold, true);
                 let left = self.rebuild_path(
                     old,
                     old_node.left,
-                    left_idx,
+                    lo,
+                    mid,
                     depth + 1,
                     path.wrapping_shl(1),
                     new_sample,
@@ -400,11 +439,11 @@ impl Builder<'_> {
                 let left = copy_subtree(old, old_node.left, &mut self.nodes);
                 self.region_conds
                     .push((split.feature, split.threshold, f64::INFINITY));
-                self.filter_presorted(split.feature, split.threshold, false);
                 let right = self.rebuild_path(
                     old,
                     old_node.right,
-                    right_idx,
+                    mid,
+                    hi,
                     depth + 1,
                     path.wrapping_shl(1) | 1,
                     new_sample,
@@ -414,23 +453,22 @@ impl Builder<'_> {
             }
         } else {
             // The partition moved (or the old node was a leaf): rebuild
-            // this whole subtree from scratch — all of it is dirty. The
-            // presorted orders describe this node, not the subtree's
-            // descendants, so `build` must fall back to per-node sorts.
+            // this whole subtree from its partitioned windows — all of it
+            // is dirty.
             self.dirty.push(self.region_conds.clone());
-            self.presorted.clear();
-            let left = self.build(left_idx, depth + 1, path.wrapping_shl(1));
-            let right = self.build(right_idx, depth + 1, path.wrapping_shl(1) | 1);
+            let left = self.build(lo, mid, depth + 1, path.wrapping_shl(1));
+            let right = self.build(mid, hi, depth + 1, path.wrapping_shl(1) | 1);
             (left, right)
         };
         self.finish_split(node_id, &split, left, right);
         node_id
     }
 
-    /// Push a leaf predicting the mean of `indices`.
-    fn push_leaf(&mut self, indices: &[usize]) -> u32 {
+    /// Push a leaf predicting the mean of the window's targets.
+    fn push_leaf(&mut self, lo: usize, hi: usize) -> u32 {
         let node_id = self.nodes.len() as u32;
-        let mean = indices.iter().map(|&i| self.y[i]).sum::<f64>() / indices.len() as f64;
+        let rows = &self.window.rows[lo..hi];
+        let mean = rows.iter().map(|&i| self.y[i as usize]).sum::<f64>() / rows.len() as f64;
         self.nodes.push(Node {
             feature: LEAF,
             threshold: 0.0,
@@ -443,14 +481,15 @@ impl Builder<'_> {
 
     /// The split for this node, if stopping criteria allow one and one
     /// improves on the parent.
-    fn try_split(&mut self, indices: &[usize], depth: usize, path: u64) -> Option<BestSplit> {
+    fn try_split(&self, lo: usize, hi: usize, depth: usize, path: u64) -> Option<BestSplit> {
+        let n = hi - lo;
         if depth >= self.config.max_depth
-            || indices.len() < self.config.min_samples_split
-            || indices.len() < 2 * self.config.min_samples_leaf
+            || n < self.config.min_samples_split
+            || n < 2 * self.config.min_samples_leaf
         {
             return None;
         }
-        self.best_split(indices, depth, path)
+        self.best_split(lo, hi, depth, path)
     }
 
     /// Turn the placeholder leaf `node_id` into a split node.
@@ -462,112 +501,136 @@ impl Builder<'_> {
         node.right = right;
     }
 
-    /// Restrict the refit-path presorted orders to the child on the
-    /// `keep_left` side of a split. A linear filter of a stable sort
-    /// yields exactly the stable sort of the (stably partitioned) child.
-    fn filter_presorted(&mut self, feature: usize, threshold: f64, keep_left: bool) {
-        let x = self.x;
-        for ord in &mut self.presorted {
-            ord.retain(|&i| (x.get(i, feature) <= threshold) == keep_left);
+    /// Stably partition the window `lo..hi` of the rows and of every
+    /// feature order so rows with `x[feature] <= threshold` come first;
+    /// returns the boundary. A stable partition of a stable sort is the
+    /// stable sort of the partitioned rows, so each child's windows are
+    /// exactly what presorting the child afresh would give — which keeps
+    /// the prefix-scan float sums, and so every split, bit-identical.
+    fn partition(&mut self, lo: usize, hi: usize, split: &BestSplit) -> usize {
+        let (x, f, threshold) = (self.x, split.feature, split.threshold);
+        let goes_left = |row: u32| value(x, row, f) <= threshold;
+        let mid =
+            lo + stable_partition(&mut self.window.rows[lo..hi], goes_left, &mut self.scratch);
+        debug_assert!(mid > lo && mid < hi, "degenerate split survived");
+        for (g, order) in self.window.orders.iter_mut().enumerate() {
+            if g == f {
+                // Sorted by the split feature already: the left rows lead.
+                debug_assert!(order[lo..mid].iter().all(|&r| goes_left(r)));
+                continue;
+            }
+            stable_partition(&mut order[lo..hi], goes_left, &mut self.scratch);
         }
+        mid
     }
 
-    /// Exhaustive best split over the node's feature subset: minimize
-    /// left/right summed squared error via a sorted prefix scan. With
-    /// `max_features = None` every feature is scanned in natural order;
-    /// with subsampling, the subset comes from an RNG seeded by the
-    /// node's position (deterministic per node). On the refit path the
-    /// per-feature sort is skipped in favor of `self.presorted`.
-    fn best_split(&mut self, indices: &[usize], depth: usize, path: u64) -> Option<BestSplit> {
-        let n_features = self.x.n_features();
-        let k = self
-            .config
-            .max_features
-            .unwrap_or(n_features)
-            .clamp(1, n_features);
-        let candidates: Vec<usize> = if k >= n_features {
-            (0..n_features).collect()
-        } else {
-            let mut rng = StdRng::seed_from_u64(node_seed(self.tree_seed, depth, path));
-            self.feature_pool.shuffle(&mut rng);
-            self.feature_pool[..k].to_vec()
-        };
-
-        let total_sum: f64 = indices.iter().map(|&i| self.y[i]).sum();
-        let total_sq: f64 = indices.iter().map(|&i| self.y[i] * self.y[i]).sum();
-        let n = indices.len() as f64;
+    /// Exhaustive best split over the node's feature subset
+    /// ([`split_candidates`]): minimize left/right summed squared error
+    /// via a prefix scan of each feature's presorted window.
+    fn best_split(&self, lo: usize, hi: usize, depth: usize, path: u64) -> Option<BestSplit> {
+        let candidates = split_candidates(
+            self.config,
+            self.x.n_features(),
+            self.tree_seed,
+            depth,
+            path,
+        );
+        let y = self.y;
+        let rows = &self.window.rows[lo..hi];
+        let total_sum: f64 = rows.iter().map(|&i| y[i as usize]).sum();
+        let total_sq: f64 = rows.iter().map(|&i| y[i as usize] * y[i as usize]).sum();
+        let n = rows.len() as f64;
         let parent_score = total_sq - total_sum * total_sum / n;
 
+        let min_leaf = self.config.min_samples_leaf;
         let mut best: Option<BestSplit> = None;
-        let mut order: Vec<usize> = Vec::with_capacity(indices.len());
         for f in candidates {
-            order.clear();
-            if self.presorted.is_empty() {
-                order.extend_from_slice(indices);
-                order.sort_by(|&a, &b| self.x.get(a, f).total_cmp(&self.x.get(b, f)));
-            } else {
-                debug_assert_eq!(self.presorted[f].len(), indices.len());
-                order.extend_from_slice(&self.presorted[f]);
-            }
-
-            let min_leaf = self.config.min_samples_leaf;
+            let order = &self.window.orders[f][lo..hi];
             let mut left_sum = 0.0;
             let mut left_sq = 0.0;
-            for (pos, &i) in order.iter().enumerate().take(order.len() - 1) {
-                left_sum += self.y[i];
-                left_sq += self.y[i] * self.y[i];
+            let mut this_v = value(self.x, order[0], f);
+            for (pos, pair) in order.windows(2).enumerate() {
+                let yi = y[pair[0] as usize];
+                left_sum += yi;
+                left_sq += yi * yi;
+                let next_v = value(self.x, pair[1], f);
                 let left_n = pos + 1;
                 let right_n = order.len() - left_n;
-                if left_n < min_leaf || right_n < min_leaf {
-                    continue;
+                // No split between equal values, nor one that leaves a
+                // side below the minimum leaf size.
+                if this_v != next_v && left_n >= min_leaf && right_n >= min_leaf {
+                    let right_sum = total_sum - left_sum;
+                    let right_sq = total_sq - left_sq;
+                    let score = (left_sq - left_sum * left_sum / left_n as f64)
+                        + (right_sq - right_sum * right_sum / right_n as f64);
+                    if score + 1e-12 < best.as_ref().map_or(parent_score, |b| b.score) {
+                        best = Some(BestSplit {
+                            feature: f,
+                            threshold: 0.5 * (this_v + next_v),
+                            score,
+                        });
+                    }
                 }
-                let this_v = self.x.get(i, f);
-                let next_v = self.x.get(order[pos + 1], f);
-                if this_v == next_v {
-                    continue; // cannot split between equal values
-                }
-                let right_sum = total_sum - left_sum;
-                let right_sq = total_sq - left_sq;
-                let score = (left_sq - left_sum * left_sum / left_n as f64)
-                    + (right_sq - right_sum * right_sum / right_n as f64);
-                if score + 1e-12 < best.as_ref().map_or(parent_score, |b| b.score) {
-                    best = Some(BestSplit {
-                        feature: f,
-                        threshold: 0.5 * (this_v + next_v),
-                        score,
-                    });
-                }
+                this_v = next_v;
             }
         }
         best
     }
 }
 
-/// Partition `indices` in place so rows with `x[feature] <= threshold`
-/// come first; returns the boundary. Stable on BOTH sides: each side
-/// keeps its rows in their original relative order. Stability is what
-/// keeps incremental refits bit-identical to scratch fits — an appended
-/// sample lands at the end of one side and leaves the other side's
-/// ordering (and hence its float summation order) untouched.
-fn partition(
-    x: &FeatureMatrix,
-    indices: &mut [usize],
-    split: &BestSplit,
-    scratch: &mut Vec<usize>,
-) -> usize {
-    scratch.clear();
-    let mut mid = 0;
-    for i in 0..indices.len() {
-        let row = indices[i];
-        if x.get(row, split.feature) <= split.threshold {
-            indices[mid] = row;
-            mid += 1;
-        } else {
-            scratch.push(row);
-        }
+/// The features a node's split examines: all of them in natural order,
+/// or with `max_features = Some(k)` a `k`-subset drawn from an RNG seeded
+/// by the node's position alone — never from state left by other nodes,
+/// so a path refit that copies subtrees instead of building them draws
+/// the same subsets a scratch build does.
+fn split_candidates(
+    config: &TreeConfig,
+    n_features: usize,
+    tree_seed: u64,
+    depth: usize,
+    path: u64,
+) -> Vec<usize> {
+    let k = config
+        .max_features
+        .unwrap_or(n_features)
+        .clamp(1, n_features);
+    let mut features: Vec<usize> = (0..n_features).collect();
+    if k < n_features {
+        let mut rng = StdRng::seed_from_u64(node_seed(tree_seed, depth, path));
+        features.shuffle(&mut rng);
+        features.truncate(k);
     }
-    indices[mid..].copy_from_slice(scratch);
-    debug_assert!(mid > 0 && mid < indices.len(), "degenerate split survived");
+    features
+}
+
+/// Partition `items` in place so those satisfying `goes_left` come
+/// first; returns the boundary. Stable on BOTH sides: each side keeps
+/// its items in their original relative order. Stability is what keeps
+/// the presorted windows exact and incremental refits bit-identical to
+/// scratch fits — an appended sample lands at the end of one side and
+/// leaves the other side's ordering (and hence its float summation
+/// order) untouched.
+fn stable_partition(
+    items: &mut [u32],
+    goes_left: impl Fn(u32) -> bool,
+    scratch: &mut Vec<u32>,
+) -> usize {
+    // Branch-free: every item is written to both sides' cursors and
+    // only the matching cursor advances, so a mixed split costs no
+    // mispredictions. `mid <= i` keeps the in-place writes behind the
+    // read position.
+    scratch.clear();
+    scratch.resize(items.len(), 0);
+    let (mut mid, mut right) = (0, 0);
+    for i in 0..items.len() {
+        let item = items[i];
+        let left = goes_left(item);
+        items[mid] = item;
+        scratch[right] = item;
+        mid += left as usize;
+        right += !left as usize;
+    }
+    items[mid..].copy_from_slice(&scratch[..right]);
     mid
 }
 
@@ -680,6 +743,237 @@ mod tests {
         let t = fit(&x, &y, &TreeConfig::default());
         assert_eq!(t.node_count(), 1, "identical rows cannot be separated");
         assert_eq!(t.predict(&[1.0]), 5.0);
+    }
+
+    /// The builder as it was before presorting: every node stably sorts
+    /// its own rows once per candidate feature. Kept as the oracle the
+    /// presorted build must reproduce node for node.
+    struct Reference<'a> {
+        config: &'a TreeConfig,
+        x: &'a FeatureMatrix,
+        y: &'a [f64],
+        tree_seed: u64,
+        nodes: Vec<Node>,
+    }
+
+    impl Reference<'_> {
+        fn fit(
+            config: &TreeConfig,
+            x: &FeatureMatrix,
+            y: &[f64],
+            indices: &[usize],
+            tree_seed: u64,
+        ) -> Vec<Node> {
+            let mut r = Reference {
+                config,
+                x,
+                y,
+                tree_seed,
+                nodes: Vec::new(),
+            };
+            r.build(&mut indices.to_vec(), 0, 0);
+            r.nodes
+        }
+
+        fn build(&mut self, indices: &mut [usize], depth: usize, path: u64) -> u32 {
+            let node_id = self.nodes.len() as u32;
+            let mean = indices.iter().map(|&i| self.y[i]).sum::<f64>() / indices.len() as f64;
+            self.nodes.push(Node {
+                feature: LEAF,
+                threshold: 0.0,
+                value: mean,
+                left: 0,
+                right: 0,
+            });
+            if depth >= self.config.max_depth
+                || indices.len() < self.config.min_samples_split
+                || indices.len() < 2 * self.config.min_samples_leaf
+            {
+                return node_id;
+            }
+            let Some((feature, threshold)) = self.best_split(indices, depth, path) else {
+                return node_id;
+            };
+            let (mut left, right): (Vec<usize>, Vec<usize>) = indices
+                .iter()
+                .partition(|&&i| self.x.get(i, feature) <= threshold);
+            let mid = left.len();
+            left.extend(right);
+            indices.copy_from_slice(&left);
+            let (l, r) = indices.split_at_mut(mid);
+            let left = self.build(l, depth + 1, path.wrapping_shl(1));
+            let right = self.build(r, depth + 1, path.wrapping_shl(1) | 1);
+            let node = &mut self.nodes[node_id as usize];
+            node.feature = feature;
+            node.threshold = threshold;
+            node.left = left;
+            node.right = right;
+            node_id
+        }
+
+        fn best_split(&self, indices: &[usize], depth: usize, path: u64) -> Option<(usize, f64)> {
+            let candidates = split_candidates(
+                self.config,
+                self.x.n_features(),
+                self.tree_seed,
+                depth,
+                path,
+            );
+            let total_sum: f64 = indices.iter().map(|&i| self.y[i]).sum();
+            let total_sq: f64 = indices.iter().map(|&i| self.y[i] * self.y[i]).sum();
+            let n = indices.len() as f64;
+            let parent_score = total_sq - total_sum * total_sum / n;
+            let mut best: Option<(usize, f64, f64)> = None;
+            for f in candidates {
+                let mut order = indices.to_vec();
+                order.sort_by(|&a, &b| self.x.get(a, f).total_cmp(&self.x.get(b, f)));
+                let min_leaf = self.config.min_samples_leaf;
+                let mut left_sum = 0.0;
+                let mut left_sq = 0.0;
+                for (pos, &i) in order.iter().enumerate().take(order.len() - 1) {
+                    left_sum += self.y[i];
+                    left_sq += self.y[i] * self.y[i];
+                    let left_n = pos + 1;
+                    let right_n = order.len() - left_n;
+                    if left_n < min_leaf || right_n < min_leaf {
+                        continue;
+                    }
+                    let this_v = self.x.get(i, f);
+                    let next_v = self.x.get(order[pos + 1], f);
+                    if this_v == next_v {
+                        continue;
+                    }
+                    let right_sum = total_sum - left_sum;
+                    let right_sq = total_sq - left_sq;
+                    let score = (left_sq - left_sum * left_sum / left_n as f64)
+                        + (right_sq - right_sum * right_sum / right_n as f64);
+                    if score + 1e-12 < best.map_or(parent_score, |b| b.2) {
+                        best = Some((f, 0.5 * (this_v + next_v), score));
+                    }
+                }
+            }
+            best.map(|(f, threshold, _)| (f, threshold))
+        }
+    }
+
+    /// Nodes as bit patterns, so `-0.0` vs `0.0` or a last-ulp drift in a
+    /// leaf mean counts as a difference.
+    fn node_bits(nodes: &[Node]) -> Vec<(usize, u64, u64, u32, u32)> {
+        nodes
+            .iter()
+            .map(|n| {
+                (
+                    n.feature,
+                    n.threshold.to_bits(),
+                    n.value.to_bits(),
+                    n.left,
+                    n.right,
+                )
+            })
+            .collect()
+    }
+
+    /// A random oracle case: a small matrix whose columns take few
+    /// distinct values (so ties are common), continuous targets (so a
+    /// changed summation order shows in the bits), a training multiset,
+    /// and a tree config.
+    struct OracleCase {
+        x: FeatureMatrix,
+        y: Vec<f64>,
+        indices: Vec<usize>,
+        config: TreeConfig,
+    }
+
+    impl OracleCase {
+        fn draw(seed: u64, resample: bool) -> Self {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n_rows = rng.random_range(2..40usize);
+            let n_features = rng.random_range(1..6usize);
+            let levels = rng.random_range(2..8u32);
+            let rows: Vec<Vec<f64>> = (0..n_rows)
+                .map(|_| {
+                    (0..n_features)
+                        .map(|_| rng.random_range(0..levels) as f64 * 0.5)
+                        .collect()
+                })
+                .collect();
+            let y = (0..n_rows).map(|_| rng.random_range(-3.0..6.0)).collect();
+            let indices: Vec<usize> = if resample {
+                // `BootstrapScheme::Resample`: n draws in draw order.
+                (0..n_rows).map(|_| rng.random_range(0..n_rows)).collect()
+            } else {
+                // Hashed-bootstrap shape: ascending, multiplicity 0..=4.
+                let mut idx: Vec<usize> = (0..n_rows)
+                    .flat_map(|i| std::iter::repeat_n(i, rng.random_range(0..5usize)))
+                    .collect();
+                if idx.is_empty() {
+                    idx.push(rng.random_range(0..n_rows));
+                }
+                idx
+            };
+            let config = TreeConfig {
+                max_depth: rng.random_range(1..16usize),
+                min_samples_leaf: rng.random_range(1..4usize),
+                min_samples_split: rng.random_range(2..5usize),
+                max_features: match rng.random_range(0..2u32) {
+                    0 => None,
+                    _ => Some(rng.random_range(1..n_features + 1)),
+                },
+            };
+            OracleCase {
+                x: FeatureMatrix::from_rows(&rows),
+                y,
+                indices,
+                config,
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn presorted_build_matches_per_node_sort_oracle(
+            seed in 0u64..u64::MAX,
+            resample in 0u32..2,
+        ) {
+            let c = OracleCase::draw(seed, resample == 1);
+            let tree_seed = seed.rotate_left(17);
+            let fast = DecisionTree::fit_seeded(&c.config, &c.x, &c.y, &c.indices, tree_seed);
+            let oracle = Reference::fit(&c.config, &c.x, &c.y, &c.indices, tree_seed);
+            prop_assert_eq!(node_bits(&fast.nodes), node_bits(&oracle), "seed {}", seed);
+        }
+
+        #[test]
+        fn path_refit_on_appended_presort_matches_oracle(
+            seed in 0u64..u64::MAX,
+            copies in 1usize..5,
+        ) {
+            let c = OracleCase::draw(seed, false);
+            let tree_seed = seed.rotate_left(17);
+            let old = DecisionTree::fit_seeded(&c.config, &c.x, &c.y, &c.indices, tree_seed);
+            // Append a copy of a random existing row as a new last row, so
+            // its values tie with rows already in every feature order.
+            let mut rng = StdRng::seed_from_u64(!seed);
+            let src = rng.random_range(0..c.x.len());
+            let mut rows: Vec<Vec<f64>> = c.x.rows().map(<[f64]>::to_vec).collect();
+            rows.push(rows[src].clone());
+            let x = FeatureMatrix::from_rows(&rows);
+            let mut y = c.y.clone();
+            y.push(rng.random_range(-3.0..6.0));
+            let new_sample = x.len() - 1;
+            let rows32 = c.indices.iter().map(|&i| i as u32).collect();
+            let mut presort = Presort::new(&x, rows32);
+            presort.append(&x, new_sample, copies);
+
+            let mut indices = c.indices.clone();
+            indices.extend(std::iter::repeat_n(new_sample, copies));
+            prop_assert_eq!(&presort, &Presort::new(&x, presort.rows().to_vec()));
+            let (refit, _) =
+                DecisionTree::grow(&c.config, &x, &y, presort, tree_seed, Some((&old, new_sample)));
+            let oracle = Reference::fit(&c.config, &x, &y, &indices, tree_seed);
+            prop_assert_eq!(node_bits(&refit.nodes), node_bits(&oracle), "seed {}", seed);
+        }
     }
 
     proptest! {
