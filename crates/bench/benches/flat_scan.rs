@@ -1,22 +1,16 @@
-//! Ablation: flat SoA forest inference vs pointer-chasing traversal,
-//! and the DES calendar queue vs the reference binary heap.
+//! Ablation: a cold variance scan, and the DES calendar queue vs the
+//! reference binary heap.
 //!
-//! The flat engine flattens every tree into contiguous
-//! feature/threshold/child arrays, evaluates candidate blocks tree-major
-//! (the whole tree stays hot in cache across a 256-row block), and fuses
-//! the jackknife variance into the same pass so per-candidate prediction
-//! vectors are never materialized. Both paths are bit-identical — see
-//! `flat_engine_matches_pointer_engine_bit_for_bit` in acclaim-core and
-//! the `flat_equivalence` workspace test — so the ratio is pure
-//! overhead removed. Shape matches the PR's BENCH_pr6.json trajectory:
-//! n≈800 samples, 64 trees, 1944 candidates.
+//! A cold scan (`VarianceScanCache::new`, one full `refresh`,
+//! `ranking`) descends each tree once and writes every leaf's value
+//! over the candidate-lattice cells its box covers, then computes the
+//! jackknife column-wise. Shape matches the BENCH_pr6.json
+//! trajectory: n≈800 samples, 64 trees, 1944 candidates.
 
 use acclaim_bench::simulation_env;
 use acclaim_collectives::{Algorithm, Collective};
-use acclaim_core::{
-    all_candidates, rank_by_variance, rank_by_variance_flat, PerfModel, TrainingSample,
-};
-use acclaim_ml::ForestConfig;
+use acclaim_core::{all_candidates, PerfModel, TrainingSample, VarianceScanCache};
+use acclaim_ml::{ForestConfig, TreeUpdate};
 use acclaim_netsim::{Allocation, Cluster, FlowSim, QueueEngine};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -45,19 +39,21 @@ fn collect_samples(n: usize) -> Vec<TrainingSample> {
         .collect()
 }
 
-fn flat_vs_pointer_scan(c: &mut Criterion) {
+fn painted_scan(c: &mut Criterion) {
     let (_, space) = simulation_env();
     let candidates = all_candidates(Collective::Bcast, &space);
     let samples = collect_samples(800);
-    let model = PerfModel::fit(Collective::Bcast, &samples, &ForestConfig::default());
+    let config = ForestConfig::default();
+    let model = PerfModel::fit(Collective::Bcast, &samples, &config);
 
     let mut group = c.benchmark_group("variance_scan");
     group.sample_size(10);
-    group.bench_function("pointer", |b| {
-        b.iter(|| black_box(rank_by_variance(&model, &candidates)))
-    });
-    group.bench_function("flat", |b| {
-        b.iter(|| black_box(rank_by_variance_flat(&model, &candidates)))
+    group.bench_function("painted", |b| {
+        b.iter(|| {
+            let mut cache = VarianceScanCache::new(candidates.clone());
+            cache.refresh(&model, &TreeUpdate::full_refit(config.n_trees));
+            black_box(cache.ranking())
+        })
     });
     group.finish();
 }
@@ -82,5 +78,5 @@ fn des_queue_engines(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, flat_vs_pointer_scan, des_queue_engines);
+criterion_group!(benches, painted_scan, des_queue_engines);
 criterion_main!(benches);

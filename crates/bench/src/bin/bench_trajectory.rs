@@ -3,11 +3,12 @@
 //! Times the workloads recent PRs optimized and emits `BENCH_pr10.json`
 //! at the repository root (override with `--out PATH`):
 //!
-//! * the candidate variance scan, pointer-chasing vs flat SoA engine,
-//!   at the ablation shape (n≈800 samples, 64 trees, 1944 candidates);
+//! * a cold variance scan (`VarianceScanCache::new`, one full
+//!   `refresh`, `ranking`) at the ablation shape (n≈800 samples, 64
+//!   trees, 1944 candidates);
 //! * the flow-level DES on a collective trace, binary-heap vs calendar
 //!   event queue;
-//! * one end-to-end tune on the tiny grid (wall time, flat engine),
+//! * one end-to-end tune on the tiny grid (wall time),
 //!   paired telemetry-off vs telemetry-on — the `telemetry_overhead`
 //!   ratio is the cost of the observability contract and should stay
 //!   near 1.0;
@@ -33,11 +34,11 @@
 use acclaim_bench::simulation_env;
 use acclaim_collectives::{Algorithm, Collective};
 use acclaim_core::{
-    all_candidates, rank_by_variance, rank_by_variance_flat, Acclaim, AcclaimConfig,
-    CriterionConfig, PerfModel, TrainingSample, VarianceConvergence,
+    all_candidates, Acclaim, AcclaimConfig, CriterionConfig, PerfModel, TrainingSample,
+    VarianceConvergence, VarianceScanCache,
 };
 use acclaim_dataset::{BenchmarkDatabase, DatasetConfig, FeatureSpace};
-use acclaim_ml::ForestConfig;
+use acclaim_ml::{ForestConfig, TreeUpdate};
 use acclaim_netsim::{Allocation, Cluster, FlowSim, QueueEngine};
 use serde::Serialize;
 use std::hint::black_box;
@@ -45,8 +46,10 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 /// Schema version of the emitted file; bump on layout changes.
-/// v2 added the `analytic` block (PR 10).
-const BENCH_SCHEMA_VERSION: u32 = 2;
+/// v2 added the `analytic` block (PR 10); v3 replaced the pointer and
+/// flat variance-scan medians and their speedup with
+/// `variance_scan_painted`.
+const BENCH_SCHEMA_VERSION: u32 = 3;
 
 #[derive(Serialize)]
 struct Shape {
@@ -57,8 +60,7 @@ struct Shape {
 
 #[derive(Serialize)]
 struct MediansUs {
-    variance_scan_pointer: f64,
-    variance_scan_flat: f64,
+    variance_scan_painted: f64,
     des_binary_heap: f64,
     des_calendar: f64,
     tune_e2e: f64,
@@ -68,7 +70,6 @@ struct MediansUs {
 
 #[derive(Serialize)]
 struct Speedups {
-    variance_scan: f64,
     des: f64,
     /// Telemetry-on over telemetry-off e2e tune wall time (≈1.0 when
     /// the instrumentation keeps its behaviorally-inert promise cheap).
@@ -184,7 +185,7 @@ fn main() {
     let out = out
         .unwrap_or_else(|| PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_pr10.json"));
 
-    // -- Variance scan, pointer vs flat, at the ablation shape. --------
+    // -- Cold variance scan at the ablation shape. ----------------------
     const N_SAMPLES: usize = 800;
     let (_, space) = simulation_env();
     let candidates = all_candidates(Collective::Bcast, &space);
@@ -198,18 +199,12 @@ fn main() {
         candidates.len()
     );
 
-    let (pointer, flat) = paired_median_us(
-        2,
-        15,
-        || {
-            black_box(rank_by_variance(&model, &candidates));
-        },
-        || {
-            black_box(rank_by_variance_flat(&model, &candidates));
-        },
-    );
-    eprintln!("variance_scan_pointer: {pointer:.1} µs");
-    eprintln!("variance_scan_flat:    {flat:.1} µs");
+    let painted = median_us(2, 15, || {
+        let mut cache = VarianceScanCache::new(candidates.clone());
+        cache.refresh(&model, &TreeUpdate::full_refit(config.n_trees));
+        black_box(cache.ranking());
+    });
+    eprintln!("variance_scan_painted: {painted:.1} µs");
 
     // -- DES event queue, binary heap vs calendar. ---------------------
     let base = Cluster::bebop_like();
@@ -341,8 +336,7 @@ fn main() {
             candidates: candidates.len(),
         },
         medians_us: MediansUs {
-            variance_scan_pointer: pointer,
-            variance_scan_flat: flat,
+            variance_scan_painted: painted,
             des_binary_heap: des_heap,
             des_calendar: des_cal,
             tune_e2e: tune,
@@ -350,7 +344,6 @@ fn main() {
             serve_query_warm: serve_query,
         },
         speedups: Speedups {
-            variance_scan: pointer / flat,
             des: des_heap / des_cal,
             telemetry_overhead: tune_obs / tune,
         },
@@ -387,10 +380,9 @@ fn compare_against(baseline: &PathBuf, current: &Trajectory) {
     };
     let pairs = [
         (
-            "variance_scan_pointer",
-            current.medians_us.variance_scan_pointer,
+            "variance_scan_painted",
+            current.medians_us.variance_scan_painted,
         ),
-        ("variance_scan_flat", current.medians_us.variance_scan_flat),
         ("des_binary_heap", current.medians_us.des_binary_heap),
         ("des_calendar", current.medians_us.des_calendar),
         ("tune_e2e", current.medians_us.tune_e2e),

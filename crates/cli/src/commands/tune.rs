@@ -65,11 +65,6 @@ pub fn run(args: &Args, diag: &Diag) -> Result<String, String> {
         config.learner.max_iterations = iters;
     }
     config.learner.collection = collection_from(args)?;
-    // Flat SoA inference is the default scan engine; `--no-flat` falls
-    // back to pointer-chasing tree traversal (bit-identical, slower) —
-    // useful for A/B timing and as an escape hatch.
-    config.learner.flat = !args.flag("no-flat");
-    let flat = config.learner.flat;
     let policy = config.learner.collection.clone();
 
     // Analytical cost-model priors: `--analytic-priors` seeds cold
@@ -135,10 +130,6 @@ pub fn run(args: &Args, diag: &Diag) -> Result<String, String> {
 
     let mut report = String::new();
     report.push_str(&tuning.summary());
-    report.push_str(&format!(
-        "variance scan engine: {}\n",
-        if flat { "flat (SoA)" } else { "pointer" }
-    ));
     if store_dir.is_some() {
         let snap = obs.snapshot();
         let counters: Vec<String> = snap
@@ -320,19 +311,6 @@ mod tests {
         .unwrap();
         assert!(noprune.contains("priors_injected="), "{noprune}");
         assert!(!noprune.contains("candidates_pruned="), "{noprune}");
-        std::fs::remove_file(&out).ok();
-    }
-
-    #[test]
-    fn no_flat_falls_back_to_the_pointer_engine() {
-        let out = std::env::temp_dir().join("acclaim-cli-tune-noflat-test.json");
-        let report = run(&tune_args(&[], &out), &Diag::new(true)).unwrap();
-        assert!(
-            report.contains("variance scan engine: flat (SoA)"),
-            "{report}"
-        );
-        let report = run(&tune_args(&["--no-flat"], &out), &Diag::new(true)).unwrap();
-        assert!(report.contains("variance scan engine: pointer"), "{report}");
         std::fs::remove_file(&out).ok();
     }
 

@@ -48,13 +48,11 @@ commands:
               [--latency-factor F]
               [--faults none|production] [--max-retries N] [--repeats N]
               [--bench-timeout-factor F] [--robust-agg median|mean]
-              [--store DIR] [--no-store] [--no-flat]
+              [--store DIR] [--no-store]
               [--analytic-priors] [--no-analytic-priors] [--no-prune]
               [--prune-margin F]
               (--store warm-starts from and persists to a cross-job
                tuning store; --no-store wins when both are given;
-               --no-flat uses pointer-chasing tree traversal for the
-               variance scan instead of the flat SoA engine;
                --analytic-priors seeds cold runs with Hockney/LogGP
                cost-model predictions and prunes guideline violators —
                --no-analytic-priors wins when both are given,

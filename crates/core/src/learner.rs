@@ -117,13 +117,10 @@ pub struct LearnerConfig {
     /// measure the speedup.
     #[serde(default)]
     pub incremental: bool,
-    /// Evaluate variance scans through the flat SoA forest
-    /// ([`acclaim_ml::FlatForest`]): the fitted trees are flattened
-    /// into contiguous node arrays and candidate blocks stream through
-    /// them tree-major with the jackknife fused into the same pass.
-    /// Bit-identical to the pointer-chasing path (enforced by the
-    /// `flat_equivalence` suite) — `false` exists to prove that and to
-    /// let the `bench` runner track the speedup.
+    /// Ignored. It selected the retired flat SoA variance-scan engine;
+    /// the scan now paints the candidate lattice (see
+    /// [`VarianceScanCache`]). Kept so serialized configurations and
+    /// callers that set it still load and compile.
     #[serde(default)]
     pub flat: bool,
     /// Fault-tolerant collection: fault injection, per-benchmark
@@ -511,7 +508,6 @@ impl ActiveLearner {
         let m_trees_reused = obs.counter("learner.trees_reused");
         let m_cells_recomputed = obs.counter("learner.scan_cells_recomputed");
         let m_cells_reused = obs.counter("learner.scan_cells_reused");
-        let m_flat_refreshes = obs.counter("learner.flat_scan_refreshes");
         let g_cumvar = obs.gauge("learner.cumulative_variance");
         let g_samples = obs.gauge("learner.samples");
 
@@ -737,7 +733,7 @@ impl ActiveLearner {
         let mut surrogate_order: Vec<Candidate> = Vec::new();
         let mut surrogate_age = 0usize;
         let mut model: Option<PerfModel> = None;
-        let mut cache = VarianceScanCache::new(remaining.clone()).with_flat(cfg.flat);
+        let mut cache = VarianceScanCache::new(remaining.clone());
         let mut surrogate_model: Option<PerfModel> = None;
         let mut surrogate_cache: Option<VarianceScanCache> = None;
         let mut model_update_wall_us = 0.0f64;
@@ -795,14 +791,10 @@ impl ActiveLearner {
                 let rs = cache.refresh(model, &changed);
                 m_cells_recomputed.add(rs.cells_recomputed as u64);
                 m_cells_reused.add(rs.cells_reused() as u64);
-                if cfg.flat {
-                    m_flat_refreshes.incr();
-                }
                 if obs.is_enabled() {
                     scan_span.set_attr("cells_total", rs.cells_total as u64);
                     scan_span.set_attr("cells_recomputed", rs.cells_recomputed as u64);
                     scan_span.set_attr("full", rs.full);
-                    scan_span.set_attr("flat", cfg.flat);
                 }
                 cache.ranking()
             };
@@ -887,9 +879,8 @@ impl ActiveLearner {
                             }
                         };
                         let sm = surrogate_model.as_ref().expect("surrogate fitted above");
-                        let sc = surrogate_cache.get_or_insert_with(|| {
-                            VarianceScanCache::new(remaining.clone()).with_flat(cfg.flat)
-                        });
+                        let sc = surrogate_cache
+                            .get_or_insert_with(|| VarianceScanCache::new(remaining.clone()));
                         sc.retain(|c| !collected_set.contains(c));
                         sc.refresh(sm, &sur_changed);
                         let sr = sc.ranking();

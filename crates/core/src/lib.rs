@@ -27,6 +27,7 @@ pub mod acclaim;
 pub mod baselines;
 pub mod collector;
 pub mod convergence;
+mod lattice;
 pub mod learner;
 pub mod model;
 pub mod rules;
@@ -45,6 +46,5 @@ pub use learner::{
 pub use model::{PerfModel, TrainingSample};
 pub use rules::{generate_rules, CollectiveRules, Rule, RuleSet, TunedSelector, TuningFile};
 pub use selection::{
-    all_candidates, rank_by_variance, rank_by_variance_flat, Candidate, NonP2Injector,
-    RefreshStats, VarianceScanCache,
+    all_candidates, rank_by_variance, Candidate, NonP2Injector, RefreshStats, VarianceScanCache,
 };

@@ -140,9 +140,10 @@ impl PerfModel {
         self.forest.n_trees()
     }
 
-    /// The underlying forest — what the flat SoA scan
-    /// ([`acclaim_ml::FlatForest`]) flattens. Predictions are in
-    /// log-time space; see [`PerfModel::tree_log_prediction`].
+    /// The underlying forest, which the variance scan paints and the
+    /// serve daemon flattens ([`acclaim_ml::FlatForest`]). Predictions
+    /// are in log-time space, the unit the jackknife variance is
+    /// computed in.
     pub fn forest(&self) -> &acclaim_ml::RandomForest {
         &self.forest
     }
@@ -153,20 +154,10 @@ impl PerfModel {
     }
 
     /// The feature row the model sees for a candidate (point +
-    /// algorithm index). Callers evaluating several trees at the same
-    /// candidate build this once and pass it to
-    /// [`PerfModel::tree_log_prediction`].
+    /// algorithm index).
     pub fn candidate_features(&self, point: Point, algorithm: Algorithm) -> [f64; 5] {
         debug_assert_eq!(algorithm.collective(), self.collective);
         point.features_with_algorithm(algorithm.index_within_collective())
-    }
-
-    /// Prediction of a single tree at a feature row (from
-    /// [`PerfModel::candidate_features`]), in log-time space — the unit
-    /// the jackknife variance is computed in. Used by the cached
-    /// variance scan to update only refitted columns.
-    pub fn tree_log_prediction(&self, tree: usize, features: &[f64]) -> f64 {
-        self.forest.tree_predict(tree, features)
     }
 
     /// All per-tree predictions at a candidate (log-time space), written

@@ -9,12 +9,12 @@
 //! candidate's message size for a random non-P2 size whose closest P2
 //! value is the original.
 
+use crate::lattice::Lattice;
 use crate::model::PerfModel;
 use acclaim_collectives::{Algorithm, Collective};
 use acclaim_dataset::{FeatureSpace, Point};
-use acclaim_ml::{jackknife_variance, FlatForest, TreeUpdate, FLAT_BLOCK_ROWS};
+use acclaim_ml::{DirtyRegion, TreeUpdate};
 use rand::Rng;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// One selectable training candidate.
@@ -51,93 +51,73 @@ impl VarianceRanking {
     pub fn top(&self) -> Option<Candidate> {
         self.ranked.first().map(|&(c, _)| c)
     }
+
+    /// Sort `(candidate, variance)` pairs into ranking order —
+    /// variance descending, then candidate — and sum the variances in
+    /// that order. The comparator totally orders distinct candidates,
+    /// so an unstable sort gives the one deterministic order.
+    fn sorted(mut ranked: Vec<(Candidate, f64)>) -> Self {
+        ranked.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+        let cumulative = ranked.iter().map(|&(_, v)| v).sum();
+        VarianceRanking { ranked, cumulative }
+    }
 }
 
 /// Rank `candidates` by the model's jackknife variance.
 pub fn rank_by_variance(model: &PerfModel, candidates: &[Candidate]) -> VarianceRanking {
     let mut scratch = Vec::new();
-    let mut ranked: Vec<(Candidate, f64)> = candidates
+    let ranked = candidates
         .iter()
         .map(|&c| (c, model.variance(c.point, c.algorithm, &mut scratch)))
         .collect();
-    // Deterministic order: variance desc, then candidate identity.
-    ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-    let cumulative = ranked.iter().map(|&(_, v)| v).sum();
-    VarianceRanking { ranked, cumulative }
-}
-
-/// [`rank_by_variance`] through the flat SoA engine: the forest is
-/// flattened once and the fused cache-blocked
-/// [`FlatForest::variance_rows_into`] scan replaces the per-candidate
-/// pointer walk. Bit-identical output — same variances (the fused scan
-/// reuses the exact scalar jackknife accumulation), same sort, same
-/// cumulative sum — just faster; both paths are kept so the `bench`
-/// runner can track the gap.
-pub fn rank_by_variance_flat(model: &PerfModel, candidates: &[Candidate]) -> VarianceRanking {
-    let flat = FlatForest::from_forest(model.forest());
-    let rows: Vec<[f64; 5]> = candidates
-        .iter()
-        .map(|c| model.candidate_features(c.point, c.algorithm))
-        .collect();
-    let mut vars = vec![0.0; rows.len()];
-    flat.variance_rows_into(&rows, &mut vars);
-    let mut ranked: Vec<(Candidate, f64)> = candidates.iter().copied().zip(vars).collect();
-    ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-    let cumulative = ranked.iter().map(|&(_, v)| v).sum();
-    VarianceRanking { ranked, cumulative }
+    VarianceRanking::sorted(ranked)
 }
 
 /// A cached candidate-space variance scan — the incremental counterpart
 /// of [`rank_by_variance`].
 ///
-/// Holds the per-tree log-space prediction of every candidate (a
-/// candidates × trees matrix). After an incremental model refit only
-/// the columns of the refitted trees change, so [`VarianceScanCache::refresh`]
-/// updates those columns and leaves the rest untouched; the jackknife
-/// variances (and their cumulative sum, ACCLAiM's convergence signal)
-/// are then recomputed from the cache. Because an unchanged tree
-/// predicts bit-identically, a cached ranking equals the cold
-/// [`rank_by_variance`] scan exactly — same variances, same order, same
-/// cumulative sum.
+/// Holds the per-tree log-space prediction of every cell of the
+/// candidates' lattice (algorithm × ppn × nodes × msg), one contiguous
+/// column per tree. A refresh repaints the columns of the refitted
+/// trees by descending each tree once and writing every reached leaf's
+/// value into the cells its box covers, pruning subtrees outside the
+/// tree's dirty region. The jackknife variances (and their cumulative
+/// sum, ACCLAiM's convergence signal) are then recomputed from the
+/// matrix. A cell holds a copied leaf value, so a cached ranking equals
+/// the cold [`rank_by_variance`] scan exactly — same variances, same
+/// order, same cumulative sum.
 #[derive(Debug, Clone)]
 pub struct VarianceScanCache {
     candidates: Vec<Candidate>,
-    /// Candidate-major per-tree predictions (row `i` = candidate `i`).
+    /// The lattice cell of each candidate, in row order.
+    cells: Vec<u32>,
+    lattice: Lattice,
+    /// Tree-major predictions: tree `t`'s column is
+    /// `preds[t * lattice.len()..(t + 1) * lattice.len()]`.
     preds: Vec<f64>,
     n_trees: usize,
     filled: bool,
-    /// Evaluate refreshes through the flat SoA engine (bit-identical;
-    /// see [`FlatForest`]).
-    flat: bool,
 }
 
 impl VarianceScanCache {
     /// An empty cache over `candidates`; call
-    /// [`VarianceScanCache::refresh`] before ranking. Defaults to the
-    /// pointer-chasing engine; see [`VarianceScanCache::with_flat`].
+    /// [`VarianceScanCache::refresh`] before ranking.
     pub fn new(candidates: Vec<Candidate>) -> Self {
+        let (lattice, cells) = Lattice::new(&candidates);
         VarianceScanCache {
             candidates,
+            cells,
+            lattice,
             preds: Vec::new(),
             n_trees: 0,
             filled: false,
-            flat: false,
         }
     }
 
-    /// Select the refresh engine: `true` flattens the forest into an
-    /// SoA arena at each refresh and evaluates cache-blocked batches
-    /// ([`FlatForest`]); `false` keeps the per-candidate pointer walk.
-    /// Both fill the matrix with identical bits, so rankings and the
-    /// cumulative-variance convergence signal are unaffected.
-    pub fn with_flat(mut self, flat: bool) -> Self {
-        self.flat = flat;
+    /// Ignored: the scan has one engine, the lattice painter. Kept so
+    /// callers that selected the retired flat engine still compile.
+    pub fn with_flat(self, _flat: bool) -> Self {
         self
-    }
-
-    /// Which engine refreshes run through.
-    pub fn is_flat(&self) -> bool {
-        self.flat
     }
 
     /// The candidates currently cached, in row order.
@@ -145,124 +125,68 @@ impl VarianceScanCache {
         &self.candidates
     }
 
-    /// Drop rows whose candidate fails `keep`, preserving the order of
-    /// the survivors (mirrors `Vec::retain` on the candidate list).
+    /// Drop candidates that fail `keep`, preserving the order of the
+    /// survivors (mirrors `Vec::retain` on the candidate list). Their
+    /// lattice cells stay painted but are no longer ranked.
     pub fn retain(&mut self, mut keep: impl FnMut(&Candidate) -> bool) {
-        let t = self.n_trees;
         let mut w = 0;
         for r in 0..self.candidates.len() {
             if keep(&self.candidates[r]) {
-                if w != r {
-                    self.candidates[w] = self.candidates[r];
-                    if self.filled {
-                        self.preds.copy_within(r * t..(r + 1) * t, w * t);
-                    }
-                }
+                self.candidates[w] = self.candidates[r];
+                self.cells[w] = self.cells[r];
                 w += 1;
             }
         }
         self.candidates.truncate(w);
-        if self.filled {
-            self.preds.truncate(w * t);
-        }
+        self.cells.truncate(w);
     }
 
     /// Bring the matrix up to date after a model (re)fit. `changed`
     /// lists the trees refitted since the previous refresh (what
     /// [`crate::model::PerfModel::fit_incremental`] returns), each with
     /// the feature-space region its predictions may have moved in. Only
-    /// those (row, column) cells are recomputed — a candidate outside a
-    /// refitted tree's dirty region kept that tree's prediction
-    /// bit-for-bit, so its cached cell is already correct. The update
-    /// runs in place (no per-row allocation) over parallel row chunks.
-    /// The first refresh — or any refresh where the tree count moved or
-    /// every tree changed everywhere — fills the whole matrix.
+    /// those columns are repainted, and within a column
+    /// only the leaves whose boxes meet the tree's dirty region — a cell
+    /// outside it kept that tree's prediction bit-for-bit. The first
+    /// refresh — or any refresh where the tree count moved or every
+    /// tree changed everywhere — repaints every column whole.
     ///
-    /// Returns how much work the dirty-region tracking saved; the
-    /// result feeds observability only and never decisions.
+    /// Returns how many lattice cells were painted; the result feeds
+    /// observability only and never decisions.
     pub fn refresh(&mut self, model: &PerfModel, changed: &[TreeUpdate]) -> RefreshStats {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let t = model.n_trees();
-        let full = !self.filled
-            || t != self.n_trees
-            || (changed.len() >= t && changed.iter().all(|u| u.dirty.is_whole()));
-        let cells_total = self.candidates.len() * t;
-        if !full && changed.is_empty() {
+        let (t, cells) = (model.n_trees(), self.lattice.len());
+        let refill = !self.filled || t != self.n_trees;
+        if refill {
+            self.preds = vec![0.0; cells * t];
+        }
+        let full = refill || (changed.len() >= t && changed.iter().all(|u| u.dirty.is_whole()));
+        self.n_trees = t;
+        self.filled = true;
+        let cells_total = cells * t;
+        if cells_total == 0 || (!full && changed.is_empty()) {
             return RefreshStats {
                 cells_total,
                 cells_recomputed: 0,
-                full: false,
+                full,
             };
         }
-        if full {
-            self.preds.clear();
-            self.preds.resize(self.candidates.len() * t, 0.0);
-        }
-        let candidates = &self.candidates;
-        let recomputed = AtomicUsize::new(0);
-        // The flat arena is rebuilt from the current forest on every
-        // refresh — an O(nodes) copy. The perfbench ledger measures it
-        // at `ml.flatten_ms` ≈ 16–19 ms per cold `tune-large` tune
-        // (64 nodes × 32 ppn), about 5% of that tune's `ml.scan_ms`.
-        let flat = self.flat.then(|| FlatForest::from_forest(model.forest()));
-        if full {
-            if let Some(flat) = &flat {
-                // Tree-major cache-blocked fill: parallel over row
-                // blocks, each block streamed through the SoA arena.
-                self.preds
-                    .par_chunks_mut(FLAT_BLOCK_ROWS * t)
-                    .enumerate()
-                    .for_each(|(b, block)| {
-                        let start = b * FLAT_BLOCK_ROWS;
-                        let rows: Vec<[f64; 5]> = candidates[start..start + block.len() / t]
-                            .iter()
-                            .map(|c| model.candidate_features(c.point, c.algorithm))
-                            .collect();
-                        flat.predict_rows_into(&rows, block);
-                    });
-            } else {
-                self.preds
-                    .par_chunks_mut(t)
-                    .enumerate()
-                    .for_each(|(i, row)| {
-                        let c = candidates[i];
-                        let features = model.candidate_features(c.point, c.algorithm);
-                        for (tree, cell) in row.iter_mut().enumerate() {
-                            *cell = model.tree_log_prediction(tree, &features);
-                        }
-                    });
+        // Sequential on purpose: a column paints in microseconds, less
+        // than handing columns to threads costs.
+        let mut painted = 0;
+        for (tree, column) in self.preds.chunks_mut(cells).enumerate() {
+            let dirty: Vec<&DirtyRegion> = changed
+                .iter()
+                .filter(|u| u.tree == tree)
+                .map(|u| &u.dirty)
+                .collect();
+            if full || !dirty.is_empty() {
+                let dirty = (!full).then_some(&dirty[..]);
+                painted += self.lattice.paint(model.forest().tree(tree), dirty, column);
             }
-        } else {
-            self.preds
-                .par_chunks_mut(t)
-                .enumerate()
-                .for_each(|(i, row)| {
-                    let c = candidates[i];
-                    let features = model.candidate_features(c.point, c.algorithm);
-                    let mut row_hits = 0usize;
-                    for u in changed {
-                        if u.dirty.contains(&features) {
-                            row[u.tree] = match &flat {
-                                Some(f) => f.tree_predict(u.tree, &features),
-                                None => model.tree_log_prediction(u.tree, &features),
-                            };
-                            row_hits += 1;
-                        }
-                    }
-                    if row_hits > 0 {
-                        recomputed.fetch_add(row_hits, Ordering::Relaxed);
-                    }
-                });
         }
-        self.n_trees = t;
-        self.filled = true;
         RefreshStats {
             cells_total,
-            cells_recomputed: if full {
-                cells_total
-            } else {
-                recomputed.into_inner()
-            },
+            cells_recomputed: painted,
             full,
         }
     }
@@ -274,16 +198,41 @@ impl VarianceScanCache {
             self.filled || self.candidates.is_empty(),
             "refresh the cache before ranking"
         );
-        let t = self.n_trees;
-        let mut ranked: Vec<(Candidate, f64)> = self
+        let variance = self.cell_variances();
+        let ranked = self
             .candidates
             .iter()
-            .enumerate()
-            .map(|(i, &c)| (c, jackknife_variance(&self.preds[i * t..(i + 1) * t])))
+            .zip(&self.cells)
+            .map(|(&c, &cell)| (c, variance[cell as usize]))
             .collect();
-        ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        let cumulative = ranked.iter().map(|&(_, v)| v).sum();
-        VarianceRanking { ranked, cumulative }
+        VarianceRanking::sorted(ranked)
+    }
+
+    /// [`acclaim_ml::jackknife_variance`] of every lattice cell,
+    /// accumulated column by column. Each cell sees the same two passes
+    /// in tree order `0..T` from the same `-0.0` start that
+    /// `Iterator::sum` uses, so its variance is bit-identical to
+    /// `jackknife_variance` of its row.
+    fn cell_variances(&self) -> Vec<f64> {
+        let (cells, n) = (self.lattice.len(), self.n_trees as f64);
+        if self.n_trees < 2 || cells == 0 {
+            return vec![0.0; cells];
+        }
+        let columns = || self.preds.chunks_exact(cells);
+        let mut mean = vec![-0.0; cells];
+        for column in columns() {
+            mean.iter_mut().zip(column).for_each(|(s, &p)| *s += p);
+        }
+        mean.iter_mut().for_each(|s| *s /= n);
+        let mut variance = vec![-0.0; cells];
+        for column in columns() {
+            for ((s, &p), &m) in variance.iter_mut().zip(column).zip(&mean) {
+                let d = (p - m) / (n - 1.0);
+                *s += d * d;
+            }
+        }
+        variance.iter_mut().for_each(|s| *s /= n - 1.0);
+        variance
     }
 }
 
@@ -292,9 +241,9 @@ impl VarianceScanCache {
 /// the cached predictions are identical whether or not anyone looks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RefreshStats {
-    /// Matrix size at refresh time (candidates × trees).
+    /// Matrix size at refresh time (lattice cells × trees).
     pub cells_total: usize,
-    /// Cells actually recomputed (equals `cells_total` on a full fill).
+    /// Cells painted (equals `cells_total` on a full fill).
     pub cells_recomputed: usize,
     /// Whether the whole matrix was (re)filled.
     pub full: bool,
@@ -372,6 +321,20 @@ mod tests {
     use acclaim_ml::ForestConfig;
     use rand::{rngs::StdRng, SeedableRng};
 
+    /// Binomial-bcast samples at the first `n` points of the tiny grid.
+    fn binomial_samples(n: usize) -> Vec<TrainingSample> {
+        let db = BenchmarkDatabase::new(DatasetConfig::tiny());
+        let a = Algorithm::BcastBinomial;
+        let points = FeatureSpace::tiny().points().into_iter().take(n);
+        points
+            .map(|point| TrainingSample {
+                point,
+                algorithm: a,
+                time_us: db.time(a, point),
+            })
+            .collect()
+    }
+
     #[test]
     fn all_candidates_covers_the_grid_times_algorithms() {
         let space = FeatureSpace::tiny();
@@ -383,20 +346,13 @@ mod tests {
 
     #[test]
     fn ranking_is_sorted_and_sums() {
-        let db = BenchmarkDatabase::new(DatasetConfig::tiny());
         let space = FeatureSpace::tiny();
         // Sparse model: a few samples only.
-        let samples: Vec<TrainingSample> = space
-            .points()
-            .into_iter()
-            .take(3)
-            .map(|p| TrainingSample {
-                point: p,
-                algorithm: Algorithm::BcastBinomial,
-                time_us: db.time(Algorithm::BcastBinomial, p),
-            })
-            .collect();
-        let model = PerfModel::fit(Collective::Bcast, &samples, &ForestConfig::default());
+        let model = PerfModel::fit(
+            Collective::Bcast,
+            &binomial_samples(3),
+            &ForestConfig::default(),
+        );
         let cands = all_candidates(Collective::Bcast, &space);
         let r = rank_by_variance(&model, &cands);
         assert_eq!(r.ranked.len(), cands.len());
@@ -438,60 +394,33 @@ mod tests {
     }
 
     #[test]
-    fn flat_engine_matches_pointer_engine_bit_for_bit() {
-        let db = BenchmarkDatabase::new(DatasetConfig::tiny());
-        let space = FeatureSpace::tiny();
+    fn all_tied_rankings_keep_the_stable_order() {
+        // A 1-tree forest has zero jackknife variance everywhere, so the
+        // order comes from the candidate tie-break alone.
         let cfg = ForestConfig {
-            n_trees: 24,
+            n_trees: 1,
             ..ForestConfig::default()
         };
-        let all: Vec<TrainingSample> = space
-            .points()
-            .into_iter()
-            .flat_map(|p| Collective::Bcast.algorithms().iter().map(move |&a| (p, a)))
-            .map(|(p, a)| TrainingSample {
-                point: p,
-                algorithm: a,
-                time_us: db.time(a, p),
-            })
-            .collect();
-        let cands = all_candidates(Collective::Bcast, &space);
-        let mut model = PerfModel::fit(Collective::Bcast, &all[..6], &cfg);
-        let mut pointer = VarianceScanCache::new(cands.clone());
-        let mut flat = VarianceScanCache::new(cands.clone()).with_flat(true);
-        assert!(flat.is_flat() && !pointer.is_flat());
-        pointer.refresh(&model, &TreeUpdate::full_refit(cfg.n_trees));
-        flat.refresh(&model, &TreeUpdate::full_refit(cfg.n_trees));
-        assert_eq!(pointer.ranking(), flat.ranking(), "full fill diverged");
-        for upto in 7..=14 {
-            let changed = model.fit_incremental(&all[..upto], &cfg);
-            let sp = pointer.refresh(&model, &changed);
-            let sf = flat.refresh(&model, &changed);
-            assert_eq!(sp, sf, "refresh stats diverged at n={upto}");
-            assert_eq!(pointer.ranking(), flat.ranking(), "diverged at n={upto}");
-        }
-        // The flat cold scan agrees with both.
-        assert_eq!(
-            rank_by_variance(&model, &cands),
-            rank_by_variance_flat(&model, &cands)
-        );
+        let model = PerfModel::fit(Collective::Bcast, &binomial_samples(5), &cfg);
+        let mut cands = all_candidates(Collective::Bcast, &FeatureSpace::tiny());
+        cands.reverse();
+        let mut reference: Vec<(Candidate, f64)> = cands.iter().map(|&c| (c, 0.0)).collect();
+        reference.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+        let cold = rank_by_variance(&model, &cands);
+        assert_eq!(cold.ranked, reference);
+        let mut cache = VarianceScanCache::new(cands);
+        cache.refresh(&model, &TreeUpdate::full_refit(1));
+        assert_eq!(cache.ranking(), cold);
     }
 
     #[test]
     fn cache_retain_preserves_order_and_rows() {
-        let db = BenchmarkDatabase::new(DatasetConfig::tiny());
         let space = FeatureSpace::tiny();
-        let samples: Vec<TrainingSample> = space
-            .points()
-            .into_iter()
-            .take(4)
-            .map(|p| TrainingSample {
-                point: p,
-                algorithm: Algorithm::BcastBinomial,
-                time_us: db.time(Algorithm::BcastBinomial, p),
-            })
-            .collect();
-        let model = PerfModel::fit(Collective::Bcast, &samples, &ForestConfig::default());
+        let model = PerfModel::fit(
+            Collective::Bcast,
+            &binomial_samples(4),
+            &ForestConfig::default(),
+        );
         let cands = all_candidates(Collective::Bcast, &space);
         let mut cache = VarianceScanCache::new(cands.clone());
         cache.refresh(&model, &[]);

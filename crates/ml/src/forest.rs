@@ -365,10 +365,9 @@ impl RandomForest {
         out.extend(self.trees.iter().map(|t| t.predict(row)));
     }
 
-    /// Prediction of one tree (for incremental per-tree caches that
-    /// update only refitted columns).
-    pub fn tree_predict(&self, tree: usize, row: &[f64]) -> f64 {
-        self.trees[tree].predict(row)
+    /// Tree `t` of the ensemble.
+    pub fn tree(&self, t: usize) -> &DecisionTree {
+        &self.trees[t]
     }
 
     /// Number of trees in the ensemble.
@@ -627,8 +626,8 @@ mod tests {
                 for u in &changed {
                     if !u.dirty.contains(&row) {
                         assert_eq!(
-                            forest.tree_predict(u.tree, &row),
-                            before.tree_predict(u.tree, &row),
+                            forest.tree(u.tree).predict(&row),
+                            before.tree(u.tree).predict(&row),
                             "tree {} changed outside its dirty region at {row:?}",
                             u.tree
                         );

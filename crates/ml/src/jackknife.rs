@@ -36,17 +36,6 @@ pub fn jackknife_variance(predictions: &[f64]) -> f64 {
     sum_sq / (nf - 1.0)
 }
 
-/// Convenience: jackknife variance of a forest's prediction at `row`,
-/// reusing `scratch` for the per-tree predictions.
-pub fn forest_variance_at(
-    forest: &crate::forest::RandomForest,
-    row: &[f64],
-    scratch: &mut Vec<f64>,
-) -> f64 {
-    forest.predict_per_tree(row, scratch);
-    jackknife_variance(scratch)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

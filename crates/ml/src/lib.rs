@@ -19,8 +19,8 @@ pub mod metrics;
 pub mod tree;
 
 pub use data::FeatureMatrix;
-pub use flat::{FlatForest, FLAT_BLOCK_ROWS};
+pub use flat::FlatForest;
 pub use forest::{bootstrap_weight, BootstrapScheme, ForestConfig, RandomForest, TreeUpdate};
-pub use jackknife::{forest_variance_at, jackknife_variance};
+pub use jackknife::jackknife_variance;
 pub use metrics::{average_slowdown, CONVERGENCE_SLOWDOWN};
 pub use tree::{DecisionTree, DirtyRegion, TreeConfig};

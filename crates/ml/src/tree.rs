@@ -176,6 +176,31 @@ impl DecisionTree {
         node.value
     }
 
+    /// Walk the tree from the root carrying a caller-owned `state`, for
+    /// consumers that evaluate a whole region at once instead of one row
+    /// per root-to-leaf walk. At each split, `split(&state, feature,
+    /// threshold)` returns the states of the left (`x[feature] <=
+    /// threshold`) and right children; `None` prunes that child. Each
+    /// reached leaf is handed to `leaf(state, value)`.
+    pub fn descend<S>(
+        &self,
+        root: S,
+        mut split: impl FnMut(&S, usize, f64) -> (Option<S>, Option<S>),
+        mut leaf: impl FnMut(S, f64),
+    ) {
+        let mut stack = vec![(0u32, root)];
+        while let Some((i, state)) = stack.pop() {
+            let n = &self.nodes[i as usize];
+            if n.feature == LEAF {
+                leaf(state, n.value);
+                continue;
+            }
+            let (left, right) = split(&state, n.feature, n.threshold);
+            stack.extend(right.map(|s| (n.right, s)));
+            stack.extend(left.map(|s| (n.left, s)));
+        }
+    }
+
     /// Number of nodes (splits + leaves).
     pub fn node_count(&self) -> usize {
         self.nodes.len()
@@ -242,6 +267,13 @@ impl DirtyRegion {
     /// True when every row is dirty.
     pub fn is_whole(&self) -> bool {
         self.regions.iter().any(Vec::is_empty)
+    }
+
+    /// The region's boxes. Each is a conjunction of `(feature, lo, hi)`
+    /// conditions `lo < x[feature] <= hi`; an empty box is the whole
+    /// space.
+    pub fn boxes(&self) -> impl Iterator<Item = &[(usize, f64, f64)]> {
+        self.regions.iter().map(Vec::as_slice)
     }
 
     /// Whether `row`'s prediction may have changed.
@@ -681,6 +713,32 @@ mod tests {
         assert_eq!(t.predict(&[15.0]), 2.0);
         assert_eq!(t.predict(&[9.4]), 1.0);
         assert_eq!(t.predict(&[9.6]), 2.0);
+    }
+
+    #[test]
+    fn descent_reaches_the_leaf_predict_does() {
+        let rows: Vec<Vec<f64>> = (0..48).map(|i| vec![(i * 5 % 8) as f64]).collect();
+        let y: Vec<f64> = (0..48).map(|i| ((i * 7919) % 23) as f64).collect();
+        let tree = fit(&FeatureMatrix::from_rows(&rows), &y, &TreeConfig::default());
+        // Paint the values 0..8 by narrowing an index range per split.
+        let mut painted = [f64::NAN; 8];
+        let mut leaves = 0;
+        let split = |&(lo, hi): &(usize, usize), _, t: f64| {
+            let k = lo + (lo..hi).filter(|&v| v as f64 <= t).count();
+            ((k > lo).then_some((lo, k)), (k < hi).then_some((k, hi)))
+        };
+        tree.descend((0, 8), split, |(lo, hi), value| {
+            leaves += 1;
+            painted[lo..hi].fill(value);
+        });
+        assert_eq!(
+            leaves,
+            tree.node_count().div_ceil(2),
+            "every leaf reached once"
+        );
+        for (v, p) in painted.iter().enumerate() {
+            assert_eq!(p.to_bits(), tree.predict(&[v as f64]).to_bits());
+        }
     }
 
     #[test]

@@ -114,11 +114,11 @@ pub mod prelude {
         mpich_default, Algorithm, Collective, Measurement, MicrobenchConfig,
     };
     pub use acclaim_core::{
-        all_candidates, application_impact, rank_by_variance, rank_by_variance_flat, Acclaim,
-        AcclaimConfig, ActiveLearner, AnalyticPriorsConfig, Candidate, CollectionPolicy,
-        CollectionStrategy, CriterionConfig, FaultEvent, FaultStats, JobTuning, LearnerConfig,
-        PerfModel, RobustAgg, SelectionPolicy, TrainingOutcome, TrainingSample, TunedSelector,
-        TuningFile, VarianceConvergence, VarianceScanCache, WarmStart,
+        all_candidates, application_impact, rank_by_variance, Acclaim, AcclaimConfig,
+        ActiveLearner, AnalyticPriorsConfig, Candidate, CollectionPolicy, CollectionStrategy,
+        CriterionConfig, FaultEvent, FaultStats, JobTuning, LearnerConfig, PerfModel, RobustAgg,
+        SelectionPolicy, TrainingOutcome, TrainingSample, TunedSelector, TuningFile,
+        VarianceConvergence, VarianceScanCache, WarmStart,
     };
     pub use acclaim_dataset::{BenchmarkDatabase, DatasetConfig, FeatureSpace, Point, Sample};
     pub use acclaim_ml::{

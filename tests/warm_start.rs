@@ -198,8 +198,8 @@ fn export_import_preserves_forest_predictions_exactly() {
     for c in all_candidates(Collective::Allgather, &config.space) {
         let features = original.candidate_features(c.point, c.algorithm);
         for t in 0..original.n_trees() {
-            let a = original.tree_log_prediction(t, &features);
-            let b = entry.model.tree_log_prediction(t, &features);
+            let a = original.forest().tree(t).predict(&features);
+            let b = entry.model.forest().tree(t).predict(&features);
             assert_eq!(
                 a.to_bits(),
                 b.to_bits(),
