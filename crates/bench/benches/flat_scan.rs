@@ -1,5 +1,4 @@
-//! Ablation: a cold variance scan, and the DES calendar queue vs the
-//! reference binary heap.
+//! Ablation: a cold variance scan.
 //!
 //! A cold scan (`VarianceScanCache::new`, one full `refresh`,
 //! `ranking`) descends each tree once and writes every leaf's value
@@ -8,11 +7,10 @@
 //! trajectory: n≈800 samples, 64 trees, 1944 candidates.
 
 use acclaim_bench::simulation_env;
-use acclaim_collectives::{Algorithm, Collective};
+use acclaim_collectives::Collective;
 use acclaim_core::{all_candidates, PerfModel, TrainingSample, VarianceScanCache};
 use acclaim_ml::{ForestConfig, TreeUpdate};
-use acclaim_netsim::{Allocation, Cluster, FlowSim, QueueEngine};
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 /// Samples for the first `n` candidates of the space, in the same
@@ -58,25 +56,5 @@ fn painted_scan(c: &mut Criterion) {
     group.finish();
 }
 
-fn des_queue_engines(c: &mut Criterion) {
-    let base = Cluster::bebop_like();
-    let alloc = Allocation::contiguous(&base.topology, 8);
-    let cl = base.with_allocation(alloc);
-    let sched = Algorithm::BcastScatterRingAllgather
-        .schedule(16, 65_536)
-        .materialize();
-    let mut group = c.benchmark_group("des_queue");
-    for (name, engine) in [
-        ("calendar", QueueEngine::Calendar),
-        ("binary_heap", QueueEngine::BinaryHeap),
-    ] {
-        group.bench_with_input(BenchmarkId::new(name, "bcast_sra_8x2"), &sched, |b, s| {
-            let mut sim = FlowSim::new().with_queue(engine);
-            b.iter(|| black_box(sim.simulate(&cl, 2, s)))
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, painted_scan, des_queue_engines);
+criterion_group!(benches, painted_scan);
 criterion_main!(benches);

@@ -6,8 +6,6 @@
 //! * a cold variance scan (`VarianceScanCache::new`, one full
 //!   `refresh`, `ranking`) at the ablation shape (n≈800 samples, 64
 //!   trees, 1944 candidates);
-//! * the flow-level DES on a collective trace, binary-heap vs calendar
-//!   event queue;
 //! * one end-to-end tune on the tiny grid (wall time),
 //!   paired telemetry-off vs telemetry-on — the `telemetry_overhead`
 //!   ratio is the cost of the observability contract and should stay
@@ -32,14 +30,13 @@
 //! deterministic so spread comes only from the host.
 
 use acclaim_bench::simulation_env;
-use acclaim_collectives::{Algorithm, Collective};
+use acclaim_collectives::Collective;
 use acclaim_core::{
     all_candidates, Acclaim, AcclaimConfig, CriterionConfig, PerfModel, TrainingSample,
     VarianceConvergence, VarianceScanCache,
 };
 use acclaim_dataset::{BenchmarkDatabase, DatasetConfig, FeatureSpace};
 use acclaim_ml::{ForestConfig, TreeUpdate};
-use acclaim_netsim::{Allocation, Cluster, FlowSim, QueueEngine};
 use serde::Serialize;
 use std::hint::black_box;
 use std::path::PathBuf;
@@ -48,8 +45,10 @@ use std::time::Instant;
 /// Schema version of the emitted file; bump on layout changes.
 /// v2 added the `analytic` block (PR 10); v3 replaced the pointer and
 /// flat variance-scan medians and their speedup with
-/// `variance_scan_painted`.
-const BENCH_SCHEMA_VERSION: u32 = 3;
+/// `variance_scan_painted`; v4 dropped the DES event-queue medians
+/// (`des_binary_heap`, `des_calendar`) and their speedup with the
+/// calendar queue.
+const BENCH_SCHEMA_VERSION: u32 = 4;
 
 #[derive(Serialize)]
 struct Shape {
@@ -61,8 +60,6 @@ struct Shape {
 #[derive(Serialize)]
 struct MediansUs {
     variance_scan_painted: f64,
-    des_binary_heap: f64,
-    des_calendar: f64,
     tune_e2e: f64,
     tune_e2e_obs: f64,
     serve_query_warm: f64,
@@ -70,7 +67,6 @@ struct MediansUs {
 
 #[derive(Serialize)]
 struct Speedups {
-    des: f64,
     /// Telemetry-on over telemetry-off e2e tune wall time (≈1.0 when
     /// the instrumentation keeps its behaviorally-inert promise cheap).
     telemetry_overhead: f64,
@@ -206,28 +202,6 @@ fn main() {
     });
     eprintln!("variance_scan_painted: {painted:.1} µs");
 
-    // -- DES event queue, binary heap vs calendar. ---------------------
-    let base = Cluster::bebop_like();
-    let alloc = Allocation::contiguous(&base.topology, 8);
-    let cl = base.with_allocation(alloc);
-    let sched = Algorithm::BcastScatterRingAllgather
-        .schedule(16, 65_536)
-        .materialize();
-    let mut heap_sim = FlowSim::new().with_queue(QueueEngine::BinaryHeap);
-    let mut cal_sim = FlowSim::new().with_queue(QueueEngine::Calendar);
-    let (des_heap, des_cal) = paired_median_us(
-        3,
-        15,
-        || {
-            black_box(heap_sim.simulate(&cl, 2, &sched));
-        },
-        || {
-            black_box(cal_sim.simulate(&cl, 2, &sched));
-        },
-    );
-    eprintln!("des_binary_heap: {des_heap:.1} µs");
-    eprintln!("des_calendar:    {des_cal:.1} µs");
-
     // -- End-to-end tune on the tiny grid (flat engine), telemetry
     // off vs fully instrumented. Both sides keep their memoized
     // database across reps so the pairing isolates the recorder cost;
@@ -337,14 +311,11 @@ fn main() {
         },
         medians_us: MediansUs {
             variance_scan_painted: painted,
-            des_binary_heap: des_heap,
-            des_calendar: des_cal,
             tune_e2e: tune,
             tune_e2e_obs: tune_obs,
             serve_query_warm: serve_query,
         },
         speedups: Speedups {
-            des: des_heap / des_cal,
             telemetry_overhead: tune_obs / tune,
         },
         analytic,
@@ -383,8 +354,6 @@ fn compare_against(baseline: &PathBuf, current: &Trajectory) {
             "variance_scan_painted",
             current.medians_us.variance_scan_painted,
         ),
-        ("des_binary_heap", current.medians_us.des_binary_heap),
-        ("des_calendar", current.medians_us.des_calendar),
         ("tune_e2e", current.medians_us.tune_e2e),
         ("tune_e2e_obs", current.medians_us.tune_e2e_obs),
         ("serve_query_warm", current.medians_us.serve_query_warm),

@@ -322,7 +322,6 @@ mod tests {
                 explore_every: None,
                 max_iterations: 40,
                 seed: 5,
-                incremental: true,
                 flat: true,
                 collection: CollectionPolicy::default(),
                 analytic_priors: Default::default(),

@@ -109,14 +109,6 @@ pub struct LearnerConfig {
     pub max_iterations: usize,
     /// RNG seed for seeding, exploration, and non-P2 draws.
     pub seed: u64,
-    /// Warm-start model refits between iterations: append the new
-    /// samples and rebuild only the trees whose hashed bootstrap drew
-    /// them, updating only their columns of the cached variance scan.
-    /// Decision-identical to scratch refits (same selections, same
-    /// convergence stop) — `false` exists to prove exactly that and to
-    /// measure the speedup.
-    #[serde(default)]
-    pub incremental: bool,
     /// Ignored. It selected the retired flat SoA variance-scan engine;
     /// the scan now paints the candidate lattice (see
     /// [`VarianceScanCache`]). Kept so serialized configurations and
@@ -206,7 +198,6 @@ impl LearnerConfig {
             explore_every: Some(4),
             max_iterations: 400,
             seed: 0xACC,
-            incremental: true,
             flat: true,
             collection: CollectionPolicy::default(),
             analytic_priors: AnalyticPriorsConfig::default(),
@@ -245,7 +236,6 @@ impl LearnerConfig {
             explore_every: None,
             max_iterations: 400,
             seed: 0xFAC7,
-            incremental: true,
             flat: true,
             collection: CollectionPolicy::default(),
             analytic_priors: AnalyticPriorsConfig::default(),
@@ -660,68 +650,25 @@ impl ActiveLearner {
                         }
                     }
                 }
-                let (wave, placements): (Vec<Candidate>, Vec<Placement>) = match cfg.strategy {
-                    CollectionStrategy::Sequential => (vec![pending.remove(0)], Vec::new()),
-                    CollectionStrategy::Parallel => {
-                        let cluster = &db.config().cluster;
-                        let w = schedule_wave(&cluster.topology, &alloc, &pending);
-                        // The greedy scheduler consumes a prefix of the list.
-                        let wave = pending.drain(..w.parallelism().max(1)).collect();
-                        (wave, w.placements)
-                    }
-                };
-                let wave_start_us = stats.wall_us;
-                let mut costs = Vec::with_capacity(wave.len());
-                let mut completed = 0usize;
-                for (slot, c) in wave.into_iter().enumerate() {
-                    let s = db.sample(c.algorithm, c.point);
-                    match fault_rt.as_mut() {
-                        Some(rt) => {
-                            // Failed seed points re-enter through the
-                            // training loop's retry queue: the seeding
-                            // phase never blocks on one point.
-                            let (cost, ok) = faulty_slot(
-                                rt,
-                                obs,
-                                c,
-                                c,
-                                s.mean_us,
-                                s.wall_us,
-                                &placements,
-                                slot,
-                                wave_index,
-                                wave_start_us,
-                                &mut collected,
-                                &mut collected_set,
-                            );
-                            costs.push(cost);
-                            completed += ok as usize;
-                        }
-                        None => {
-                            collected.push(TrainingSample {
-                                point: c.point,
-                                algorithm: c.algorithm,
-                                time_us: s.mean_us,
-                            });
-                            collected_set.insert(c);
-                            if obs.is_enabled() {
-                                slot_span(
-                                    obs,
-                                    &placements,
-                                    slot,
-                                    c,
-                                    wave_start_us,
-                                    s.wall_us,
-                                    Vec::new(),
-                                );
-                            }
-                            costs.push(s.wall_us);
-                            completed += 1;
-                        }
-                    }
-                }
-                stats.add_wave_counting(&costs, completed);
-                wave_index += 1;
+                // Failed seed points re-enter through the training
+                // loop's retry queue: the seeding phase never blocks on
+                // one point. Seeding substitutes no non-P2 sizes, so it
+                // draws nothing from the selection RNG.
+                let (parallelism, _) = collect_wave(
+                    cfg.strategy,
+                    db,
+                    &alloc,
+                    obs,
+                    &pending,
+                    None,
+                    fault_rt.as_mut(),
+                    &mut wave_index,
+                    &mut collected,
+                    &mut collected_set,
+                    &mut stats,
+                );
+                // Every wave is a prefix of the order it was planned from.
+                pending.drain(..parallelism);
             }
         }
         remaining.retain(|c| !collected_set.contains(c));
@@ -757,21 +704,13 @@ impl ActiveLearner {
                     );
                 }
             }
-            // Model update. With `incremental` the model warm-starts
-            // (only trees whose bootstrap drew a new sample refit) and
-            // the cached variance scan recomputes only their columns;
-            // otherwise everything rebuilds from scratch through the
-            // same cache, so both paths produce identical rankings.
+            // Model update: the model warm-starts (only trees whose
+            // bootstrap drew a new sample refit) and the cached variance
+            // scan recomputes only their columns.
             let update_start = Instant::now();
             let changed = {
                 let mut fit_span = obs.span("learner", "fit");
-                let changed = match model.as_mut().filter(|_| cfg.incremental) {
-                    Some(m) => m.fit_incremental(&collected, &cfg.forest),
-                    None => {
-                        model = Some(PerfModel::fit(collective, &collected, &cfg.forest));
-                        TreeUpdate::full_refit(cfg.forest.n_trees)
-                    }
-                };
+                let changed = refit(&mut model, collective, &collected, &cfg.forest);
                 m_trees_refitted.add(changed.len() as u64);
                 m_trees_reused.add(cfg.forest.n_trees.saturating_sub(changed.len()) as u64);
                 if obs.is_enabled() {
@@ -866,18 +805,11 @@ impl ActiveLearner {
                 } => {
                     let refresh = (*refresh).max(1);
                     if surrogate_order.is_empty() || surrogate_age.is_multiple_of(refresh) {
-                        // The surrogate refits (warm-started when
-                        // `incremental`) and keeps its own scan cache.
+                        // The surrogate warm-refits like the primary
+                        // model and keeps its own scan cache.
                         let sur_start = Instant::now();
-                        let sur_changed = match surrogate_model.as_mut().filter(|_| cfg.incremental)
-                        {
-                            Some(m) => m.fit_incremental(&collected, surrogate),
-                            None => {
-                                surrogate_model =
-                                    Some(PerfModel::fit(collective, &collected, surrogate));
-                                TreeUpdate::full_refit(surrogate.n_trees)
-                            }
-                        };
+                        let sur_changed =
+                            refit(&mut surrogate_model, collective, &collected, surrogate);
                         let sm = surrogate_model.as_ref().expect("surrogate fitted above");
                         let sc = surrogate_cache
                             .get_or_insert_with(|| VarianceScanCache::new(remaining.clone()));
@@ -939,95 +871,33 @@ impl ActiveLearner {
                 select_span.set_attr("candidates", ordered.len() as u64);
             }
 
-            // Build the wave (one point for sequential collection).
-            let (wave_candidates, wave_placements): (Vec<Candidate>, Vec<Placement>) =
-                match cfg.strategy {
-                    CollectionStrategy::Sequential => (vec![ordered[0]], Vec::new()),
-                    CollectionStrategy::Parallel => {
-                        let cluster = &db.config().cluster;
-                        let wave = schedule_wave(&cluster.topology, &alloc, &ordered);
-                        let cands = wave
-                            .placements
-                            .iter()
-                            .map(|p| ordered[p.candidate_index])
-                            .collect();
-                        (cands, wave.placements)
-                    }
-                };
             drop(select_span);
-            debug_assert!(!wave_candidates.is_empty());
-            last_parallelism = wave_candidates.len();
 
-            // Collect the wave (with every-5th non-P2 substitution).
-            let wave_start_us = stats.wall_us;
-            let mut costs = Vec::with_capacity(wave_candidates.len());
-            let mut completed = 0usize;
-            {
+            // Collect the wave (one point for sequential collection),
+            // with every-5th non-P2 substitution.
+            let (parallelism, completed) = {
                 let mut collect_span = obs.span("learner", "collect");
+                let wave = collect_wave(
+                    cfg.strategy,
+                    db,
+                    &alloc,
+                    obs,
+                    &ordered,
+                    injector.as_mut().map(|inj| (inj, &mut rng, &m_nonp2)),
+                    fault_rt.as_mut(),
+                    &mut wave_index,
+                    &mut collected,
+                    &mut collected_set,
+                    &mut stats,
+                );
                 if obs.is_enabled() {
-                    collect_span.set_attr("parallelism", wave_candidates.len() as u64);
+                    collect_span.set_attr("parallelism", wave.0 as u64);
                 }
-                for (slot, anchor) in wave_candidates.into_iter().enumerate() {
-                    let actual = match injector.as_mut() {
-                        Some(inj) => inj.apply(anchor, &mut rng),
-                        None => anchor,
-                    };
-                    if actual != anchor {
-                        m_nonp2.incr();
-                    }
-                    let s = db.sample(actual.algorithm, actual.point);
-                    match fault_rt.as_mut() {
-                        Some(rt) => {
-                            // Retries key on the P2 anchor (the pool
-                            // identity); the measurement itself is of
-                            // the possibly-substituted candidate.
-                            let (cost, ok) = faulty_slot(
-                                rt,
-                                obs,
-                                anchor,
-                                actual,
-                                s.mean_us,
-                                s.wall_us,
-                                &wave_placements,
-                                slot,
-                                wave_index,
-                                wave_start_us,
-                                &mut collected,
-                                &mut collected_set,
-                            );
-                            costs.push(cost);
-                            completed += ok as usize;
-                        }
-                        None => {
-                            collected.push(TrainingSample {
-                                point: actual.point,
-                                algorithm: actual.algorithm,
-                                time_us: s.mean_us,
-                            });
-                            if obs.is_enabled() {
-                                slot_span(
-                                    obs,
-                                    &wave_placements,
-                                    slot,
-                                    actual,
-                                    wave_start_us,
-                                    s.wall_us,
-                                    Vec::new(),
-                                );
-                            }
-                            costs.push(s.wall_us);
-                            completed += 1;
-                            // The P2 anchor leaves the pool either way: it was
-                            // either collected or represented by its non-P2 variant.
-                            collected_set.insert(anchor);
-                        }
-                    }
-                }
-            }
+                wave
+            };
             remaining.retain(|c| !collected_set.contains(c));
-            stats.add_wave_counting(&costs, completed);
+            last_parallelism = parallelism;
             last_wave_completed = completed;
-            wave_index += 1;
         }
 
         // Final model. The warm-started model is bit-identical to a
@@ -1036,14 +906,10 @@ impl ActiveLearner {
         let final_start = Instant::now();
         let model = {
             let _fit_span = obs.span("learner", "final_fit");
-            match model {
-                Some(mut m) if cfg.incremental => {
-                    m.fit_incremental(&collected, &cfg.forest);
-                    m.clear_refit_state();
-                    m
-                }
-                _ => PerfModel::fit(collective, &collected, &cfg.forest),
-            }
+            let mut m = model.expect("the training loop fits the model at least once");
+            m.fit_incremental(&collected, &cfg.forest);
+            m.clear_refit_state();
+            m
         };
         model_update_wall_us += final_start.elapsed().as_secs_f64() * 1e6;
         if obs.is_enabled() {
@@ -1068,6 +934,126 @@ impl ActiveLearner {
             prior_points,
         }
     }
+}
+
+/// Bring `model` up to date with `samples`: a scratch fit the first
+/// time, then warm refits that rebuild only the trees whose bootstrap
+/// drew an appended sample. Returns the trees that changed.
+fn refit(
+    model: &mut Option<PerfModel>,
+    collective: Collective,
+    samples: &[TrainingSample],
+    config: &ForestConfig,
+) -> Vec<TreeUpdate> {
+    match model {
+        Some(m) => m.fit_incremental(samples, config),
+        None => {
+            *model = Some(PerfModel::fit(collective, samples, config));
+            TreeUpdate::full_refit(config.n_trees)
+        }
+    }
+}
+
+/// Plan one wave from the priority-ordered `order` (its head alone for
+/// sequential collection, else the greedy topology-aware prefix),
+/// measure each slot, and account the wave in `stats`. A slot measures
+/// its candidate, or a non-P2 substitute when `nonp2` draws one, under
+/// the fault policy when one is active; the pool retires the P2
+/// candidate, never the substitute. Returns the wave's parallelism and
+/// how many of its slots produced a sample; the wave is always the
+/// first `parallelism` candidates of `order`.
+#[allow(clippy::too_many_arguments)] // one step over the run's collection state
+fn collect_wave(
+    strategy: CollectionStrategy,
+    db: &BenchmarkDatabase,
+    alloc: &Allocation,
+    obs: &Obs,
+    order: &[Candidate],
+    mut nonp2: Option<(&mut NonP2Injector, &mut StdRng, &Counter)>,
+    mut fault_rt: Option<&mut FaultRuntime>,
+    wave_index: &mut u64,
+    collected: &mut Vec<TrainingSample>,
+    collected_set: &mut HashSet<Candidate>,
+    stats: &mut CollectionStats,
+) -> (usize, usize) {
+    let (wave, placements): (&[Candidate], Vec<Placement>) = match strategy {
+        CollectionStrategy::Sequential => (&order[..1], Vec::new()),
+        CollectionStrategy::Parallel => {
+            let w = schedule_wave(&db.config().cluster.topology, alloc, order);
+            debug_assert!(w
+                .placements
+                .iter()
+                .enumerate()
+                .all(|(i, p)| p.candidate_index == i));
+            (&order[..w.parallelism()], w.placements)
+        }
+    };
+    debug_assert!(!wave.is_empty());
+    let wave_start_us = stats.wall_us;
+    let mut costs = Vec::with_capacity(wave.len());
+    let mut completed = 0usize;
+    for (slot, &anchor) in wave.iter().enumerate() {
+        let actual = match nonp2.as_mut() {
+            Some((injector, rng, m_nonp2)) => {
+                let actual = injector.apply(anchor, &mut **rng);
+                if actual != anchor {
+                    m_nonp2.incr();
+                }
+                actual
+            }
+            None => anchor,
+        };
+        let s = db.sample(actual.algorithm, actual.point);
+        match fault_rt.as_deref_mut() {
+            Some(rt) => {
+                // Retries key on the P2 anchor (the pool identity); the
+                // measurement itself is of the possibly-substituted
+                // candidate.
+                let (cost, ok) = faulty_slot(
+                    rt,
+                    obs,
+                    anchor,
+                    actual,
+                    s.mean_us,
+                    s.wall_us,
+                    &placements,
+                    slot,
+                    *wave_index,
+                    wave_start_us,
+                    collected,
+                    collected_set,
+                );
+                costs.push(cost);
+                completed += ok as usize;
+            }
+            None => {
+                collected.push(TrainingSample {
+                    point: actual.point,
+                    algorithm: actual.algorithm,
+                    time_us: s.mean_us,
+                });
+                // The P2 anchor leaves the pool either way: it was
+                // either collected or represented by its non-P2 variant.
+                collected_set.insert(anchor);
+                if obs.is_enabled() {
+                    slot_span(
+                        obs,
+                        &placements,
+                        slot,
+                        actual,
+                        wave_start_us,
+                        s.wall_us,
+                        Vec::new(),
+                    );
+                }
+                costs.push(s.wall_us);
+                completed += 1;
+            }
+        }
+    }
+    stats.add_wave_counting(&costs, completed);
+    *wave_index += 1;
+    (wave.len(), completed)
 }
 
 /// Salt folded into the learner seed to derive the fault RNG streams,
@@ -1417,7 +1403,6 @@ mod tests {
             explore_every: None,
             max_iterations: 100,
             seed: 42,
-            incremental: true,
             flat: true,
             collection: CollectionPolicy::default(),
             analytic_priors: Default::default(),
@@ -1483,7 +1468,6 @@ mod tests {
             explore_every: None,
             max_iterations: 200,
             seed: 7,
-            incremental: true,
             flat: true,
             collection: CollectionPolicy::default(),
             analytic_priors: Default::default(),
@@ -1523,7 +1507,6 @@ mod tests {
             explore_every: None,
             max_iterations: 60,
             seed: 13,
-            incremental: true,
             flat: true,
             collection: CollectionPolicy::default(),
             analytic_priors: Default::default(),

@@ -9,7 +9,6 @@
 //! simulator on small configurations and for unit/property tests.
 
 use crate::cluster::Cluster;
-use crate::equeue::CalendarQueue;
 use crate::schedule::{MaterializedSchedule, Msg};
 use acclaim_obs::{Counter, Histogram, Obs};
 use std::cmp::Reverse;
@@ -138,70 +137,27 @@ impl Ord for QueuedEvent {
     }
 }
 
-/// Which priority-queue implementation orders the DES event loop. Both
-/// pop the pending event minimal under `(time.total_cmp, seq)`, so the
-/// simulated result is bit-identical either way (asserted by the
-/// `engines` equivalence tests); they differ only in host cost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum QueueEngine {
-    /// Calendar (bucket) queue — amortized O(1) push/pop
-    /// ([`CalendarQueue`]). The default.
-    #[default]
-    Calendar,
-    /// The reference `std::collections::BinaryHeap` (O(log n)): kept
-    /// for equivalence testing and the `bench` engine comparison.
-    BinaryHeap,
-}
-
-/// The event loop's priority queue, behind the engine switch. Owns the
-/// `seq` tiebreaker so pushes are totally ordered no matter the engine.
-enum EventQueue {
-    Calendar {
-        seq: u64,
-        q: CalendarQueue<Event>,
-    },
-    Heap {
-        seq: u64,
-        q: BinaryHeap<Reverse<QueuedEvent>>,
-    },
+/// The event loop's priority queue. It pops the pending event minimal
+/// under `(time.total_cmp, seq)`; `seq` numbers the pushes, so events
+/// due at the same time pop in the order they were scheduled.
+#[derive(Default)]
+struct EventQueue {
+    seq: u64,
+    heap: BinaryHeap<Reverse<QueuedEvent>>,
 }
 
 impl EventQueue {
-    fn new(engine: QueueEngine) -> Self {
-        match engine {
-            QueueEngine::Calendar => EventQueue::Calendar {
-                seq: 0,
-                q: CalendarQueue::new(),
-            },
-            QueueEngine::BinaryHeap => EventQueue::Heap {
-                seq: 0,
-                q: BinaryHeap::new(),
-            },
-        }
-    }
-
     fn push(&mut self, time: f64, event: Event) {
-        match self {
-            EventQueue::Calendar { seq, q } => {
-                *seq += 1;
-                q.push(time, *seq, event);
-            }
-            EventQueue::Heap { seq, q } => {
-                *seq += 1;
-                q.push(Reverse(QueuedEvent {
-                    time,
-                    seq: *seq,
-                    event,
-                }));
-            }
-        }
+        self.seq += 1;
+        self.heap.push(Reverse(QueuedEvent {
+            time,
+            seq: self.seq,
+            event,
+        }));
     }
 
     fn pop(&mut self) -> Option<(f64, Event)> {
-        match self {
-            EventQueue::Calendar { q, .. } => q.pop().map(|(time, _, event)| (time, event)),
-            EventQueue::Heap { q, .. } => q.pop().map(|Reverse(e)| (e.time, e.event)),
-        }
+        self.heap.pop().map(|Reverse(e)| (e.time, e.event))
     }
 }
 
@@ -209,7 +165,6 @@ impl EventQueue {
 #[derive(Debug, Default)]
 pub struct FlowSim {
     obs: FlowSimObs,
-    engine: QueueEngine,
 }
 
 /// Pre-resolved metric handles ([`FlowSim::with_obs`]); default
@@ -244,20 +199,7 @@ impl FlowSim {
                 sim_us: obs.histogram("netsim.des.sim_us"),
                 host_us: obs.histogram("netsim.des.host_us"),
             },
-            engine: QueueEngine::default(),
         }
-    }
-
-    /// Select the event-queue engine (builder style). Results are
-    /// bit-identical across engines; see [`QueueEngine`].
-    pub fn with_queue(mut self, engine: QueueEngine) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// The engine the event loop runs on.
-    pub fn queue_engine(&self) -> QueueEngine {
-        self.engine
     }
 
     /// Simulate one execution; returns the completion time (µs) at which
@@ -321,7 +263,7 @@ impl FlowSim {
             }
         }
 
-        let mut queue = EventQueue::new(self.engine);
+        let mut queue = EventQueue::default();
 
         // Rank state: the round each rank currently occupies (or n_rounds
         // when done). Entering a round posts its sends with serialized
@@ -569,6 +511,7 @@ mod tests {
     use super::*;
     use crate::roundsim::RoundSim;
     use crate::schedule::{MaterializedSchedule, Msg};
+    use crate::topology::Allocation;
 
     fn sched(num_ranks: u32, rounds: Vec<Vec<Msg>>) -> MaterializedSchedule {
         let s = MaterializedSchedule::new(num_ranks, rounds);
@@ -683,45 +626,144 @@ mod tests {
         );
     }
 
+    /// Completion times recorded bit for bit before the event queue
+    /// became a plain binary heap. The first six cases are hand-written
+    /// schedules at ppn 1 and 2. The last four run on degraded
+    /// allocations (nodes evicted, a raised job latency factor) and are
+    /// sensitive to how simultaneous events are ordered: popping ties
+    /// last-in first-out changes each of them.
     #[test]
-    fn queue_engines_are_bit_identical() {
+    fn simulate_matches_pinned_bits() {
+        let m = Msg::data;
         let c = Cluster::bebop_like();
-        let scheds = [
-            sched(2, vec![vec![Msg::data(0, 1, 65_536)]]),
-            sched(
-                4,
-                vec![vec![Msg::data(0, 2, 1 << 20), Msg::data(1, 3, 1 << 20)]],
-            ),
-            sched(
-                8,
+        let degraded = |failed: u32, latency_factor: f64| {
+            let alloc = Allocation::contiguous(&c.topology, 8 - failed);
+            c.clone()
+                .with_allocation(alloc)
+                .with_job_latency_factor(latency_factor)
+        };
+        let binomial = sched(
+            8,
+            vec![
+                vec![m(0, 4, 1 << 16)],
+                vec![m(0, 2, 1 << 16), m(4, 6, 1 << 16)],
                 vec![
-                    vec![Msg::data(0, 4, 1 << 16)],
-                    vec![Msg::data(0, 2, 1 << 16), Msg::data(4, 6, 1 << 16)],
-                    vec![
-                        Msg::data(0, 1, 1 << 16),
-                        Msg::data(2, 3, 1 << 16),
-                        Msg::data(4, 5, 1 << 16),
-                        Msg::data(6, 7, 1 << 16),
-                    ],
+                    m(0, 1, 1 << 16),
+                    m(2, 3, 1 << 16),
+                    m(4, 5, 1 << 16),
+                    m(6, 7, 1 << 16),
                 ],
+            ],
+        );
+        let cases = [
+            (
+                c.clone(),
+                1,
+                sched(2, vec![vec![m(0, 1, 65_536)]]),
+                0x404547ae147ae148,
+            ),
+            (
+                c.clone(),
+                2,
+                sched(2, vec![vec![m(0, 1, 65_536)]]),
+                0x4021fbe76c8b4396,
+            ),
+            (
+                c.clone(),
+                1,
+                sched(4, vec![vec![m(0, 2, 1 << 20), m(1, 3, 1 << 20)]]),
+                0x408487ae147ae148,
+            ),
+            (
+                c.clone(),
+                2,
+                sched(4, vec![vec![m(0, 2, 1 << 20), m(1, 3, 1 << 20)]]),
+                0x40948147ae147ae1,
+            ),
+            (c.clone(), 1, binomial.clone(), 0x405feb851eb851ea),
+            (c.clone(), 2, binomial, 0x4057872b020c49b9),
+            (
+                degraded(2, 1.5),
+                2,
+                sched(
+                    8,
+                    vec![
+                        vec![
+                            m(6, 0, 281_064),
+                            m(5, 1, 1_024),
+                            m(4, 5, 283_541),
+                            m(7, 5, 499_242),
+                        ],
+                        vec![m(3, 7, 472_526), m(2, 1, 325_198)],
+                    ],
+                ),
+                0x4093cd224cc224cd,
+            ),
+            (
+                degraded(0, 2.5),
+                2,
+                sched(
+                    8,
+                    vec![
+                        vec![
+                            m(1, 3, 131_072),
+                            m(2, 3, 256),
+                            m(5, 0, 2_048),
+                            m(0, 6, 107_637),
+                            m(2, 4, 128),
+                            m(1, 3, 1_024),
+                            m(2, 0, 8_192),
+                        ],
+                        vec![m(5, 6, 65_536), m(5, 3, 278_117), m(0, 2, 8_192)],
+                        vec![m(1, 7, 512), m(1, 4, 8_192), m(1, 3, 262_144)],
+                    ],
+                ),
+                0x4090ab556aa556ac,
+            ),
+            (
+                degraded(1, 1.0),
+                2,
+                sched(
+                    8,
+                    vec![
+                        vec![
+                            m(3, 6, 255_815),
+                            m(1, 5, 164_184),
+                            m(3, 4, 8_192),
+                            m(1, 4, 24_531),
+                        ],
+                        vec![m(4, 2, 338_842)],
+                        vec![m(3, 1, 64)],
+                    ],
+                ),
+                0x4083fe0000000001,
+            ),
+            (
+                degraded(2, 1.5),
+                2,
+                sched(
+                    8,
+                    vec![vec![
+                        m(5, 2, 172_970),
+                        m(1, 5, 4_096),
+                        m(1, 3, 4_096),
+                        m(0, 1, 64),
+                        m(0, 5, 65_536),
+                        m(2, 1, 220_724),
+                    ]],
+                ),
+                0x407bd2b6fceb6fd0,
             ),
         ];
-        for (i, s) in scheds.iter().enumerate() {
-            for ppn in [1, 2] {
-                let cal = FlowSim::new()
-                    .with_queue(QueueEngine::Calendar)
-                    .simulate(&c, ppn, s);
-                let heap = FlowSim::new()
-                    .with_queue(QueueEngine::BinaryHeap)
-                    .simulate(&c, ppn, s);
-                assert_eq!(
-                    cal.to_bits(),
-                    heap.to_bits(),
-                    "engines diverged on schedule {i} ppn {ppn}: {cal} vs {heap}"
-                );
-            }
+        for (i, (cluster, ppn, s, bits)) in cases.iter().enumerate() {
+            let t = FlowSim::new().simulate(cluster, *ppn, s);
+            assert_eq!(
+                t.to_bits(),
+                *bits,
+                "case {i} (ppn {ppn}): {t} vs pinned {}",
+                f64::from_bits(*bits)
+            );
         }
-        assert_eq!(FlowSim::new().queue_engine(), QueueEngine::Calendar);
     }
 
     #[test]

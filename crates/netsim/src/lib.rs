@@ -16,6 +16,8 @@
 //! * [`des`] — a flow-level discrete-event simulator with max-min fair
 //!   bandwidth sharing. Slower, but it models asynchronous per-rank
 //!   progress; it is used to validate `roundsim` on small configurations.
+//!   Its event loop pops from a binary heap ordered by time, ties
+//!   broken by scheduling order, so its results are deterministic.
 //!
 //! Time is measured in microseconds (`f64`), sizes in bytes (`u64`), and
 //! bandwidths in bytes per microsecond (1 GB/s = 1000 B/µs).
@@ -24,7 +26,6 @@
 
 pub mod cluster;
 pub mod des;
-pub mod equeue;
 pub mod fault;
 pub mod fingerprint;
 pub mod noise;
@@ -34,8 +35,7 @@ pub mod schedule;
 pub mod topology;
 
 pub use cluster::Cluster;
-pub use des::{FlowSim, QueueEngine};
-pub use equeue::CalendarQueue;
+pub use des::FlowSim;
 pub use fault::{BenchFault, FaultModel, NodeFailure};
 pub use fingerprint::{stable_hash64, Fingerprint};
 pub use noise::NoiseModel;

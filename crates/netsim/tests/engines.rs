@@ -3,9 +3,7 @@
 //! synchronization differently. Random schedules exercise corners no
 //! hand-written case would.
 
-use acclaim_netsim::{
-    Allocation, Cluster, FaultModel, FlowSim, MaterializedSchedule, Msg, QueueEngine, RoundSim,
-};
+use acclaim_netsim::{Allocation, Cluster, FlowSim, MaterializedSchedule, Msg, RoundSim};
 use proptest::prelude::*;
 
 fn cluster(nodes: u32) -> Cluster {
@@ -102,41 +100,6 @@ proptest! {
         extended.rounds.push(vec![Msg::data(0, 1, 4_096)]);
         let mut rs = RoundSim::new();
         prop_assert!(rs.simulate(&c, 1, &extended) > rs.simulate(&c, 1, &sched));
-    }
-
-    #[test]
-    fn des_queue_engines_bit_identical_on_fault_preset_traces(
-        sched in schedules(8),
-        latency_factor in 1.0f64..3.0,
-        failed_nodes in 0u32..3,
-    ) {
-        // The fault path degrades runs two ways: evicted nodes shrink
-        // the allocation, and unlucky placements raise the job latency
-        // factor. Both engines must simulate the degraded trace to the
-        // same bits — the calendar queue pops the identical
-        // (time, seq) order the reference heap does.
-        let faults = FaultModel::production();
-        prop_assert!(faults.is_enabled());
-        let base = Cluster::bebop_like();
-        // Allocation shrunk as if `failed_nodes` nodes were evicted,
-        // but still wide enough for 8 ranks at ppn=2.
-        let alloc = Allocation::contiguous(&base.topology, 8 - failed_nodes);
-        let c = base
-            .with_allocation(alloc)
-            .with_job_latency_factor(latency_factor);
-        let cal = FlowSim::new()
-            .with_queue(QueueEngine::Calendar)
-            .simulate(&c, 2, &sched);
-        let heap = FlowSim::new()
-            .with_queue(QueueEngine::BinaryHeap)
-            .simulate(&c, 2, &sched);
-        prop_assert_eq!(
-            cal.to_bits(),
-            heap.to_bits(),
-            "engines diverged on degraded trace: {} vs {}",
-            cal,
-            heap
-        );
     }
 
     #[test]

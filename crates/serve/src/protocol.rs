@@ -275,8 +275,8 @@ mod tests {
     use super::*;
     use crate::queue::Priority;
     use acclaim_collectives::Collective;
-    use acclaim_core::AcclaimConfig;
-    use acclaim_dataset::{DatasetConfig, FeatureSpace, Point};
+    use acclaim_core::{Acclaim, AcclaimConfig};
+    use acclaim_dataset::{BenchmarkDatabase, DatasetConfig, FeatureSpace, Point};
 
     fn tune_request() -> TuneRequest {
         TuneRequest {
@@ -327,6 +327,41 @@ mod tests {
             assert!(!line.contains('\n'), "wire lines must be single-line");
             let decoded = decode_request(&line).unwrap();
             assert_eq!(encode_request(&decoded), line);
+        }
+    }
+
+    /// `LearnerConfig` once had an `incremental` switch, and a request
+    /// without the key decoded to `false`. Requests that still send it
+    /// and requests that never did must both decode, and tune to the
+    /// same tuning file as a request built from the current struct.
+    #[test]
+    fn tune_requests_with_and_without_the_retired_incremental_key_tune_alike() {
+        let mut request = tune_request();
+        request.collectives = vec![Collective::Bcast];
+        request.config.learner = request.config.learner.with_budget(30);
+        let tune = |r: &TuneRequest| {
+            Acclaim::new(r.config.clone())
+                .tune(&BenchmarkDatabase::new(r.dataset.clone()), &r.collectives)
+                .tuning_file
+        };
+        let expected = tune(&request);
+
+        let without_key = encode_request(&WireRequest::Tune { request });
+        assert!(!without_key.contains("incremental"));
+        assert_eq!(without_key.matches("\"learner\":{").count(), 1);
+        let with_false =
+            without_key.replacen("\"learner\":{", "\"learner\":{\"incremental\":false,", 1);
+        for line in [&with_false, &without_key] {
+            let WireRequest::Tune { request } = decode_request(line).unwrap() else {
+                panic!("decoded to another request kind: {line}");
+            };
+            assert_eq!(
+                encode_request(&WireRequest::Tune {
+                    request: request.clone()
+                }),
+                without_key
+            );
+            assert_eq!(tune(&request), expected, "tuned differently: {line}");
         }
     }
 

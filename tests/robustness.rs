@@ -285,15 +285,15 @@ fn candidate_space_of_size_one_survives_incremental_updates() {
     }
 
     // End-to-end: the learner on the 1-point space already runs above
-    // (`single_point_space_trains_and_selects`); here make sure the
-    // incremental flag does not change its outcome.
-    let mut on = LearnerConfig::acclaim_sequential().with_budget(2);
-    on.forest = config;
-    on.max_iterations = 10;
-    let mut off = on.clone();
-    off.incremental = false;
-    let a = ActiveLearner::new(on).train(&db, Collective::Bcast, &space, None);
-    let b = ActiveLearner::new(off).train(&db, Collective::Bcast, &space, None);
-    assert_eq!(a.collected, b.collected);
-    assert_eq!(a.converged, b.converged);
+    // (`single_point_space_trains_and_selects`); here make sure its
+    // warm-refitted final model is exactly the scratch fit.
+    let mut cfg = LearnerConfig::acclaim_sequential().with_budget(2);
+    cfg.forest = config;
+    cfg.max_iterations = 10;
+    let out = ActiveLearner::new(cfg.clone()).train(&db, Collective::Bcast, &space, None);
+    let scratch = PerfModel::fit(Collective::Bcast, &out.collected, &cfg.forest);
+    assert!(out.model.forest() == scratch.forest());
+    for p in space.points() {
+        assert_eq!(out.model.select(p), scratch.select(p));
+    }
 }
