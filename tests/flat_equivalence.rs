@@ -8,6 +8,7 @@
 //! collected and per-iteration cumulative variance), recorded when the
 //! scan still walked candidates one by one.
 
+use acclaim::obs::Obs;
 use acclaim::prelude::*;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -124,13 +125,25 @@ proptest! {
     }
 }
 
-/// FNV-1a digest of a training run's decisions: every collected sample
-/// (point, algorithm, measured time) in order, then every iteration's
-/// cumulative variance, by their bits.
-fn decision_digest(mut cfg: LearnerConfig, seed: u64) -> u64 {
+/// A training run of `cfg` with its seed replaced by `seed`.
+fn train(mut cfg: LearnerConfig, seed: u64, warm: Option<&WarmStart>) -> TrainingOutcome {
     let (db, space) = env();
     cfg.seed = seed;
-    let out = ActiveLearner::new(cfg).train(&db, Collective::Bcast, &space, None);
+    let learner = ActiveLearner::new(cfg);
+    learner.train_warm(&db, Collective::Bcast, &space, None, &Obs::disabled(), warm)
+}
+
+/// FNV-1a over `bytes`.
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x1_0000_0000_01b3)
+    })
+}
+
+/// The bytes of a training run's decisions: every collected sample
+/// (point, algorithm, measured time) in order, then every iteration's
+/// cumulative variance, by their bits.
+fn decision_bytes(out: &TrainingOutcome) -> Vec<u8> {
     let samples = out.collected.iter().flat_map(|s| {
         let algorithm = s.algorithm.index_within_collective() as u64;
         let (p, t) = (s.point, s.time_us.to_bits());
@@ -146,9 +159,22 @@ fn decision_digest(mut cfg: LearnerConfig, seed: u64) -> u64 {
     samples
         .chain(variances)
         .flat_map(u64::to_le_bytes)
-        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
-            (h ^ u64::from(b)).wrapping_mul(0x1_0000_0000_01b3)
-        })
+        .collect()
+}
+
+/// Digest of the decisions of `cfg` trained cold at `seed`.
+fn decision_digest(cfg: LearnerConfig, seed: u64) -> u64 {
+    fnv1a(decision_bytes(&train(cfg, seed, None)))
+}
+
+/// Digest of a run's decisions, its simulated collection wall time and
+/// its fault event log (by `Debug` text): what a change to collection,
+/// retirement or fault handling moves even when the samples do not.
+fn run_digest(out: &TrainingOutcome) -> u64 {
+    let mut bytes = decision_bytes(out);
+    bytes.extend(out.stats.wall_us.to_bits().to_le_bytes());
+    bytes.extend(format!("{:?}", out.fault_events).into_bytes());
+    fnv1a(bytes)
 }
 
 /// ACCLAiM runs for seeds 0-4 at the paper-default configuration —
@@ -175,4 +201,103 @@ fn acclaim_learner_matches_pinned_digests_seeds_0_to_4() {
 fn fact_learner_matches_pinned_digest() {
     let got = decision_digest(LearnerConfig::fact(), 0);
     assert_eq!(got, 0xf011_76d6_c386_507d, "decisions moved ({got:#018x})");
+}
+
+/// Check `out` against its pinned [`run_digest`].
+fn assert_pinned(out: &TrainingOutcome, want: u64, label: &str) {
+    let got = run_digest(out);
+    assert_eq!(got, want, "{label}: run moved ({got:#018x})");
+}
+
+/// Sequential ACCLAiM: one candidate per wave.
+#[test]
+fn sequential_acclaim_matches_pinned_digest() {
+    let out = train(LearnerConfig::acclaim_sequential(), 0, None);
+    assert_pinned(&out, 0xae7e_bcd2_af82_3590, "sequential");
+}
+
+/// Hunold's random sampling shuffles the live candidates in their
+/// canonical order, so that order is pinned through its choices.
+#[test]
+fn random_policy_matches_pinned_digest() {
+    let cfg = LearnerConfig {
+        policy: SelectionPolicy::Random,
+        ..LearnerConfig::acclaim()
+    };
+    let out = train(cfg, 1, None);
+    assert_pinned(&out, 0xb495_9d62_0e95_5f1b, "random");
+}
+
+/// A fixed point budget stops the run and counts as converged.
+#[test]
+fn budget_run_matches_pinned_digest() {
+    let out = train(LearnerConfig::acclaim().with_budget(40), 2, None);
+    assert!(out.converged && out.collected.len() >= 40);
+    assert_pinned(&out, 0x8d3d_51cf_c664_fd44, "budget");
+}
+
+/// Production faults plus a node that hard-fails during corner
+/// seeding or mid-loop: retries, the eviction and the dropped
+/// candidates are all pinned. The last case allows no retry, so every
+/// failed attempt abandons its point.
+#[test]
+fn node_failure_under_production_faults_matches_pinned_digests() {
+    let clean = train(LearnerConfig::acclaim(), 0xACC, None);
+    let (seeding, mid_loop) = (clean.log[0].wall_us * 0.5, clean.stats.wall_us * 0.5);
+    let cases = [
+        ("seeding", seeding, 4, 0x4781_7df3_bdf7_88d1),
+        ("loop", mid_loop, 4, 0xcedd_d954_22dc_2cb0),
+        ("loop, no retries", mid_loop, 0, 0xfb1b_83c9_0bfa_1f50),
+    ];
+    for (label, onset_us, max_retries, want) in cases {
+        let cfg = LearnerConfig {
+            collection: CollectionPolicy {
+                faults: FaultModel::production().with_node_failure(0, onset_us),
+                max_retries,
+                ..CollectionPolicy::production()
+            },
+            ..LearnerConfig::acclaim()
+        };
+        let out = train(cfg, 0xACC, None);
+        assert_eq!(out.faults.node_evictions, 1, "{label}");
+        assert!(out.faults.candidates_dropped > 0, "{label}");
+        assert!(
+            out.faults.retries + out.faults.points_abandoned > 0,
+            "{label}"
+        );
+        assert_pinned(&out, want, label);
+    }
+}
+
+/// A warm start with exact rows (a corner and a non-P2 row among them),
+/// near-signature priors and guideline-pruned candidates.
+#[test]
+fn warm_start_with_exact_prior_and_pruned_rows_matches_pinned_digest() {
+    let (db, space) = env();
+    let cands = all_candidates(Collective::Bcast, &space);
+    let measure = |c: &Candidate, scale: f64| TrainingSample {
+        point: c.point,
+        algorithm: c.algorithm,
+        time_us: db.time(c.algorithm, c.point) * scale,
+    };
+    let mut exact: Vec<TrainingSample> = cands.iter().step_by(7).map(|c| measure(c, 1.0)).collect();
+    let nonp2 = Candidate {
+        point: Point::new(4, 2, 3000),
+        algorithm: cands[0].algorithm,
+    };
+    exact.push(measure(&nonp2, 1.0));
+    let warm = WarmStart {
+        exact,
+        priors: cands
+            .iter()
+            .skip(3)
+            .step_by(11)
+            .map(|c| measure(c, 1.3))
+            .collect(),
+        pruned: cands.iter().skip(5).step_by(13).copied().collect(),
+    };
+    let out = train(LearnerConfig::acclaim(), 3, Some(&warm));
+    assert_eq!(out.reused_points, warm.exact.len());
+    assert_eq!(out.prior_points, warm.priors.len());
+    assert_pinned(&out, 0xf42c_e5b6_cac4_9848, "warm");
 }
