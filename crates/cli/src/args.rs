@@ -88,6 +88,11 @@ impl Args {
         self.flags.iter().any(|f| f == key)
     }
 
+    /// The name of every option given, valued or boolean.
+    pub fn options(&self) -> impl Iterator<Item = &str> {
+        self.values.keys().chain(&self.flags).map(String::as_str)
+    }
+
     /// Comma-separated list option.
     pub fn list(&self, key: &str) -> Option<Vec<String>> {
         self.get(key)

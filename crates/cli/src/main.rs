@@ -30,19 +30,24 @@ mod trace;
 
 use acclaim_obs::Diag;
 use args::Args;
+use std::collections::BTreeSet;
 
 const USAGE: &str = "\
 usage: acclaim <command> [options]
 
 common options:
+  --help                 print this usage
   --quiet                suppress progress notes on stderr
-  --trace-out FILE       write a structured trace (tune, simulate)
+
+trace options (tune, simulate, store, serve):
+  --trace-out FILE       write a structured trace
   --trace-format FMT     jsonl (default) | chrome (chrome://tracing)
   --metrics-out FILE     write counters/gauges/histograms as JSONL
 
 commands:
   tune        train ACCLAiM and write an MPICH JSON tuning file
               --machine bebop|theta  --nodes N  --ppn N  --max-msg BYTES
+              [--min-msg BYTES]
               --collectives a,b,c    --out FILE [--db FILE] [--seed N]
               [--budget POINTS] [--max-iterations N] [--sequential]
               [--latency-factor F]
@@ -79,7 +84,7 @@ commands:
   serve       run the tuning-as-a-service daemon on a local socket
               --store DIR [--socket PATH] [--workers N] [--slots N]
               [--shards N] [--format json|binary]
-              [--flight N] [--slow-log FACTOR]
+              [--flight N] [--slow-log FACTOR] [--cache-cap N]
               [--drift-band F] [--drift-min-obs N] [--drift-cooldown N]
               [--drift-deweight F] [--drift-max-signatures N]
               (runs until a client sends shutdown; prints serve.*
@@ -105,7 +110,47 @@ commands:
   traces      summarize the synthetic application traces [--max-msg B]
 ";
 
+/// The options `command` accepts, read off [`USAGE`]: every `--flag`
+/// in its block of the command list, and in each option section whose
+/// header names it in parentheses or names no command at all.
+fn accepted_options(command: &str) -> BTreeSet<&'static str> {
+    let mut accepted = BTreeSet::new();
+    let (mut in_commands, mut applies) = (false, false);
+    for line in USAGE.lines() {
+        if let Some(header) = line.strip_suffix(':').filter(|_| !line.starts_with(' ')) {
+            in_commands = header == "commands";
+            applies = match header.split_once('(') {
+                Some((_, names)) => names
+                    .trim_end_matches(')')
+                    .split(", ")
+                    .any(|n| n == command),
+                None => !in_commands,
+            };
+        } else if in_commands && line.starts_with("  ") && !line.starts_with("   ") {
+            applies = line.split_whitespace().next() == Some(command);
+        }
+        if applies {
+            let words = line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'));
+            let flags = words.filter_map(|w| w.strip_prefix("--"));
+            accepted.extend(flags.filter(|f| f.ends_with(|c: char| c.is_ascii_alphanumeric())));
+        }
+    }
+    accepted
+}
+
+/// Reject an option `command` does not accept, before it does any work.
+fn check_options(command: &str, args: &Args) -> Result<(), String> {
+    let accepted = accepted_options(command);
+    match args.options().find(|key| !accepted.contains(key)) {
+        Some(key) => Err(format!("unknown option --{key} for '{command}'\n\n{USAGE}")),
+        None => Ok(()),
+    }
+}
+
 fn dispatch(args: Args, diag: &Diag) -> Result<String, String> {
+    if args.options().any(|key| key == "help") {
+        return Ok(USAGE.to_string());
+    }
     // Only `store`, `client`, and `analytic` take an action positional.
     if !matches!(
         args.command.as_deref(),
@@ -115,18 +160,21 @@ fn dispatch(args: Args, diag: &Diag) -> Result<String, String> {
             return Err(format!("unexpected positional argument '{action}'"));
         }
     }
-    match args.command.as_deref() {
-        Some("tune") => commands::tune::run(&args, diag),
-        Some("analytic") => commands::analytic::run(&args, diag),
-        Some("selections") => commands::selections::run(&args, diag),
-        Some("simulate") => commands::simulate::run(&args, diag),
-        Some("store") => commands::store::run(&args, diag),
-        Some("serve") => commands::serve::serve(&args, diag),
-        Some("client") => commands::serve::client(&args, diag),
-        Some("traces") => commands::traces::run(&args, diag),
-        Some(other) => Err(format!("unknown command '{other}'\n\n{USAGE}")),
-        None => Err(USAGE.to_string()),
-    }
+    type Command = fn(&Args, &Diag) -> Result<String, String>;
+    let (command, run): (&str, Command) = match args.command.as_deref() {
+        Some(c @ "tune") => (c, commands::tune::run),
+        Some(c @ "analytic") => (c, commands::analytic::run),
+        Some(c @ "selections") => (c, commands::selections::run),
+        Some(c @ "simulate") => (c, commands::simulate::run),
+        Some(c @ "store") => (c, commands::store::run),
+        Some(c @ "serve") => (c, commands::serve::serve),
+        Some(c @ "client") => (c, commands::serve::client),
+        Some(c @ "traces") => (c, commands::traces::run),
+        Some(other) => return Err(format!("unknown command '{other}'\n\n{USAGE}")),
+        None => return Err(USAGE.to_string()),
+    };
+    check_options(command, &args)?;
+    run(&args, diag)
 }
 
 fn main() {
@@ -167,5 +215,156 @@ mod tests {
     #[test]
     fn traces_command_dispatches() {
         assert!(run(&["traces"]).unwrap().contains("AMG"));
+    }
+
+    #[test]
+    fn help_prints_usage_and_writes_no_file() {
+        let out = std::env::temp_dir().join("acclaim-cli-help-test.json");
+        let _ = std::fs::remove_file(&out);
+        let path = out.to_str().unwrap();
+        assert!(run(&["--help"]).unwrap().starts_with("usage:"));
+        assert!(run(&["tune", "--help", "--out", path])
+            .unwrap()
+            .starts_with("usage:"));
+        assert!(!out.exists(), "tune --help ran a tune");
+    }
+
+    #[test]
+    fn mistyped_tune_flag_fails_before_any_work() {
+        let out = std::env::temp_dir().join("acclaim-cli-typo-test.json");
+        let _ = std::fs::remove_file(&out);
+        let e = run(&["tune", "--nodse", "8", "--out", out.to_str().unwrap()]).unwrap_err();
+        assert!(e.starts_with("unknown option --nodse for 'tune'"), "{e}");
+        assert!(e.contains("usage:"));
+        assert!(!out.exists());
+        // A flag of another command is unknown here too.
+        assert!(run(&["traces", "--socket", "s"])
+            .unwrap_err()
+            .contains("--socket"));
+    }
+
+    /// The options each command reads, including those scripts, CI and
+    /// the README pass, are in its usage block.
+    #[test]
+    fn usage_lists_every_option_each_command_reads() {
+        let reads: [(&str, &[&str]); 8] = [
+            (
+                "tune",
+                &[
+                    "quiet",
+                    "machine",
+                    "nodes",
+                    "ppn",
+                    "min-msg",
+                    "max-msg",
+                    "collectives",
+                    "out",
+                    "db",
+                    "seed",
+                    "budget",
+                    "max-iterations",
+                    "sequential",
+                    "latency-factor",
+                    "faults",
+                    "max-retries",
+                    "repeats",
+                    "bench-timeout-factor",
+                    "robust-agg",
+                    "store",
+                    "no-store",
+                    "analytic-priors",
+                    "no-analytic-priors",
+                    "no-prune",
+                    "prune-margin",
+                    "trace-out",
+                    "trace-format",
+                    "metrics-out",
+                ],
+            ),
+            (
+                "analytic",
+                &[
+                    "machine",
+                    "nodes",
+                    "ppn",
+                    "msg",
+                    "collective",
+                    "prune-margin",
+                    "latency-factor",
+                ],
+            ),
+            (
+                "selections",
+                &["tuning", "collective", "nodes", "ppn", "min-msg", "max-msg"],
+            ),
+            (
+                "simulate",
+                &[
+                    "machine",
+                    "nodes",
+                    "ppn",
+                    "collective",
+                    "msg",
+                    "latency-factor",
+                    "engine",
+                    "trace-out",
+                ],
+            ),
+            ("store", &["store", "out", "in", "trace-out", "metrics-out"]),
+            (
+                "serve",
+                &[
+                    "store",
+                    "socket",
+                    "workers",
+                    "slots",
+                    "shards",
+                    "format",
+                    "flight",
+                    "slow-log",
+                    "cache-cap",
+                    "drift-band",
+                    "drift-min-obs",
+                    "drift-cooldown",
+                    "drift-deweight",
+                    "drift-max-signatures",
+                    "trace-out",
+                    "metrics-out",
+                ],
+            ),
+            (
+                "client",
+                &[
+                    "socket",
+                    "wait-server",
+                    "op",
+                    "pool",
+                    "pool-index",
+                    "seed",
+                    "priority",
+                    "nodes",
+                    "ppn",
+                    "msg",
+                    "json",
+                    "last",
+                    "count",
+                    "factor",
+                    "refresh",
+                    "interval-ms",
+                    "load",
+                    "clients",
+                    "queries",
+                ],
+            ),
+            ("traces", &["max-msg", "quiet", "help"]),
+        ];
+        for (command, options) in reads {
+            let accepted = accepted_options(command);
+            for option in options {
+                assert!(accepted.contains(option), "{command} --{option}");
+            }
+        }
+        assert!(!accepted_options("traces").contains("trace-out"));
+        assert!(!accepted_options("tune").contains("drift"));
     }
 }

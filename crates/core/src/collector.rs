@@ -13,11 +13,19 @@
 //! Disallowing shared racks prevents layer-1 congestion; sequential
 //! placement prevents two runs from straddling the same rack pair
 //! (layer 2). Only the fat layer-3 links may see incidental sharing.
+//!
+//! The module also holds fault-tolerant collection: the policy, one
+//! benchmark attempt under injected faults, and the per-run retry
+//! queue with its fault counters and event log.
 
 use crate::selection::Candidate;
 use acclaim_netsim::{Allocation, BenchFault, FaultModel, Topology};
-use rand::Rng;
+use acclaim_obs::{Counter, Obs};
+use rand::{rngs::StdRng, Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::collections::hash_map::DefaultHasher;
+use std::collections::{HashMap, HashSet};
+use std::hash::{Hash, Hasher};
 
 /// One benchmark placed within a wave.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -438,6 +446,184 @@ pub enum FaultEvent {
     },
 }
 
+/// Salt folded into the learner seed to derive the fault RNG streams,
+/// keeping fault draws independent of the learner's selection RNG
+/// (whose stream must be untouched for the faults-disabled path to
+/// stay bit-identical).
+const FAULT_SEED_SALT: u64 = 0xFA01_7FA0;
+
+/// A point waiting out its retry backoff.
+struct DeferredPoint {
+    cand: Candidate,
+    eligible_wave: u64,
+}
+
+/// Per-run fault-handling state: the retry queue with capped
+/// exponential backoff, per-point attempt counts, node-eviction
+/// bookkeeping, aggregate [`FaultStats`] (mirrored into `collect.*`
+/// obs counters), and the chronological [`FaultEvent`] log.
+pub(crate) struct FaultRuntime {
+    pub(crate) policy: CollectionPolicy,
+    seed: u64,
+    pub(crate) stats: FaultStats,
+    pub(crate) events: Vec<FaultEvent>,
+    deferred: Vec<DeferredPoint>,
+    attempts: HashMap<Candidate, u32>,
+    m_retries: Counter,
+    m_timeouts: Counter,
+    m_failures: Counter,
+    m_outliers: Counter,
+    m_evictions: Counter,
+    m_abandoned: Counter,
+    m_dropped: Counter,
+}
+
+impl FaultRuntime {
+    pub(crate) fn new(policy: CollectionPolicy, seed: u64, obs: &Obs) -> Self {
+        FaultRuntime {
+            policy,
+            seed: seed ^ FAULT_SEED_SALT,
+            stats: FaultStats::default(),
+            events: Vec::new(),
+            deferred: Vec::new(),
+            attempts: HashMap::new(),
+            m_retries: obs.counter("collect.retries"),
+            m_timeouts: obs.counter("collect.timeouts"),
+            m_failures: obs.counter("collect.failures"),
+            m_outliers: obs.counter("collect.outliers_rejected"),
+            m_evictions: obs.counter("collect.node_evictions"),
+            m_abandoned: obs.counter("collect.points_abandoned"),
+            m_dropped: obs.counter("collect.candidates_dropped"),
+        }
+    }
+
+    /// Attempts already charged against `c` (0 for a fresh point).
+    pub(crate) fn attempt_index(&self, c: &Candidate) -> u32 {
+        self.attempts.get(c).copied().unwrap_or(0)
+    }
+
+    /// The deterministic fault RNG for `c`'s next attempt. Identity-
+    /// seeded per (candidate, attempt) — the same style as the
+    /// benchmark database's per-sample streams — so fault draws are
+    /// independent of collection order and of the selection RNG.
+    pub(crate) fn attempt_rng(&self, c: &Candidate) -> StdRng {
+        let mut h = DefaultHasher::new();
+        c.hash(&mut h);
+        self.attempt_index(c).hash(&mut h);
+        StdRng::seed_from_u64(self.seed ^ h.finish())
+    }
+
+    /// Fold one attempt's repeat-level outcomes into the counters.
+    pub(crate) fn record_attempt(&mut self, out: &AttemptOutcome) {
+        self.stats.timeouts += out.timeouts as u64;
+        self.stats.failures += out.failures as u64;
+        self.stats.outliers_rejected += out.outliers_rejected as u64;
+        self.m_timeouts.add(out.timeouts as u64);
+        self.m_failures.add(out.failures as u64);
+        self.m_outliers.add(out.outliers_rejected as u64);
+    }
+
+    /// The point was collected; clear its attempt history.
+    pub(crate) fn on_success(&mut self, c: &Candidate) {
+        self.attempts.remove(c);
+    }
+
+    /// The attempt produced nothing: queue a retry with capped
+    /// exponential backoff, or abandon the point once its retries are
+    /// exhausted. Returns true when the point is abandoned.
+    pub(crate) fn on_failure(&mut self, c: Candidate, wave: u64) -> bool {
+        let attempts = self.attempt_index(&c) + 1;
+        if attempts > self.policy.max_retries {
+            self.attempts.remove(&c);
+            self.stats.points_abandoned += 1;
+            self.m_abandoned.incr();
+            self.events.push(FaultEvent::Abandoned {
+                wave,
+                candidate: c,
+                attempts,
+            });
+            true
+        } else {
+            self.attempts.insert(c, attempts);
+            let eligible_wave = wave + self.policy.backoff_waves(attempts);
+            self.deferred.push(DeferredPoint {
+                cand: c,
+                eligible_wave,
+            });
+            self.stats.retries += 1;
+            self.m_retries.incr();
+            self.events.push(FaultEvent::Retry {
+                wave,
+                candidate: c,
+                attempt: attempts,
+                eligible_wave,
+            });
+            false
+        }
+    }
+
+    /// Drain the points whose backoff has elapsed by `wave`, in
+    /// queueing order.
+    pub(crate) fn take_ready(&mut self, wave: u64) -> Vec<Candidate> {
+        let mut ready = Vec::new();
+        self.deferred.retain(|d| {
+            if d.eligible_wave <= wave {
+                ready.push(d.cand);
+                false
+            } else {
+                true
+            }
+        });
+        ready
+    }
+
+    /// The points still waiting out a backoff.
+    pub(crate) fn backing_off(&self) -> HashSet<Candidate> {
+        self.deferred.iter().map(|d| d.cand).collect()
+    }
+
+    /// Earliest wave at which any deferred point becomes eligible.
+    pub(crate) fn next_eligible_wave(&self) -> Option<u64> {
+        self.deferred.iter().map(|d| d.eligible_wave).min()
+    }
+
+    /// Evict the nodes whose hard failure has onset by `now_us` from
+    /// the allocation. Returns true when the allocation shrank.
+    pub(crate) fn evict_dead(&mut self, now_us: f64, alloc: &mut Allocation, wave: u64) -> bool {
+        let dead: Vec<u32> = self
+            .policy
+            .faults
+            .dead_nodes_at(now_us)
+            .into_iter()
+            .filter(|n| alloc.nodes().contains(n))
+            .collect();
+        if dead.is_empty() {
+            return false;
+        }
+        *alloc = alloc.excluding(&dead);
+        for node in dead {
+            self.stats.node_evictions += 1;
+            self.m_evictions.incr();
+            self.events.push(FaultEvent::NodeEvicted { wave, node });
+        }
+        true
+    }
+
+    /// Drop the points the degraded allocation can no longer host
+    /// from the retry queue, and record the `dropped` candidates that
+    /// left the pool with them (queued points are live pool members, so
+    /// the pool's count covers them).
+    pub(crate) fn drop_oversized(&mut self, max_nodes: u32, dropped: usize, wave: u64) {
+        self.deferred.retain(|d| d.cand.point.nodes <= max_nodes);
+        if dropped > 0 {
+            let count = dropped as u32;
+            self.stats.candidates_dropped += count as u64;
+            self.m_dropped.add(count as u64);
+            self.events
+                .push(FaultEvent::CandidatesDropped { wave, count });
+        }
+    }
+}
 #[cfg(test)]
 mod tests {
     use super::*;

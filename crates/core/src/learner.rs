@@ -16,23 +16,23 @@
 //! fixed point budget (for sweeps).
 
 use crate::collector::{
-    run_attempt, schedule_wave, AttemptOutcome, CollectionPolicy, CollectionStats, FaultEvent,
+    run_attempt, schedule_wave, CollectionPolicy, CollectionStats, FaultEvent, FaultRuntime,
     FaultStats, Placement,
 };
 use crate::convergence::{SlowdownThreshold, VarianceConvergence};
 use crate::model::{PerfModel, TrainingSample};
-use crate::selection::{all_candidates, Candidate, NonP2Injector, VarianceScanCache};
+use crate::selection::{
+    all_candidates, Candidate, NonP2Injector, RefreshStats, VarianceRanking, VarianceScanCache,
+};
 use acclaim_collectives::Collective;
-use acclaim_dataset::{splits, BenchmarkDatabase, FeatureSpace, Point};
+use acclaim_dataset::{splits, BenchmarkDatabase, FeatureSpace, Point, Sample};
 use acclaim_ml::{ForestConfig, TreeUpdate};
 use acclaim_netsim::Allocation;
-use acclaim_obs::{AttrValue, Counter, Obs};
+use acclaim_obs::{AttrValue, Counter, Gauge, Obs, SpanGuard};
 use rand::seq::SliceRandom;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::collections::hash_map::DefaultHasher;
-use std::collections::{HashMap, HashSet};
-use std::hash::{Hash, Hasher};
+use std::collections::HashMap;
 use std::time::Instant;
 
 /// How the next training point is chosen.
@@ -480,460 +480,853 @@ impl ActiveLearner {
         obs: &Obs,
         warm: Option<&WarmStart>,
     ) -> TrainingOutcome {
-        let cfg = &self.config;
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let candidates = all_candidates(collective, space);
         assert!(
             space.max_nodes() <= db.config().cluster.num_nodes(),
             "feature space exceeds the job allocation"
         );
-        let mut train_span = obs.span("learner", "train");
-        if obs.is_enabled() {
-            train_span.set_attr("collective", format!("{collective:?}"));
-            train_span.set_attr("candidates", candidates.len() as u64);
+        let mut run = LoopState::new(&self.config, db, collective, space, obs);
+        if let Some(w) = warm.filter(|w| !w.is_empty()) {
+            run.inject_warm(w);
         }
-        let m_nonp2 = obs.counter("learner.non_p2_injections");
-        let m_explore = obs.counter("learner.explore_promotions");
-        let m_trees_refitted = obs.counter("learner.trees_refitted");
-        let m_trees_reused = obs.counter("learner.trees_reused");
-        let m_cells_recomputed = obs.counter("learner.scan_cells_recomputed");
-        let m_cells_reused = obs.counter("learner.scan_cells_reused");
-        let g_cumvar = obs.gauge("learner.cumulative_variance");
-        let g_samples = obs.gauge("learner.samples");
-
-        let mut remaining: Vec<Candidate> = candidates.clone();
-        let mut collected_set: HashSet<Candidate> = HashSet::new();
-        let mut collected: Vec<TrainingSample> = Vec::new();
-        let mut stats = CollectionStats::default();
-        let mut injector = cfg.nonp2_every.map(NonP2Injector::new);
-
-        // Warm start: store-provided rows enter the training set before
-        // any benchmark runs, at zero collection cost. Priors go first
-        // so persistence layers can slice them off `collected` by count
-        // (`fit_incremental` is append-only, so order is fixed here for
-        // the run's lifetime). Only exact rows whose candidate exists in
-        // the current pool retire it; priors and non-P2 rows are model
-        // evidence only. The whole block is a no-op when `warm` is
-        // `None`, keeping cold runs bit-identical.
-        let warm = warm.filter(|w| !w.is_empty());
-        let mut reused_points = 0usize;
-        let mut prior_points = 0usize;
-        if let Some(w) = warm {
-            let pool: HashSet<Candidate> = candidates.iter().copied().collect();
-            for s in &w.priors {
-                collected.push(*s);
-                prior_points += 1;
+        run.seed(space);
+        for iteration in 0..self.config.max_iterations {
+            let _iter_span = obs
+                .span("learner", "iteration")
+                .attr("iteration", iteration as u64);
+            run.evict();
+            let (ranking, model_update_us) = run.update_model();
+            run.record(iteration, &ranking, model_update_us, eval_points);
+            if run.should_stop(&ranking) {
+                break;
             }
-            for s in &w.exact {
-                let c = Candidate {
-                    point: s.point,
-                    algorithm: s.algorithm,
-                };
-                collected.push(*s);
-                reused_points += 1;
-                if pool.contains(&c) {
-                    collected_set.insert(c);
-                }
-            }
-            // Guideline-pruned candidates are retired exactly like
-            // exact-row candidates — inserted into `collected_set` so
-            // both the corner seeding and the selection loop skip them
-            // — but contribute no training row here (their prior rows,
-            // if any, ride in `w.priors` above).
-            for c in &w.pruned {
-                if pool.contains(c) {
-                    collected_set.insert(*c);
-                }
-            }
-            obs.counter("store.points_reused").add(reused_points as u64);
-            obs.counter("store.prior_points").add(prior_points as u64);
+            let order = run.select(&ranking);
+            run.collect(&order);
         }
+        run.finish()
+    }
+}
 
-        // Fault-tolerant collection state. `fault_rt` is `None` when the
-        // policy injects nothing, and every fault-path branch below is
-        // gated on it, keeping the plain path identical to fault-unaware
-        // configurations. The local allocation starts as the job's and
-        // shrinks when nodes hard-fail.
-        let mut alloc = db.config().cluster.allocation.clone();
-        let mut fault_rt = cfg
-            .collection
-            .is_enabled()
-            .then(|| FaultRuntime::new(cfg.collection.clone(), cfg.seed, obs));
-        let mut wave_index: u64 = 0;
-        let mut last_wave_completed = usize::MAX;
+/// The candidates still open for selection, over the canonical
+/// [`all_candidates`] order. A candidate retires once, where that
+/// happens: collected, abandoned, covered by an exact warm row,
+/// guideline-pruned, or dropped as oversized. Lists derived from the
+/// pool (the scan caches, the surrogate's batch, the seeding queue)
+/// catch up through [`CandidatePool::keep_since`], against only the
+/// retirements they have not yet applied.
+struct CandidatePool {
+    /// Every candidate, in canonical order.
+    all: Vec<Candidate>,
+    /// Each candidate's position in `all`.
+    index: HashMap<Candidate, usize>,
+    /// Whether `all[i]` is still open.
+    live: Vec<bool>,
+    /// Retired candidates, in retirement order.
+    retired: Vec<Candidate>,
+}
 
-        // Criterion state.
-        let mut variance_conv = match &cfg.criterion {
-            CriterionConfig::CumulativeVariance(v) => Some(v.clone()),
-            _ => None,
-        };
-        let (test_points, test_wall_us, slowdown_threshold, budget) = match &cfg.criterion {
+impl CandidatePool {
+    fn new(all: Vec<Candidate>) -> Self {
+        CandidatePool {
+            index: all.iter().enumerate().map(|(i, &c)| (c, i)).collect(),
+            live: vec![true; all.len()],
+            retired: Vec::new(),
+            all,
+        }
+    }
+
+    /// Retire `c`. Returns false when it is not in the pool or has
+    /// already retired.
+    fn retire(&mut self, c: &Candidate) -> bool {
+        match self.index.get(c) {
+            Some(&i) if self.live[i] => {
+                self.live[i] = false;
+                self.retired.push(*c);
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Retire every live candidate that fails `keep`, returning how many.
+    fn retire_unless(&mut self, keep: impl Fn(&Candidate) -> bool) -> usize {
+        let gone: Vec<Candidate> = self.live().into_iter().filter(|c| !keep(c)).collect();
+        for c in &gone {
+            self.retire(c);
+        }
+        gone.len()
+    }
+
+    /// Whether every candidate has retired.
+    fn is_empty(&self) -> bool {
+        self.retired.len() == self.all.len()
+    }
+
+    /// The live candidates, in canonical order.
+    fn live(&self) -> Vec<Candidate> {
+        let live = self.all.iter().zip(&self.live).filter(|(_, &l)| l);
+        live.map(|(&c, _)| c).collect()
+    }
+
+    /// A filter keeping the candidates not retired since a list last
+    /// synced at `seen` (a count of retirements), or `None` when none
+    /// were; moves `seen` to now.
+    fn keep_since(&self, seen: &mut usize) -> Option<impl Fn(&Candidate) -> bool> {
+        let mut fresh = self.retired[*seen..].to_vec();
+        *seen = self.retired.len();
+        if fresh.is_empty() {
+            return None;
+        }
+        fresh.sort_unstable();
+        Some(move |c: &Candidate| fresh.binary_search(c).is_err())
+    }
+}
+
+/// A variance scan over the live candidates that catches up with the
+/// pool's retirements before each refresh.
+struct PoolScan {
+    cache: VarianceScanCache,
+    /// Pool retirements already dropped from `cache`.
+    seen: usize,
+}
+
+impl PoolScan {
+    fn new(pool: &CandidatePool) -> Self {
+        PoolScan {
+            cache: VarianceScanCache::new(pool.live()),
+            seen: pool.retired.len(),
+        }
+    }
+
+    /// Drop the candidates retired since the last call, repaint the
+    /// trees in `changed`, and rank what is left.
+    fn rank(
+        &mut self,
+        pool: &CandidatePool,
+        model: &PerfModel,
+        changed: &[TreeUpdate],
+    ) -> (RefreshStats, VarianceRanking) {
+        if let Some(keep) = pool.keep_since(&mut self.seen) {
+            self.cache.retain(keep);
+        }
+        let stats = self.cache.refresh(model, changed);
+        (stats, self.cache.ranking())
+    }
+}
+
+/// A [`SelectionPolicy`] with its running state.
+enum Selector {
+    /// ACCLAiM: the primary model's ranking.
+    OwnVariance,
+    /// FACT: a separately seeded surrogate's ranking.
+    Surrogate(Box<Surrogate>),
+    /// Hunold et al.: the live candidates, shuffled.
+    Random,
+}
+
+impl Selector {
+    fn new(policy: &SelectionPolicy) -> Self {
+        match policy {
+            SelectionPolicy::OwnVariance => Selector::OwnVariance,
+            SelectionPolicy::SurrogateVariance {
+                surrogate,
+                top_k,
+                refresh,
+            } => Selector::Surrogate(Box::new(Surrogate {
+                config: *surrogate,
+                top_k: *top_k,
+                refresh: (*refresh).max(1),
+                model: None,
+                scan: None,
+                batch: Vec::new(),
+                batch_seen: 0,
+                age: 0,
+            })),
+            SelectionPolicy::Random => Selector::Random,
+        }
+    }
+
+    /// This iteration's selection order, and the host time (µs) the
+    /// surrogate spent updating.
+    fn order(
+        &mut self,
+        primary: &VarianceRanking,
+        pool: &CandidatePool,
+        collected: &[TrainingSample],
+        collective: Collective,
+        rng: &mut StdRng,
+    ) -> (Vec<Candidate>, f64) {
+        match self {
+            Selector::OwnVariance => (primary.ranked.iter().map(|&(c, _)| c).collect(), 0.0),
+            Selector::Surrogate(surrogate) => surrogate.order(pool, collected, collective, rng),
+            Selector::Random => {
+                let mut order = pool.live();
+                order.shuffle(rng);
+                (order, 0.0)
+            }
+        }
+    }
+}
+
+/// FACT's surrogate: its forest and scan, and the batch it ranked last.
+/// The batch is re-ranked every `refresh` iterations, with its head
+/// `top_k` shuffled, and consumed stale in between.
+struct Surrogate {
+    config: ForestConfig,
+    top_k: usize,
+    refresh: usize,
+    model: Option<PerfModel>,
+    scan: Option<PoolScan>,
+    batch: Vec<Candidate>,
+    /// Pool retirements already dropped from `batch`.
+    batch_seen: usize,
+    age: usize,
+}
+
+impl Surrogate {
+    fn order(
+        &mut self,
+        pool: &CandidatePool,
+        collected: &[TrainingSample],
+        collective: Collective,
+        rng: &mut StdRng,
+    ) -> (Vec<Candidate>, f64) {
+        let mut update_us = 0.0;
+        if self.batch.is_empty() || self.age.is_multiple_of(self.refresh) {
+            // The surrogate warm-refits like the primary model and keeps
+            // its own scan.
+            let start = Instant::now();
+            let changed = refit(&mut self.model, collective, collected, &self.config);
+            let model = self.model.as_ref().expect("surrogate fitted above");
+            let scan = self.scan.get_or_insert_with(|| PoolScan::new(pool));
+            let (_, ranking) = scan.rank(pool, model, &changed);
+            update_us = start.elapsed().as_secs_f64() * 1e6;
+            self.batch = ranking.ranked.iter().map(|&(c, _)| c).collect();
+            self.batch_seen = pool.retired.len();
+            // DeepHyper-style exploration: shuffle the head.
+            let k = self.top_k.min(self.batch.len());
+            self.batch[..k].shuffle(rng);
+        } else if let Some(keep) = pool.keep_since(&mut self.batch_seen) {
+            self.batch.retain(keep);
+        }
+        self.age += 1;
+        (self.batch.clone(), update_us)
+    }
+}
+
+/// The configured stop criterion with its running state.
+enum Stop {
+    /// ACCLAiM: the cumulative-variance plateau detector.
+    Variance(VarianceConvergence),
+    /// Prior art: average slowdown on a test set benchmarked up front,
+    /// at a collection cost of `wall_us`.
+    Slowdown {
+        threshold: SlowdownThreshold,
+        points: Vec<Point>,
+        wall_us: f64,
+    },
+    /// A fixed budget of collected points.
+    Budget(usize),
+}
+
+impl Stop {
+    /// The stop for `criterion`. A test-slowdown criterion draws its
+    /// test set from `rng` and benchmarks every algorithm at every test
+    /// point; the paper's Fig. 6 charges that cost.
+    fn new(
+        criterion: &CriterionConfig,
+        db: &BenchmarkDatabase,
+        collective: Collective,
+        space: &FeatureSpace,
+        rng: &mut StdRng,
+    ) -> Self {
+        match criterion {
+            CriterionConfig::CumulativeVariance(v) => Stop::Variance(v.clone()),
             CriterionConfig::TestSlowdown {
                 threshold,
                 test_fraction,
             } => {
-                let pts = splits::random_fraction(space, *test_fraction, &mut rng);
-                // Benchmark every algorithm at every test point; the
-                // paper's Fig. 6 charges this cost explicitly.
-                let mut cost = 0.0;
-                for &p in &pts {
+                let points = splits::random_fraction(space, *test_fraction, rng);
+                let mut wall_us = 0.0;
+                for &p in &points {
                     for &a in collective.algorithms() {
-                        cost += db.sample(a, p).wall_us;
+                        wall_us += db.sample(a, p).wall_us;
                     }
                 }
-                (Some(pts), cost, Some(*threshold), usize::MAX)
-            }
-            CriterionConfig::MaxPoints(n) => (None, 0.0, None, *n),
-            CriterionConfig::CumulativeVariance(_) => (None, 0.0, None, usize::MAX),
-        };
-
-        // Seed: the corners of the feature-space box, per algorithm.
-        // Random forests cannot extrapolate — outside the convex hull of
-        // the samples every tree lands in the same boundary leaf, so the
-        // jackknife reports (unwarranted) confidence and variance-driven
-        // selection never looks there. Sampling the 8 corners first
-        // bounds the hull and is the standard space-filling
-        // initialization for active learning.
-        let seed_points: Vec<Candidate> = {
-            let corner = |v: &[u32]| [v[0], *v.last().expect("non-empty axis")];
-            let nodes = corner(&space.nodes);
-            let ppns = corner(&space.ppns);
-            let msgs = [
-                space.msg_sizes[0],
-                *space.msg_sizes.last().expect("non-empty axis"),
-            ];
-            let mut seeds = Vec::new();
-            for &a in collective.algorithms() {
-                for &n in &nodes {
-                    for &p in &ppns {
-                        for &m in &msgs {
-                            let c = Candidate {
-                                point: Point::new(n, p, m),
-                                algorithm: a,
-                            };
-                            if !seeds.contains(&c) {
-                                seeds.push(c);
-                            }
-                        }
-                    }
+                Stop::Slowdown {
+                    threshold: *threshold,
+                    points,
+                    wall_us,
                 }
             }
-            seeds
-        };
-        {
-            let mut seed_span = obs.span("learner", "seed");
-            let mut pending = seed_points;
-            // A warm start replaces the cold bootstrap: corners already
-            // covered by trusted rows are not re-measured. (Gated so the
-            // cold path is untouched, though the filter would be inert
-            // there anyway — `collected_set` starts empty.)
-            if warm.is_some() {
-                pending.retain(|c| !collected_set.contains(c));
-            }
-            if obs.is_enabled() {
-                seed_span.set_attr("points", pending.len() as u64);
-            }
-            while !pending.is_empty() {
-                if let Some(rt) = fault_rt.as_mut() {
-                    if rt.evict_dead(stats.wall_us, &mut alloc, wave_index) {
-                        // Prune the whole candidate pool, not just the
-                        // seed points: the training loop below must
-                        // never try to schedule a misfit either.
-                        rt.drop_oversized(
-                            alloc.len(),
-                            wave_index,
-                            &mut [&mut pending, &mut remaining],
-                            &mut collected_set,
-                        );
-                        if pending.is_empty() {
-                            break;
-                        }
-                    }
-                }
-                // Failed seed points re-enter through the training
-                // loop's retry queue: the seeding phase never blocks on
-                // one point. Seeding substitutes no non-P2 sizes, so it
-                // draws nothing from the selection RNG.
-                let (parallelism, _) = collect_wave(
-                    cfg.strategy,
-                    db,
-                    &alloc,
-                    obs,
-                    &pending,
-                    None,
-                    fault_rt.as_mut(),
-                    &mut wave_index,
-                    &mut collected,
-                    &mut collected_set,
-                    &mut stats,
-                );
-                // Every wave is a prefix of the order it was planned from.
-                pending.drain(..parallelism);
-            }
+            CriterionConfig::MaxPoints(n) => Stop::Budget(*n),
         }
-        remaining.retain(|c| !collected_set.contains(c));
+    }
+}
 
-        let mut log: Vec<IterationRecord> = Vec::new();
-        let mut converged = false;
-        let mut last_parallelism = 0usize;
-        let mut explore_counter = 0usize;
-        let mut surrogate_order: Vec<Candidate> = Vec::new();
-        let mut surrogate_age = 0usize;
-        let mut model: Option<PerfModel> = None;
-        let mut cache = VarianceScanCache::new(remaining.clone());
-        let mut surrogate_model: Option<PerfModel> = None;
-        let mut surrogate_cache: Option<VarianceScanCache> = None;
-        let mut model_update_wall_us = 0.0f64;
+/// One training run as it moves through the steps of the loop: warm
+/// start injection and corner seeding, then per iteration node
+/// eviction, model update, the log record, the stop check, select and
+/// collect, and the final catch-up fit. Each step opens its own span
+/// under the run's `learner/train` span.
+struct LoopState<'a> {
+    cfg: &'a LearnerConfig,
+    db: &'a BenchmarkDatabase,
+    collective: Collective,
+    obs: &'a Obs,
+    train_span: SpanGuard<'a>,
+    m_nonp2: Counter,
+    m_explore: Counter,
+    m_trees_refitted: Counter,
+    m_trees_reused: Counter,
+    m_cells_recomputed: Counter,
+    m_cells_reused: Counter,
+    g_cumvar: Gauge,
+    g_samples: Gauge,
+    /// Draws the test set, the non-P2 sizes, exploration and the
+    /// Random and FACT shuffles.
+    rng: StdRng,
+    pool: CandidatePool,
+    collected: Vec<TrainingSample>,
+    stats: CollectionStats,
+    injector: Option<NonP2Injector>,
+    /// The job's allocation, shrunk as nodes hard-fail.
+    alloc: Allocation,
+    /// `None` when the policy injects nothing; every fault branch is
+    /// gated on it, keeping the plain path identical to fault-unaware
+    /// configurations.
+    fault_rt: Option<FaultRuntime>,
+    wave_index: u64,
+    last_parallelism: usize,
+    last_wave_completed: usize,
+    stop: Stop,
+    converged: bool,
+    selector: Selector,
+    model: Option<PerfModel>,
+    /// The primary model's scan, built over the candidates left live
+    /// once seeding ends.
+    scan: Option<PoolScan>,
+    log: Vec<IterationRecord>,
+    model_update_wall_us: f64,
+    reused_points: usize,
+    prior_points: usize,
+}
 
-        for iteration in 0..cfg.max_iterations {
-            let mut iter_span = obs.span("learner", "iteration");
-            if obs.is_enabled() {
-                iter_span.set_attr("iteration", iteration as u64);
-            }
-            // Node hard failures take effect between waves: shrink the
-            // local allocation and retire the candidates it can no
-            // longer host before this iteration's ranking is computed,
-            // so subsequent waves are scheduled on the survivors only.
-            if let Some(rt) = fault_rt.as_mut() {
-                if rt.evict_dead(stats.wall_us, &mut alloc, wave_index) {
-                    rt.drop_oversized(
-                        alloc.len(),
-                        wave_index,
-                        &mut [&mut remaining],
-                        &mut collected_set,
-                    );
-                }
-            }
-            // Model update: the model warm-starts (only trees whose
-            // bootstrap drew a new sample refit) and the cached variance
-            // scan recomputes only their columns.
-            let update_start = Instant::now();
-            let changed = {
-                let mut fit_span = obs.span("learner", "fit");
-                let changed = refit(&mut model, collective, &collected, &cfg.forest);
-                m_trees_refitted.add(changed.len() as u64);
-                m_trees_reused.add(cfg.forest.n_trees.saturating_sub(changed.len()) as u64);
-                if obs.is_enabled() {
-                    fit_span.set_attr("samples", collected.len() as u64);
-                    fit_span.set_attr("trees_refitted", changed.len() as u64);
-                    fit_span.set_attr("trees_total", cfg.forest.n_trees as u64);
-                }
-                changed
-            };
-            let model = model.as_ref().expect("model fitted above");
+impl<'a> LoopState<'a> {
+    fn new(
+        cfg: &'a LearnerConfig,
+        db: &'a BenchmarkDatabase,
+        collective: Collective,
+        space: &FeatureSpace,
+        obs: &'a Obs,
+    ) -> Self {
+        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let pool = CandidatePool::new(all_candidates(collective, space));
+        let mut train_span = obs.span("learner", "train");
+        if obs.is_enabled() {
+            train_span.set_attr("collective", format!("{collective:?}"));
+            train_span.set_attr("candidates", pool.all.len() as u64);
+        }
+        let stop = Stop::new(&cfg.criterion, db, collective, space, &mut rng);
+        LoopState {
+            cfg,
+            db,
+            collective,
+            obs,
+            train_span,
+            m_nonp2: obs.counter("learner.non_p2_injections"),
+            m_explore: obs.counter("learner.explore_promotions"),
+            m_trees_refitted: obs.counter("learner.trees_refitted"),
+            m_trees_reused: obs.counter("learner.trees_reused"),
+            m_cells_recomputed: obs.counter("learner.scan_cells_recomputed"),
+            m_cells_reused: obs.counter("learner.scan_cells_reused"),
+            g_cumvar: obs.gauge("learner.cumulative_variance"),
+            g_samples: obs.gauge("learner.samples"),
+            rng,
+            pool,
+            collected: Vec::new(),
+            stats: CollectionStats::default(),
+            injector: cfg.nonp2_every.map(NonP2Injector::new),
+            alloc: db.config().cluster.allocation.clone(),
+            fault_rt: cfg
+                .collection
+                .is_enabled()
+                .then(|| FaultRuntime::new(cfg.collection.clone(), cfg.seed, obs)),
+            wave_index: 0,
+            last_parallelism: 0,
+            last_wave_completed: usize::MAX,
+            stop,
+            converged: false,
+            selector: Selector::new(&cfg.policy),
+            model: None,
+            scan: None,
+            log: Vec::new(),
+            model_update_wall_us: 0.0,
+            reused_points: 0,
+            prior_points: 0,
+        }
+    }
 
-            // Primary-model ranking always feeds the convergence signal;
-            // the *selection* order depends on the policy.
-            let primary_ranking = {
-                let mut scan_span = obs.span("learner", "variance_scan");
-                cache.retain(|c| !collected_set.contains(c));
-                let rs = cache.refresh(model, &changed);
-                m_cells_recomputed.add(rs.cells_recomputed as u64);
-                m_cells_reused.add(rs.cells_reused() as u64);
-                if obs.is_enabled() {
-                    scan_span.set_attr("cells_total", rs.cells_total as u64);
-                    scan_span.set_attr("cells_recomputed", rs.cells_recomputed as u64);
-                    scan_span.set_attr("full", rs.full);
-                }
-                cache.ranking()
-            };
-            let model_update_us = update_start.elapsed().as_secs_f64() * 1e6;
-            model_update_wall_us += model_update_us;
-            g_cumvar.set(primary_ranking.cumulative);
-            g_samples.set(collected.len() as f64);
-            let oracle_slowdown =
-                eval_points.map(|pts| db.average_slowdown(collective, pts, |p| model.select(p)));
-            log.push(IterationRecord {
-                iteration,
-                samples: collected.len(),
-                wall_us: stats.wall_us,
-                cumulative_variance: primary_ranking.cumulative,
-                model_update_us,
-                oracle_slowdown,
-                wave_parallelism: last_parallelism,
+    /// Warm-start injection: store-provided rows enter the training set
+    /// before any benchmark runs, at zero collection cost. Priors go
+    /// first so persistence layers can slice them off `collected` by
+    /// count (`fit_incremental` is append-only, so the order is fixed
+    /// for the run's lifetime). Exact rows retire their candidates, and
+    /// so do guideline-pruned candidates, which bring no row of their
+    /// own (their prior rows, if any, ride in `w.priors`). Priors and
+    /// rows outside the pool, such as non-P2 ones, are model evidence
+    /// only.
+    fn inject_warm(&mut self, w: &WarmStart) {
+        self.collected.extend_from_slice(&w.priors);
+        self.collected.extend_from_slice(&w.exact);
+        self.prior_points = w.priors.len();
+        self.reused_points = w.exact.len();
+        for s in &w.exact {
+            self.pool.retire(&Candidate {
+                point: s.point,
+                algorithm: s.algorithm,
             });
-
-            // Stop checks. Structured as a single decision so the span
-            // guard closes before the loop breaks; the check order and
-            // short-circuiting match the original cascade exactly. The
-            // variance detector is only fed when the previous wave made
-            // progress: a wave whose every slot failed leaves the
-            // cumulative variance untouched, and counting that repeat
-            // toward the plateau streak would declare convergence from
-            // faults rather than from information. Fault-free waves
-            // always complete every slot, so the gate is inert there.
-            let stop = {
-                let mut conv_span = obs.span("learner", "convergence_check");
-                let stop = if collected.len() >= budget {
-                    converged = matches!(cfg.criterion, CriterionConfig::MaxPoints(_));
-                    true
-                } else if (last_wave_completed != 0
-                    && variance_conv
-                        .as_mut()
-                        .is_some_and(|v| v.push(primary_ranking.cumulative)))
-                    || slowdown_threshold
-                        .zip(test_points.as_ref())
-                        .is_some_and(|(th, pts)| {
-                            th.check(db.average_slowdown(collective, pts, |p| model.select(p)))
-                        })
-                {
-                    converged = true;
-                    true
-                } else {
-                    remaining.is_empty()
-                };
-                if obs.is_enabled() {
-                    conv_span.set_attr("cumulative_variance", primary_ranking.cumulative);
-                    conv_span.set_attr("stop", stop);
-                }
-                stop
-            };
-            if stop {
-                break;
-            }
-
-            // Selection order for this iteration.
-            let mut select_span = obs.span("learner", "select");
-            let mut ordered: Vec<Candidate> = match &cfg.policy {
-                SelectionPolicy::OwnVariance => {
-                    primary_ranking.ranked.iter().map(|&(c, _)| c).collect()
-                }
-                SelectionPolicy::SurrogateVariance {
-                    surrogate,
-                    top_k,
-                    refresh,
-                } => {
-                    let refresh = (*refresh).max(1);
-                    if surrogate_order.is_empty() || surrogate_age.is_multiple_of(refresh) {
-                        // The surrogate warm-refits like the primary
-                        // model and keeps its own scan cache.
-                        let sur_start = Instant::now();
-                        let sur_changed =
-                            refit(&mut surrogate_model, collective, &collected, surrogate);
-                        let sm = surrogate_model.as_ref().expect("surrogate fitted above");
-                        let sc = surrogate_cache
-                            .get_or_insert_with(|| VarianceScanCache::new(remaining.clone()));
-                        sc.retain(|c| !collected_set.contains(c));
-                        sc.refresh(sm, &sur_changed);
-                        let sr = sc.ranking();
-                        model_update_wall_us += sur_start.elapsed().as_secs_f64() * 1e6;
-                        surrogate_order = sr.ranked.iter().map(|&(c, _)| c).collect();
-                        // DeepHyper-style exploration: shuffle the head.
-                        let k = (*top_k).min(surrogate_order.len());
-                        surrogate_order[..k].shuffle(&mut rng);
-                    } else {
-                        // Stale batch: drop candidates collected since.
-                        surrogate_order.retain(|c| !collected_set.contains(c));
-                    }
-                    surrogate_age += 1;
-                    surrogate_order.clone()
-                }
-                SelectionPolicy::Random => {
-                    let mut order = remaining.clone();
-                    order.shuffle(&mut rng);
-                    order
-                }
-            };
-
-            // Retry scheduling: points whose backoff elapsed re-enter at
-            // the head of the order (they are known-uncertain — their
-            // attempt failed outright rather than measuring anything);
-            // points still backing off sit this wave out. When *every*
-            // remaining point is backing off, jump the wave clock to the
-            // next eligibility instead of spinning empty waves.
-            if let Some(rt) = fault_rt.as_mut() {
-                let mut ready = rt.take_ready(wave_index);
-                let waiting = rt.backing_off();
-                ordered.retain(|c| !waiting.contains(c) && !ready.contains(c));
-                if ordered.is_empty() && ready.is_empty() {
-                    if let Some(w) = rt.next_eligible_wave() {
-                        wave_index = w;
-                        ready = rt.take_ready(wave_index);
-                    }
-                }
-                for c in ready.into_iter().rev() {
-                    ordered.insert(0, c);
-                }
-            }
-            debug_assert!(!ordered.is_empty(), "selection produced no candidates");
-
-            // Guided sampling: periodically promote a uniformly random
-            // candidate to the head of the order.
-            if let Some(every) = cfg.explore_every {
-                explore_counter += 1;
-                if every > 0 && explore_counter.is_multiple_of(every) && !ordered.is_empty() {
-                    let pick = rng.random_range(0..ordered.len());
-                    ordered.swap(0, pick);
-                    m_explore.incr();
-                }
-            }
-            if obs.is_enabled() {
-                select_span.set_attr("candidates", ordered.len() as u64);
-            }
-
-            drop(select_span);
-
-            // Collect the wave (one point for sequential collection),
-            // with every-5th non-P2 substitution.
-            let (parallelism, completed) = {
-                let mut collect_span = obs.span("learner", "collect");
-                let wave = collect_wave(
-                    cfg.strategy,
-                    db,
-                    &alloc,
-                    obs,
-                    &ordered,
-                    injector.as_mut().map(|inj| (inj, &mut rng, &m_nonp2)),
-                    fault_rt.as_mut(),
-                    &mut wave_index,
-                    &mut collected,
-                    &mut collected_set,
-                    &mut stats,
-                );
-                if obs.is_enabled() {
-                    collect_span.set_attr("parallelism", wave.0 as u64);
-                }
-                wave
-            };
-            remaining.retain(|c| !collected_set.contains(c));
-            last_parallelism = parallelism;
-            last_wave_completed = completed;
         }
+        for c in &w.pruned {
+            self.pool.retire(c);
+        }
+        let obs = self.obs;
+        obs.counter("store.points_reused")
+            .add(self.reused_points as u64);
+        obs.counter("store.prior_points")
+            .add(self.prior_points as u64);
+    }
 
-        // Final model. The warm-started model is bit-identical to a
-        // scratch fit on the full collection, so reuse it (catching up
-        // on any wave collected after the last in-loop refit).
+    /// Corner seeding: benchmark the corners of the feature-space box,
+    /// per algorithm, that are still live (a warm start's exact rows
+    /// replace the corners they cover). Random forests cannot
+    /// extrapolate: outside the convex hull of the samples every tree
+    /// lands in the same boundary leaf, so the jackknife reports
+    /// unwarranted confidence there and variance-driven selection never
+    /// looks. The corners bound the hull, the standard space-filling
+    /// start for active learning. Failed seed points re-enter through
+    /// the loop's retry queue, so seeding never blocks on one point; it
+    /// substitutes no non-P2 sizes and so draws nothing from the RNG.
+    /// Ends by building the primary scan over the live candidates.
+    fn seed(&mut self, space: &FeatureSpace) {
+        let obs = self.obs;
+        let mut pending = corners(self.collective, space);
+        let mut seen = 0;
+        if let Some(keep) = self.pool.keep_since(&mut seen) {
+            pending.retain(keep);
+        }
+        let seed_span = obs
+            .span("learner", "seed")
+            .attr("points", pending.len() as u64);
+        while !pending.is_empty() {
+            if self.evict() {
+                if let Some(keep) = self.pool.keep_since(&mut seen) {
+                    pending.retain(keep);
+                }
+                if pending.is_empty() {
+                    break;
+                }
+            }
+            // Every wave is a prefix of the order it was planned from.
+            let (parallelism, _) = self.collect_wave(&pending, false);
+            pending.drain(..parallelism);
+        }
+        drop(seed_span);
+        self.scan = Some(PoolScan::new(&self.pool));
+    }
+
+    /// Node eviction, between waves: nodes whose hard failure has set in
+    /// leave the allocation, and the candidates it can no longer host
+    /// retire, so later waves are scheduled on the survivors only.
+    /// Returns whether the allocation shrank.
+    fn evict(&mut self) -> bool {
+        let Some(rt) = self.fault_rt.as_mut() else {
+            return false;
+        };
+        if !rt.evict_dead(self.stats.wall_us, &mut self.alloc, self.wave_index) {
+            return false;
+        }
+        let max_nodes = self.alloc.len();
+        let dropped = self.pool.retire_unless(|c| c.point.nodes <= max_nodes);
+        rt.drop_oversized(max_nodes, dropped, self.wave_index);
+        true
+    }
+
+    /// Model update: the model warm-refits (only trees whose bootstrap
+    /// drew a new sample rebuild) and the primary scan repaints only
+    /// their columns. Returns the primary ranking, which feeds the stop
+    /// check whatever the policy, and the update's host time (µs).
+    fn update_model(&mut self) -> (VarianceRanking, f64) {
+        let (obs, n_trees) = (self.obs, self.cfg.forest.n_trees);
+        let start = Instant::now();
+        let changed = {
+            let mut fit_span = obs.span("learner", "fit");
+            let forest = &self.cfg.forest;
+            let changed = refit(&mut self.model, self.collective, &self.collected, forest);
+            self.m_trees_refitted.add(changed.len() as u64);
+            let reused = n_trees.saturating_sub(changed.len());
+            self.m_trees_reused.add(reused as u64);
+            fit_span.set_attr("samples", self.collected.len() as u64);
+            fit_span.set_attr("trees_refitted", changed.len() as u64);
+            fit_span.set_attr("trees_total", n_trees as u64);
+            changed
+        };
+        let ranking = {
+            let mut scan_span = obs.span("learner", "variance_scan");
+            let model = self.model.as_ref().expect("model fitted above");
+            let scan = self.scan.as_mut().expect("seeding builds the scan");
+            let (rs, ranking) = scan.rank(&self.pool, model, &changed);
+            self.m_cells_recomputed.add(rs.cells_recomputed as u64);
+            self.m_cells_reused.add(rs.cells_reused() as u64);
+            scan_span.set_attr("cells_total", rs.cells_total as u64);
+            scan_span.set_attr("cells_recomputed", rs.cells_recomputed as u64);
+            scan_span.set_attr("full", rs.full);
+            ranking
+        };
+        let model_update_us = start.elapsed().as_secs_f64() * 1e6;
+        self.model_update_wall_us += model_update_us;
+        (ranking, model_update_us)
+    }
+
+    /// The log record of an iteration, with the free oracle slowdown
+    /// on `eval_points` when the caller has an evaluation set.
+    fn record(
+        &mut self,
+        iteration: usize,
+        ranking: &VarianceRanking,
+        model_update_us: f64,
+        eval_points: Option<&[Point]>,
+    ) {
+        self.g_cumvar.set(ranking.cumulative);
+        self.g_samples.set(self.collected.len() as f64);
+        let model = self.model.as_ref().expect("model fitted this iteration");
+        let oracle_slowdown = eval_points.map(|pts| {
+            self.db
+                .average_slowdown(self.collective, pts, |p| model.select(p))
+        });
+        self.log.push(IterationRecord {
+            iteration,
+            samples: self.collected.len(),
+            wall_us: self.stats.wall_us,
+            cumulative_variance: ranking.cumulative,
+            model_update_us,
+            oracle_slowdown,
+            wave_parallelism: self.last_parallelism,
+        });
+    }
+
+    /// The stop check: the criterion fired (the run converged), or no
+    /// candidate is left. The variance detector is only fed when the
+    /// previous wave made progress: a wave whose every slot failed
+    /// leaves the cumulative variance untouched, and counting that
+    /// repeat toward the plateau streak would declare convergence from
+    /// faults rather than from information. Fault-free waves always
+    /// complete every slot, so the gate is inert there.
+    fn should_stop(&mut self, ranking: &VarianceRanking) -> bool {
+        let obs = self.obs;
+        let mut conv_span = obs.span("learner", "convergence_check");
+        let model = self.model.as_ref().expect("model fitted this iteration");
+        self.converged = match &mut self.stop {
+            Stop::Budget(n) => self.collected.len() >= *n,
+            Stop::Variance(v) => self.last_wave_completed != 0 && v.push(ranking.cumulative),
+            Stop::Slowdown {
+                threshold, points, ..
+            } => threshold.check(
+                self.db
+                    .average_slowdown(self.collective, points, |p| model.select(p)),
+            ),
+        };
+        let stop = self.converged || self.pool.is_empty();
+        conv_span.set_attr("cumulative_variance", ranking.cumulative);
+        conv_span.set_attr("stop", stop);
+        stop
+    }
+
+    /// Select: the policy's order for this iteration. Under faults,
+    /// points whose retry backoff elapsed re-enter at its head (they
+    /// are known-uncertain: their attempt failed outright rather than
+    /// measuring anything) and points still backing off sit this wave
+    /// out; when every remaining point is backing off, the wave clock
+    /// jumps to the next eligibility instead of spinning empty waves.
+    /// Guided sampling then periodically promotes a uniformly random
+    /// candidate to the head.
+    fn select(&mut self, primary: &VarianceRanking) -> Vec<Candidate> {
+        let obs = self.obs;
+        let mut select_span = obs.span("learner", "select");
+        let (mut ordered, update_us) = self.selector.order(
+            primary,
+            &self.pool,
+            &self.collected,
+            self.collective,
+            &mut self.rng,
+        );
+        self.model_update_wall_us += update_us;
+        if let Some(rt) = self.fault_rt.as_mut() {
+            let mut ready = rt.take_ready(self.wave_index);
+            let waiting = rt.backing_off();
+            ordered.retain(|c| !waiting.contains(c) && !ready.contains(c));
+            if ordered.is_empty() && ready.is_empty() {
+                if let Some(w) = rt.next_eligible_wave() {
+                    self.wave_index = w;
+                    ready = rt.take_ready(w);
+                }
+            }
+            for c in ready.into_iter().rev() {
+                ordered.insert(0, c);
+            }
+        }
+        debug_assert!(!ordered.is_empty(), "selection produced no candidates");
+        if let Some(every) = self.cfg.explore_every {
+            // One record per iteration, so the log counts the selections.
+            if every > 0 && self.log.len().is_multiple_of(every) && !ordered.is_empty() {
+                let pick = self.rng.random_range(0..ordered.len());
+                ordered.swap(0, pick);
+                self.m_explore.incr();
+            }
+        }
+        select_span.set_attr("candidates", ordered.len() as u64);
+        ordered
+    }
+
+    /// Collect: one wave from `order` (its head alone for sequential
+    /// collection), with every-N-th non-P2 substitution.
+    fn collect(&mut self, order: &[Candidate]) {
+        let obs = self.obs;
+        let mut collect_span = obs.span("learner", "collect");
+        let (parallelism, completed) = self.collect_wave(order, true);
+        collect_span.set_attr("parallelism", parallelism as u64);
+        self.last_parallelism = parallelism;
+        self.last_wave_completed = completed;
+    }
+
+    /// Plan one wave from the priority-ordered `order` (its head alone
+    /// for sequential collection, else the greedy topology-aware
+    /// prefix), measure each slot, and account the wave in `stats`. A
+    /// slot measures its candidate, or a non-P2 substitute when
+    /// `substitute` is set and the injector draws one, under the fault
+    /// policy when one is active; the pool retires the P2 candidate,
+    /// never the substitute. Returns the wave's parallelism and how
+    /// many of its slots produced a sample; the wave is always the
+    /// first `parallelism` candidates of `order`.
+    fn collect_wave(&mut self, order: &[Candidate], substitute: bool) -> (usize, usize) {
+        let (wave, placements): (&[Candidate], Vec<Placement>) = match self.cfg.strategy {
+            CollectionStrategy::Sequential => (&order[..1], Vec::new()),
+            CollectionStrategy::Parallel => {
+                let w = schedule_wave(&self.db.config().cluster.topology, &self.alloc, order);
+                debug_assert!(w
+                    .placements
+                    .iter()
+                    .enumerate()
+                    .all(|(i, p)| p.candidate_index == i));
+                (&order[..w.parallelism()], w.placements)
+            }
+        };
+        debug_assert!(!wave.is_empty());
+        let wave_start_us = self.stats.wall_us;
+        let mut costs = Vec::with_capacity(wave.len());
+        let mut completed = 0usize;
+        for (slot, &anchor) in wave.iter().enumerate() {
+            let actual = match self.injector.as_mut().filter(|_| substitute) {
+                Some(injector) => {
+                    let actual = injector.apply(anchor, &mut self.rng);
+                    if actual != anchor {
+                        self.m_nonp2.incr();
+                    }
+                    actual
+                }
+                None => anchor,
+            };
+            let s = self.db.sample(actual.algorithm, actual.point);
+            let placement = placements.get(slot);
+            let (cost, ok) = if self.fault_rt.is_some() {
+                self.faulty_slot(anchor, actual, s, placement, wave_start_us)
+            } else {
+                self.collected.push(TrainingSample {
+                    point: actual.point,
+                    algorithm: actual.algorithm,
+                    time_us: s.mean_us,
+                });
+                // The P2 anchor leaves the pool either way: it was
+                // either collected or represented by its non-P2 variant.
+                self.pool.retire(&anchor);
+                if self.obs.is_enabled() {
+                    self.slot_span(placement, actual, wave_start_us, s.wall_us, Vec::new());
+                }
+                (s.wall_us, true)
+            };
+            costs.push(cost);
+            completed += ok as usize;
+        }
+        self.stats.add_wave_counting(&costs, completed);
+        self.wave_index += 1;
+        (wave.len(), completed)
+    }
+
+    /// Execute one collection slot under the fault policy: draw the
+    /// attempt's faults from its identity-seeded RNG, charge the slot's
+    /// wall cost, and either record the robust aggregate as a training
+    /// sample (retiring `anchor`) or queue a retry or abandonment.
+    /// Retries key on the P2 anchor (the pool identity); the
+    /// measurement itself is of the possibly substituted `actual`.
+    /// Returns the slot's wall cost and whether a training point was
+    /// produced.
+    fn faulty_slot(
+        &mut self,
+        anchor: Candidate,
+        actual: Candidate,
+        clean: Sample,
+        placement: Option<&Placement>,
+        wave_start_us: f64,
+    ) -> (f64, bool) {
+        let rt = self
+            .fault_rt
+            .as_mut()
+            .expect("the fault path has a runtime");
+        let attempt = rt.attempt_index(&anchor) + 1;
+        let mut rng = rt.attempt_rng(&anchor);
+        let out = run_attempt(clean.mean_us, clean.wall_us, &rt.policy, &mut rng);
+        rt.record_attempt(&out);
+        let outcome = match out.value_us {
+            Some(value) => {
+                self.collected.push(TrainingSample {
+                    point: actual.point,
+                    algorithm: actual.algorithm,
+                    time_us: value,
+                });
+                self.pool.retire(&anchor);
+                rt.on_success(&anchor);
+                "ok"
+            }
+            None if rt.on_failure(anchor, self.wave_index) => {
+                // An abandoned point leaves the pool uncollected.
+                self.pool.retire(&anchor);
+                "abandoned"
+            }
+            None => "retry",
+        };
+        if self.obs.is_enabled() {
+            let extra = vec![
+                attr("attempt", attempt as u64),
+                attr("valid_repeats", out.valid as u64),
+                attr("timeouts", out.timeouts as u64),
+                attr("failures", out.failures as u64),
+                attr("outcome", outcome),
+            ];
+            self.slot_span(placement, actual, wave_start_us, out.wall_us, extra);
+        }
+        (out.wall_us, out.value_us.is_some())
+    }
+
+    /// Emit one closed sim-timeline span for a collection slot, on a
+    /// display lane named after the node range the benchmark occupied
+    /// (`"nodes A-B"`). A parallel wave's slot has its [`Placement`];
+    /// sequential collection synthesizes a run starting at node 0.
+    /// Chrome's trace viewer renders these lanes as concurrent rows,
+    /// making wave parallelism visible.
+    fn slot_span(
+        &self,
+        placement: Option<&Placement>,
+        c: Candidate,
+        wave_start_us: f64,
+        cost_us: f64,
+        extra: Vec<(String, AttrValue)>,
+    ) {
+        let (start_node, node_count) = match placement {
+            Some(p) => (p.start_node, p.node_count.max(1)),
+            None => (0, c.point.nodes.max(1)),
+        };
+        let track = format!("nodes {}-{}", start_node, start_node + node_count - 1);
+        let mut attrs = vec![
+            attr("algorithm", format!("{:?}", c.algorithm)),
+            attr("nodes", c.point.nodes as u64),
+            attr("ppn", c.point.ppn as u64),
+            attr("msg_bytes", c.point.msg_bytes),
+        ];
+        attrs.extend(extra);
+        self.obs.span_at(
+            "collect",
+            "slot",
+            &track,
+            wave_start_us,
+            wave_start_us + cost_us,
+            attrs,
+        );
+    }
+
+    /// Finish: the final model catches up on any wave collected after
+    /// the last in-loop refit. The warm-started model is bit-identical
+    /// to a scratch fit on the full collection.
+    fn finish(mut self) -> TrainingOutcome {
         let final_start = Instant::now();
         let model = {
-            let _fit_span = obs.span("learner", "final_fit");
-            let mut m = model.expect("the training loop fits the model at least once");
-            m.fit_incremental(&collected, &cfg.forest);
+            let _fit_span = self.obs.span("learner", "final_fit");
+            let mut m = self
+                .model
+                .take()
+                .expect("the training loop fits the model at least once");
+            m.fit_incremental(&self.collected, &self.cfg.forest);
             m.clear_refit_state();
             m
         };
-        model_update_wall_us += final_start.elapsed().as_secs_f64() * 1e6;
-        if obs.is_enabled() {
-            train_span.set_attr("converged", converged);
-            train_span.set_attr("points", collected.len() as u64);
-        }
-        let (faults, fault_events) = match fault_rt {
+        self.model_update_wall_us += final_start.elapsed().as_secs_f64() * 1e6;
+        self.train_span.set_attr("converged", self.converged);
+        self.train_span
+            .set_attr("points", self.collected.len() as u64);
+        let (faults, fault_events) = match self.fault_rt {
             Some(rt) => (rt.stats, rt.events),
             None => (FaultStats::default(), Vec::new()),
         };
+        let test_wall_us = match self.stop {
+            Stop::Slowdown { wall_us, .. } => wall_us,
+            _ => 0.0,
+        };
         TrainingOutcome {
             model,
-            log,
-            collected,
-            converged,
-            stats,
+            log: self.log,
+            collected: self.collected,
+            converged: self.converged,
+            stats: self.stats,
             test_wall_us,
-            model_update_wall_us,
+            model_update_wall_us: self.model_update_wall_us,
             faults,
             fault_events,
-            reused_points,
-            prior_points,
+            reused_points: self.reused_points,
+            prior_points: self.prior_points,
         }
     }
+}
+
+/// One span attribute.
+fn attr(key: &str, value: impl Into<AttrValue>) -> (String, AttrValue) {
+    (key.to_string(), value.into())
+}
+
+/// The corners of the feature-space box, per algorithm, without
+/// repeats.
+fn corners(collective: Collective, space: &FeatureSpace) -> Vec<Candidate> {
+    let corner = |v: &[u32]| [v[0], *v.last().expect("non-empty axis")];
+    let nodes = corner(&space.nodes);
+    let ppns = corner(&space.ppns);
+    let msgs = [
+        space.msg_sizes[0],
+        *space.msg_sizes.last().expect("non-empty axis"),
+    ];
+    let mut seeds = Vec::new();
+    for &a in collective.algorithms() {
+        for &n in &nodes {
+            for &p in &ppns {
+                for &m in &msgs {
+                    let c = Candidate {
+                        point: Point::new(n, p, m),
+                        algorithm: a,
+                    };
+                    if !seeds.contains(&c) {
+                        seeds.push(c);
+                    }
+                }
+            }
+        }
+    }
+    seeds
 }
 
 /// Bring `model` up to date with `samples`: a scratch fit the first
@@ -954,433 +1347,12 @@ fn refit(
     }
 }
 
-/// Plan one wave from the priority-ordered `order` (its head alone for
-/// sequential collection, else the greedy topology-aware prefix),
-/// measure each slot, and account the wave in `stats`. A slot measures
-/// its candidate, or a non-P2 substitute when `nonp2` draws one, under
-/// the fault policy when one is active; the pool retires the P2
-/// candidate, never the substitute. Returns the wave's parallelism and
-/// how many of its slots produced a sample; the wave is always the
-/// first `parallelism` candidates of `order`.
-#[allow(clippy::too_many_arguments)] // one step over the run's collection state
-fn collect_wave(
-    strategy: CollectionStrategy,
-    db: &BenchmarkDatabase,
-    alloc: &Allocation,
-    obs: &Obs,
-    order: &[Candidate],
-    mut nonp2: Option<(&mut NonP2Injector, &mut StdRng, &Counter)>,
-    mut fault_rt: Option<&mut FaultRuntime>,
-    wave_index: &mut u64,
-    collected: &mut Vec<TrainingSample>,
-    collected_set: &mut HashSet<Candidate>,
-    stats: &mut CollectionStats,
-) -> (usize, usize) {
-    let (wave, placements): (&[Candidate], Vec<Placement>) = match strategy {
-        CollectionStrategy::Sequential => (&order[..1], Vec::new()),
-        CollectionStrategy::Parallel => {
-            let w = schedule_wave(&db.config().cluster.topology, alloc, order);
-            debug_assert!(w
-                .placements
-                .iter()
-                .enumerate()
-                .all(|(i, p)| p.candidate_index == i));
-            (&order[..w.parallelism()], w.placements)
-        }
-    };
-    debug_assert!(!wave.is_empty());
-    let wave_start_us = stats.wall_us;
-    let mut costs = Vec::with_capacity(wave.len());
-    let mut completed = 0usize;
-    for (slot, &anchor) in wave.iter().enumerate() {
-        let actual = match nonp2.as_mut() {
-            Some((injector, rng, m_nonp2)) => {
-                let actual = injector.apply(anchor, &mut **rng);
-                if actual != anchor {
-                    m_nonp2.incr();
-                }
-                actual
-            }
-            None => anchor,
-        };
-        let s = db.sample(actual.algorithm, actual.point);
-        match fault_rt.as_deref_mut() {
-            Some(rt) => {
-                // Retries key on the P2 anchor (the pool identity); the
-                // measurement itself is of the possibly-substituted
-                // candidate.
-                let (cost, ok) = faulty_slot(
-                    rt,
-                    obs,
-                    anchor,
-                    actual,
-                    s.mean_us,
-                    s.wall_us,
-                    &placements,
-                    slot,
-                    *wave_index,
-                    wave_start_us,
-                    collected,
-                    collected_set,
-                );
-                costs.push(cost);
-                completed += ok as usize;
-            }
-            None => {
-                collected.push(TrainingSample {
-                    point: actual.point,
-                    algorithm: actual.algorithm,
-                    time_us: s.mean_us,
-                });
-                // The P2 anchor leaves the pool either way: it was
-                // either collected or represented by its non-P2 variant.
-                collected_set.insert(anchor);
-                if obs.is_enabled() {
-                    slot_span(
-                        obs,
-                        &placements,
-                        slot,
-                        actual,
-                        wave_start_us,
-                        s.wall_us,
-                        Vec::new(),
-                    );
-                }
-                costs.push(s.wall_us);
-                completed += 1;
-            }
-        }
-    }
-    stats.add_wave_counting(&costs, completed);
-    *wave_index += 1;
-    (wave.len(), completed)
-}
-
-/// Salt folded into the learner seed to derive the fault RNG streams,
-/// keeping fault draws independent of the selection RNG (whose stream
-/// must be untouched for the faults-disabled path to stay
-/// bit-identical).
-const FAULT_SEED_SALT: u64 = 0xFA01_7FA0;
-
-/// A point waiting out its retry backoff.
-struct DeferredPoint {
-    cand: Candidate,
-    eligible_wave: u64,
-}
-
-/// Per-run fault-handling state: the retry queue with capped
-/// exponential backoff, per-point attempt counts, node-eviction
-/// bookkeeping, aggregate [`FaultStats`] (mirrored into `collect.*`
-/// obs counters), and the chronological [`FaultEvent`] log.
-struct FaultRuntime {
-    policy: CollectionPolicy,
-    seed: u64,
-    stats: FaultStats,
-    events: Vec<FaultEvent>,
-    deferred: Vec<DeferredPoint>,
-    attempts: HashMap<Candidate, u32>,
-    m_retries: Counter,
-    m_timeouts: Counter,
-    m_failures: Counter,
-    m_outliers: Counter,
-    m_evictions: Counter,
-    m_abandoned: Counter,
-    m_dropped: Counter,
-}
-
-impl FaultRuntime {
-    fn new(policy: CollectionPolicy, seed: u64, obs: &Obs) -> Self {
-        FaultRuntime {
-            policy,
-            seed: seed ^ FAULT_SEED_SALT,
-            stats: FaultStats::default(),
-            events: Vec::new(),
-            deferred: Vec::new(),
-            attempts: HashMap::new(),
-            m_retries: obs.counter("collect.retries"),
-            m_timeouts: obs.counter("collect.timeouts"),
-            m_failures: obs.counter("collect.failures"),
-            m_outliers: obs.counter("collect.outliers_rejected"),
-            m_evictions: obs.counter("collect.node_evictions"),
-            m_abandoned: obs.counter("collect.points_abandoned"),
-            m_dropped: obs.counter("collect.candidates_dropped"),
-        }
-    }
-
-    /// Attempts already charged against `c` (0 for a fresh point).
-    fn attempt_index(&self, c: &Candidate) -> u32 {
-        self.attempts.get(c).copied().unwrap_or(0)
-    }
-
-    /// The deterministic fault RNG for `c`'s next attempt. Identity-
-    /// seeded per (candidate, attempt) — the same style as the
-    /// benchmark database's per-sample streams — so fault draws are
-    /// independent of collection order and of the selection RNG.
-    fn attempt_rng(&self, c: &Candidate) -> StdRng {
-        let mut h = DefaultHasher::new();
-        c.hash(&mut h);
-        self.attempt_index(c).hash(&mut h);
-        StdRng::seed_from_u64(self.seed ^ h.finish())
-    }
-
-    /// Fold one attempt's repeat-level outcomes into the counters.
-    fn record_attempt(&mut self, out: &AttemptOutcome) {
-        self.stats.timeouts += out.timeouts as u64;
-        self.stats.failures += out.failures as u64;
-        self.stats.outliers_rejected += out.outliers_rejected as u64;
-        self.m_timeouts.add(out.timeouts as u64);
-        self.m_failures.add(out.failures as u64);
-        self.m_outliers.add(out.outliers_rejected as u64);
-    }
-
-    /// The point was collected; clear its attempt history.
-    fn on_success(&mut self, c: &Candidate) {
-        self.attempts.remove(c);
-    }
-
-    /// The attempt produced nothing: queue a retry with capped
-    /// exponential backoff, or abandon the point once its retries are
-    /// exhausted. Returns true when the point is abandoned.
-    fn on_failure(&mut self, c: Candidate, wave: u64) -> bool {
-        let attempts = self.attempt_index(&c) + 1;
-        if attempts > self.policy.max_retries {
-            self.attempts.remove(&c);
-            self.stats.points_abandoned += 1;
-            self.m_abandoned.incr();
-            self.events.push(FaultEvent::Abandoned {
-                wave,
-                candidate: c,
-                attempts,
-            });
-            true
-        } else {
-            self.attempts.insert(c, attempts);
-            let eligible_wave = wave + self.policy.backoff_waves(attempts);
-            self.deferred.push(DeferredPoint {
-                cand: c,
-                eligible_wave,
-            });
-            self.stats.retries += 1;
-            self.m_retries.incr();
-            self.events.push(FaultEvent::Retry {
-                wave,
-                candidate: c,
-                attempt: attempts,
-                eligible_wave,
-            });
-            false
-        }
-    }
-
-    /// Drain the points whose backoff has elapsed by `wave`, in
-    /// queueing order.
-    fn take_ready(&mut self, wave: u64) -> Vec<Candidate> {
-        let mut ready = Vec::new();
-        self.deferred.retain(|d| {
-            if d.eligible_wave <= wave {
-                ready.push(d.cand);
-                false
-            } else {
-                true
-            }
-        });
-        ready
-    }
-
-    /// The points still waiting out a backoff.
-    fn backing_off(&self) -> HashSet<Candidate> {
-        self.deferred.iter().map(|d| d.cand).collect()
-    }
-
-    /// Earliest wave at which any deferred point becomes eligible.
-    fn next_eligible_wave(&self) -> Option<u64> {
-        self.deferred.iter().map(|d| d.eligible_wave).min()
-    }
-
-    /// Evict the nodes whose hard failure has onset by `now_us` from
-    /// the allocation. Returns true when the allocation shrank.
-    fn evict_dead(&mut self, now_us: f64, alloc: &mut Allocation, wave: u64) -> bool {
-        let dead: Vec<u32> = self
-            .policy
-            .faults
-            .dead_nodes_at(now_us)
-            .into_iter()
-            .filter(|n| alloc.nodes().contains(n))
-            .collect();
-        if dead.is_empty() {
-            return false;
-        }
-        *alloc = alloc.excluding(&dead);
-        for node in dead {
-            self.stats.node_evictions += 1;
-            self.m_evictions.incr();
-            self.events.push(FaultEvent::NodeEvicted { wave, node });
-        }
-        true
-    }
-
-    /// Drop every candidate the degraded allocation can no longer host
-    /// from each pool and from the retry queue, retiring each through
-    /// `collected_set` so the ranking caches and later pool filters all
-    /// agree that it is off the table. A candidate present in several
-    /// pools is counted once.
-    fn drop_oversized(
-        &mut self,
-        max_nodes: u32,
-        wave: u64,
-        pools: &mut [&mut Vec<Candidate>],
-        collected_set: &mut HashSet<Candidate>,
-    ) {
-        let mut count = 0u32;
-        let mut retire = |c: Candidate, collected_set: &mut HashSet<Candidate>| {
-            if collected_set.insert(c) {
-                count += 1;
-            }
-        };
-        for pool in pools.iter_mut() {
-            pool.retain(|c| {
-                if c.point.nodes <= max_nodes {
-                    true
-                } else {
-                    retire(*c, collected_set);
-                    false
-                }
-            });
-        }
-        self.deferred.retain(|d| {
-            if d.cand.point.nodes <= max_nodes {
-                true
-            } else {
-                retire(d.cand, collected_set);
-                false
-            }
-        });
-        if count > 0 {
-            self.stats.candidates_dropped += count as u64;
-            self.m_dropped.add(count as u64);
-            self.events
-                .push(FaultEvent::CandidatesDropped { wave, count });
-        }
-    }
-}
-
-/// Execute one collection slot under the fault policy: draw the
-/// attempt's faults from its identity-seeded RNG, charge the slot's
-/// wall cost, and either record the robust aggregate as a training
-/// sample (retiring `anchor` from the pool) or queue a retry /
-/// abandonment. Returns the slot's wall cost and whether a training
-/// point was produced.
-#[allow(clippy::too_many_arguments)]
-fn faulty_slot(
-    rt: &mut FaultRuntime,
-    obs: &Obs,
-    anchor: Candidate,
-    actual: Candidate,
-    clean_mean_us: f64,
-    clean_wall_us: f64,
-    placements: &[Placement],
-    slot: usize,
-    wave_index: u64,
-    wave_start_us: f64,
-    collected: &mut Vec<TrainingSample>,
-    collected_set: &mut HashSet<Candidate>,
-) -> (f64, bool) {
-    let attempt = rt.attempt_index(&anchor) + 1;
-    let mut rng = rt.attempt_rng(&anchor);
-    let out = run_attempt(clean_mean_us, clean_wall_us, &rt.policy, &mut rng);
-    rt.record_attempt(&out);
-    let ok = out.value_us.is_some();
-    let outcome = match out.value_us {
-        Some(value) => {
-            collected.push(TrainingSample {
-                point: actual.point,
-                algorithm: actual.algorithm,
-                time_us: value,
-            });
-            collected_set.insert(anchor);
-            rt.on_success(&anchor);
-            "ok"
-        }
-        None => {
-            if rt.on_failure(anchor, wave_index) {
-                // An abandoned point leaves the pool uncollected.
-                collected_set.insert(anchor);
-                "abandoned"
-            } else {
-                "retry"
-            }
-        }
-    };
-    if obs.is_enabled() {
-        slot_span(
-            obs,
-            placements,
-            slot,
-            actual,
-            wave_start_us,
-            out.wall_us,
-            vec![
-                ("attempt".to_string(), AttrValue::from(attempt as u64)),
-                (
-                    "valid_repeats".to_string(),
-                    AttrValue::from(out.valid as u64),
-                ),
-                ("timeouts".to_string(), AttrValue::from(out.timeouts as u64)),
-                ("failures".to_string(), AttrValue::from(out.failures as u64)),
-                ("outcome".to_string(), AttrValue::from(outcome.to_string())),
-            ],
-        );
-    }
-    (out.wall_us, ok)
-}
-
-/// Emit one closed sim-timeline span for a collection slot, on a
-/// display lane named after the node range the benchmark occupied
-/// (`"nodes A-B"`). Parallel waves have a [`Placement`] per slot (the
-/// scheduler consumes a prefix of the candidate list, so placements
-/// align with wave slots by index); sequential collection synthesizes
-/// a run starting at node 0. Chrome's trace viewer renders these lanes
-/// as concurrent rows, making wave parallelism visible.
-#[allow(clippy::too_many_arguments)]
-fn slot_span(
-    obs: &Obs,
-    placements: &[Placement],
-    slot: usize,
-    c: Candidate,
-    wave_start_us: f64,
-    cost_us: f64,
-    extra: Vec<(String, AttrValue)>,
-) {
-    let (start_node, node_count) = match placements.get(slot) {
-        Some(p) => (p.start_node, p.node_count.max(1)),
-        None => (0, c.point.nodes.max(1)),
-    };
-    let track = format!("nodes {}-{}", start_node, start_node + node_count - 1);
-    let mut attrs = vec![
-        (
-            "algorithm".to_string(),
-            AttrValue::from(format!("{:?}", c.algorithm)),
-        ),
-        ("nodes".to_string(), AttrValue::from(c.point.nodes as u64)),
-        ("ppn".to_string(), AttrValue::from(c.point.ppn as u64)),
-        ("msg_bytes".to_string(), AttrValue::from(c.point.msg_bytes)),
-    ];
-    attrs.extend(extra);
-    obs.span_at(
-        "collect",
-        "slot",
-        &track,
-        wave_start_us,
-        wave_start_us + cost_us,
-        attrs,
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::collector::RobustAgg;
     use acclaim_dataset::DatasetConfig;
+    use std::collections::HashSet;
 
     fn tiny_db() -> BenchmarkDatabase {
         BenchmarkDatabase::new(DatasetConfig::tiny())

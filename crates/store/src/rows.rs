@@ -20,8 +20,8 @@
 //! bit-identical to what was written — the same guarantee the JSON
 //! path gets from shortest-roundtrip float printing. Decoding is
 //! strict: a bad magic, a count that disagrees with the block length,
-//! an unknown algorithm index, or a checksum mismatch all read as
-//! corrupt (`None`), never as a partial row set.
+//! an unknown algorithm index, a zero node, ppn or message size, or a
+//! checksum mismatch all read as corrupt (`None`), never as a partial row set.
 
 use acclaim_collectives::Algorithm;
 use acclaim_core::TrainingSample;
@@ -96,6 +96,11 @@ pub(crate) fn decode_rows(block: &[u8]) -> Option<Vec<TrainingSample>> {
         let nodes = read_u32(body, at);
         let ppn = read_u32(body, at + 4);
         let msg_bytes = read_u64(body, at + 8);
+        // The checksum catches accidental damage only; a zero axis
+        // would fail `Point::new`'s assertion, so it reads as corrupt.
+        if nodes == 0 || ppn == 0 || msg_bytes == 0 {
+            return None;
+        }
         let algorithm = *Algorithm::ALL.get(read_u32(body, at + 16) as usize)?;
         let time_us = f64::from_bits(read_u64(body, at + 20));
         samples.push(TrainingSample {
@@ -151,6 +156,24 @@ mod tests {
                 decode_rows(&bad).is_none(),
                 "flip at byte {i} went undetected"
             );
+        }
+    }
+
+    /// A row whose checksum is valid but whose point has a zero axis
+    /// reads as corrupt instead of panicking in `Point::new`.
+    #[test]
+    fn checksummed_row_with_a_zero_axis_is_corrupt() {
+        for (nodes, ppn, msg_bytes) in [(0u32, 1u32, 64u64), (2, 0, 64), (2, 1, 0)] {
+            let mut block = ROWS_MAGIC.to_vec();
+            block.extend_from_slice(&1u64.to_le_bytes());
+            block.extend_from_slice(&nodes.to_le_bytes());
+            block.extend_from_slice(&ppn.to_le_bytes());
+            block.extend_from_slice(&msg_bytes.to_le_bytes());
+            block.extend_from_slice(&0u32.to_le_bytes());
+            block.extend_from_slice(&1.0f64.to_bits().to_le_bytes());
+            let checksum = fnv1a(&block);
+            block.extend_from_slice(&checksum.to_le_bytes());
+            assert!(decode_rows(&block).is_none(), "{nodes}x{ppn}x{msg_bytes}");
         }
     }
 
