@@ -534,16 +534,11 @@ impl CandidatePool {
         }
     }
 
-    /// Retire `c`. Returns false when it is not in the pool or has
-    /// already retired.
-    fn retire(&mut self, c: &Candidate) -> bool {
-        match self.index.get(c) {
-            Some(&i) if self.live[i] => {
-                self.live[i] = false;
-                self.retired.push(*c);
-                true
-            }
-            _ => false,
+    /// Retire `c`, unless it is outside the pool or already retired.
+    fn retire(&mut self, c: &Candidate) {
+        if let Some(&i) = self.index.get(c).filter(|&&i| self.live[i]) {
+            self.live[i] = false;
+            self.retired.push(*c);
         }
     }
 
