@@ -6,7 +6,10 @@
 //! primary forest and the FACT surrogate's configuration. The full
 //! active-learning loop is pinned by digests of its decisions (samples
 //! collected and per-iteration cumulative variance), recorded when the
-//! scan still walked candidates one by one.
+//! scan still walked candidates one by one. The sequential, Random,
+//! budget, node-failure and warm-start paths are pinned with their
+//! collection wall time and fault event log as well, recorded before
+//! the loop was split into one method per step.
 
 use acclaim::obs::Obs;
 use acclaim::prelude::*;
@@ -234,6 +237,16 @@ fn budget_run_matches_pinned_digest() {
     let out = train(LearnerConfig::acclaim().with_budget(40), 2, None);
     assert!(out.converged && out.collected.len() >= 40);
     assert_pinned(&out, 0x8d3d_51cf_c664_fd44, "budget");
+}
+
+/// FACT's surrogate through many refreshes and stale batches: the
+/// test-slowdown criterion above stops it right after seeding here, so
+/// a point budget keeps it selecting.
+#[test]
+fn fact_surrogate_budget_run_matches_pinned_digest() {
+    let out = train(LearnerConfig::fact().with_budget(70), 0, None);
+    assert!(out.log.len() > 20, "the surrogate must select repeatedly");
+    assert_pinned(&out, 0x293c_7fa4_63ba_62f5, "fact budget");
 }
 
 /// Production faults plus a node that hard-fails during corner
