@@ -112,7 +112,8 @@ pub enum WireResponse {
         /// The job id the status names.
         job: u64,
         /// `queued` / `running` / `done` / `cancelled` / `failed`, or
-        /// `unknown` for ids the service never issued.
+        /// `unknown` for ids the service never issued or no longer
+        /// keeps (finished jobs beyond its flight-ring capacity).
         state: String,
     },
     /// Service activity counters.
@@ -175,99 +176,67 @@ pub fn decode_response(line: &str) -> Result<WireResponse, String> {
 /// Execute one request against `service`. Returns the response and
 /// whether the daemon should shut down after sending it.
 pub fn handle_request(service: &TuneService, request: WireRequest) -> (WireResponse, bool) {
-    match request {
+    let response = match request {
         WireRequest::Tune { request } => {
             let handle = service.submit(request);
             let job = handle.id();
             match handle.wait() {
-                JobStatus::Done(r) => (
-                    WireResponse::Tuned {
-                        job,
-                        cached: r.cached,
-                        converged: r.converged,
-                        iterations: r.iterations as u64,
-                        fresh_points: r.fresh_points as u64,
-                        keys: r.keys.clone(),
-                    },
-                    false,
-                ),
-                JobStatus::Cancelled => (
-                    WireResponse::Error {
-                        message: format!("job {job} was cancelled"),
-                    },
-                    false,
-                ),
-                JobStatus::Failed(message) => (WireResponse::Error { message }, false),
-                other => (
-                    WireResponse::Error {
-                        message: format!("job {job} ended in non-terminal state {other:?}"),
-                    },
-                    false,
-                ),
+                JobStatus::Done(r) => WireResponse::Tuned {
+                    job,
+                    cached: r.cached,
+                    converged: r.converged,
+                    iterations: r.iterations as u64,
+                    fresh_points: r.fresh_points as u64,
+                    keys: r.keys.clone(),
+                },
+                JobStatus::Cancelled => WireResponse::Error {
+                    message: format!("job {job} was cancelled"),
+                },
+                JobStatus::Failed(message) => WireResponse::Error { message },
+                other => WireResponse::Error {
+                    message: format!("job {job} ended in non-terminal state {other:?}"),
+                },
             }
         }
-        WireRequest::Query { request } => (
-            WireResponse::Selected {
-                response: service.query(&request),
-            },
-            false,
-        ),
-        WireRequest::Cancel { job } => (
-            WireResponse::Cancelled {
-                job,
-                effective: service.cancel(job),
-            },
-            false,
-        ),
-        WireRequest::Status { job } => (
-            WireResponse::StatusIs {
-                job,
-                state: service
-                    .status(job)
-                    .map_or_else(|| "unknown".to_string(), |s| s.label().to_string()),
-            },
-            false,
-        ),
-        WireRequest::Stats => (
-            WireResponse::Stats {
-                stats: service.stats(),
-            },
-            false,
-        ),
+        WireRequest::Query { request } => WireResponse::Selected {
+            response: service.query(&request),
+        },
+        WireRequest::Cancel { job } => WireResponse::Cancelled {
+            job,
+            effective: service.cancel(job),
+        },
+        WireRequest::Status { job } => WireResponse::StatusIs {
+            job,
+            state: service
+                .status(job)
+                .map_or_else(|| "unknown".to_string(), |s| s.label().to_string()),
+        },
+        WireRequest::Stats => WireResponse::Stats {
+            stats: service.stats(),
+        },
         WireRequest::Metrics => {
             let snapshot = service.metrics();
-            (
-                WireResponse::Metrics {
-                    prometheus: acclaim_obs::to_prometheus(&snapshot),
-                    json: acclaim_obs::to_metrics_json(&snapshot),
-                },
-                false,
-            )
+            WireResponse::Metrics {
+                prometheus: acclaim_obs::to_prometheus(&snapshot),
+                json: acclaim_obs::to_metrics_json(&snapshot),
+            }
         }
-        WireRequest::Trace { last } => (
-            WireResponse::Flight {
-                records: service.flight_recent(last as usize),
-            },
-            false,
-        ),
-        WireRequest::DriftStatus => (
-            WireResponse::DriftReport {
-                report: service.drift_status(),
-            },
-            false,
-        ),
+        WireRequest::Trace { last } => WireResponse::Flight {
+            records: service.flight_recent(last as usize),
+        },
+        WireRequest::DriftStatus => WireResponse::DriftReport {
+            report: service.drift_status(),
+        },
         WireRequest::Observe {
             request,
             algorithm,
             observed_us,
-        } => (
-            WireResponse::Drift {
-                sample: service.observe(&request, &algorithm, observed_us),
-            },
-            false,
-        ),
-        WireRequest::Shutdown => (WireResponse::Bye, true),
-    }
+        } => WireResponse::Drift {
+            sample: service.observe(&request, &algorithm, observed_us),
+        },
+        WireRequest::Shutdown => return (WireResponse::Bye, true),
+    };
+    (response, false)
 }
 
 #[cfg(test)]

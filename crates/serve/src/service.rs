@@ -13,32 +13,44 @@
 //! run is bit-identical to the CLI path by construction.
 //!
 //! Rule queries never touch the job queue: [`TuneService::query`]
-//! resolves against pre-warmed [`ServedModel`]s (rules plus a
-//! [`FlatForest`] snapshot of the entry's forest) under sharded read
-//! locks, falling back to the MPICH default heuristic for untuned
-//! signatures. Warm queries are sub-millisecond; latencies land in the
-//! `serve.query_latency_us` histogram.
+//! resolves against pre-warmed serving models (rules plus a
+//! `FlatForest` snapshot of the entry's forest, `cache.rs`) under
+//! sharded read locks, falling back to the MPICH default heuristic for
+//! untuned signatures. Warm queries are sub-millisecond; latencies land
+//! in the `serve.query_latency_us` histogram.
+//!
+//! A popped job is timed by one `RequestClock` (`phase.rs`) and ends
+//! through one settle step, `ServiceInner::settle`, whatever its
+//! outcome.
+
+mod cache;
+mod counters;
+mod phase;
+mod slots;
 
 use crate::drift::{DriftConfig, DriftDetector, DriftStatusReport};
 use crate::index::SharedStore;
-use crate::queue::{JobId, JobQueue, JobState, JobStatus, Priority, QueuedJob};
+use crate::queue::{JobId, JobQueue, JobState, JobStatus, JobTable, Priority, QueuedJob};
 use acclaim_analytic::AnalyticPrior;
 use acclaim_collectives::{mpich_default, Collective};
 use acclaim_core::{Acclaim, AcclaimConfig, TuningFile, WarmStart};
 use acclaim_dataset::{BenchmarkDatabase, DatasetConfig, Point};
-use acclaim_ml::FlatForest;
 use acclaim_netsim::Fingerprint;
-use acclaim_obs::{Diag, FlightRecord, FlightRecorder, MetricsSnapshot, Obs, PhaseTimings};
+use acclaim_obs::{Diag, FlightRecord, FlightRecorder, MetricsSnapshot, Obs};
 use acclaim_store::{
     entry_from_outcome, warm_start_deweighted, warm_start_from_probe, ClusterSignature,
-    Compatibility, EntryFormat, StoreEntry,
+    Compatibility, EntryFormat,
 };
+use cache::{RuleCache, ServedModel};
+use counters::ServeCounters;
+use phase::{Phase, PhaseMetrics, RequestClock};
 use serde::{Deserialize, Serialize};
+use slots::SlotPool;
 use std::collections::HashMap;
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// A request to ensure a job configuration is tuned.
@@ -162,6 +174,20 @@ impl std::fmt::Debug for ServiceHooks {
     }
 }
 
+/// The store signature `config` trains `collective` under on `dataset`.
+fn signature(
+    dataset: &DatasetConfig,
+    config: &AcclaimConfig,
+    collective: Collective,
+) -> ClusterSignature {
+    ClusterSignature::new(
+        dataset,
+        &config.space,
+        collective,
+        &config.learner.collection,
+    )
+}
+
 /// Marks a queued job as a drift-triggered re-tune and carries what the
 /// worker needs to treat it as one: the prior deweight and the detector
 /// keys to release when the job terminates.
@@ -232,226 +258,6 @@ impl Default for ServeConfig {
     }
 }
 
-/// Counting semaphore bounding concurrent training allocations.
-#[derive(Debug)]
-struct SlotPool {
-    max: usize,
-    busy: Mutex<usize>,
-    cv: Condvar,
-}
-
-struct SlotGuard<'a> {
-    pool: &'a SlotPool,
-}
-
-impl SlotPool {
-    fn new(max: usize) -> Self {
-        SlotPool {
-            max: max.max(1),
-            busy: Mutex::new(0),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn acquire(&self) -> SlotGuard<'_> {
-        let mut busy = self.busy.lock().unwrap();
-        while *busy >= self.max {
-            busy = self.cv.wait(busy).unwrap();
-        }
-        *busy += 1;
-        SlotGuard { pool: self }
-    }
-
-    fn in_use(&self) -> usize {
-        *self.busy.lock().unwrap()
-    }
-}
-
-impl Drop for SlotGuard<'_> {
-    fn drop(&mut self) {
-        *self.pool.busy.lock().unwrap() -= 1;
-        self.pool.cv.notify_one();
-    }
-}
-
-/// A pre-warmed, immutable serving snapshot of one store entry: the
-/// rule table for sub-microsecond selection plus a [`FlatForest`] for
-/// latency prediction.
-#[derive(Debug)]
-pub(crate) struct ServedModel {
-    signature: ClusterSignature,
-    rules: acclaim_core::CollectiveRules,
-    forest: FlatForest,
-}
-
-impl ServedModel {
-    fn from_entry(entry: &StoreEntry) -> Self {
-        ServedModel {
-            signature: entry.signature.clone(),
-            rules: entry.rules.clone(),
-            forest: FlatForest::from_forest(entry.model.forest()),
-        }
-    }
-}
-
-/// One cached serving model plus its recency stamp. The stamp is
-/// atomic so `get` can bump it under the shard's *read* lock.
-#[derive(Debug)]
-struct CacheSlot {
-    model: Arc<ServedModel>,
-    last_used: AtomicU64,
-}
-
-/// Sharded map from store key to [`ServedModel`], bounded per shard
-/// with least-recently-used eviction. Evicted models are not lost —
-/// [`ServiceInner::serving_model`] re-warms them from the store on the
-/// next touch, bit-identically (the store entry is the source of
-/// truth; the cache only skips the disk read and re-flatten).
-#[derive(Debug)]
-struct RuleCache {
-    shards: Vec<RwLock<HashMap<String, CacheSlot>>>,
-    /// Global recency clock; monotone, shared by all shards.
-    tick: AtomicU64,
-    /// Per-shard capacity (`0` = unbounded).
-    per_shard_cap: usize,
-}
-
-impl RuleCache {
-    fn new(shards: usize, capacity: usize) -> Self {
-        let shards = shards.max(1);
-        RuleCache {
-            shards: (0..shards).map(|_| RwLock::new(HashMap::new())).collect(),
-            tick: AtomicU64::new(0),
-            per_shard_cap: if capacity == 0 {
-                0
-            } else {
-                capacity.div_ceil(shards).max(1)
-            },
-        }
-    }
-
-    fn shard_for(&self, key: &str) -> &RwLock<HashMap<String, CacheSlot>> {
-        let mut f = Fingerprint::new();
-        f.write_str(key);
-        &self.shards[(f.finish() % self.shards.len() as u64) as usize]
-    }
-
-    fn touch(&self) -> u64 {
-        self.tick.fetch_add(1, Ordering::Relaxed) + 1
-    }
-
-    /// Insert (or replace) a model; at capacity the shard's least
-    /// recently used entry makes room first. Returns evictions (0/1).
-    fn insert(&self, model: Arc<ServedModel>) -> usize {
-        let key = model.signature.key();
-        let tick = self.touch();
-        let mut shard = self.shard_for(&key).write().unwrap();
-        let mut evicted = 0;
-        if self.per_shard_cap > 0 && !shard.contains_key(&key) && shard.len() >= self.per_shard_cap
-        {
-            if let Some(stale) = shard
-                .iter()
-                .min_by_key(|(_, slot)| slot.last_used.load(Ordering::Relaxed))
-                .map(|(k, _)| k.clone())
-            {
-                shard.remove(&stale);
-                evicted = 1;
-            }
-        }
-        shard.insert(
-            key,
-            CacheSlot {
-                model,
-                last_used: AtomicU64::new(tick),
-            },
-        );
-        evicted
-    }
-
-    fn get(&self, key: &str) -> Option<Arc<ServedModel>> {
-        let shard = self.shard_for(key).read().unwrap();
-        let slot = shard.get(key)?;
-        slot.last_used.store(self.touch(), Ordering::Relaxed);
-        Some(slot.model.clone())
-    }
-
-    fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().unwrap().len()).sum()
-    }
-}
-
-/// Pre-registered `serve.*` metric handles (lock-free after creation).
-#[derive(Debug)]
-struct ServeCounters {
-    tune_requests: acclaim_obs::Counter,
-    coalesced: acclaim_obs::Counter,
-    attached: acclaim_obs::Counter,
-    cache_served: acclaim_obs::Counter,
-    cache_evicted: acclaim_obs::Counter,
-    trained: acclaim_obs::Counter,
-    retuned: acclaim_obs::Counter,
-    completed: acclaim_obs::Counter,
-    cancelled: acclaim_obs::Counter,
-    failed: acclaim_obs::Counter,
-    queries: acclaim_obs::Counter,
-    query_defaults: acclaim_obs::Counter,
-    slow_requests: acclaim_obs::Counter,
-    queue_depth: acclaim_obs::Gauge,
-    slots_in_use: acclaim_obs::Gauge,
-    active_jobs: acclaim_obs::Gauge,
-    cache_size: acclaim_obs::Gauge,
-    query_latency_us: acclaim_obs::Histogram,
-    phase_queue_wait_us: acclaim_obs::Histogram,
-    phase_probe_us: acclaim_obs::Histogram,
-    phase_collect_us: acclaim_obs::Histogram,
-    phase_refit_us: acclaim_obs::Histogram,
-    phase_write_back_us: acclaim_obs::Histogram,
-    phase_total_us: acclaim_obs::Histogram,
-    drift_observations: acclaim_obs::Counter,
-    drift_unmatched: acclaim_obs::Counter,
-    drift_triggered: acclaim_obs::Counter,
-    drift_cost_ratio: acclaim_obs::Histogram,
-    drift_last_ratio: acclaim_obs::Gauge,
-    drift_signatures: acclaim_obs::Gauge,
-}
-
-impl ServeCounters {
-    fn new(obs: &Obs) -> Self {
-        ServeCounters {
-            tune_requests: obs.counter("serve.tune_requests"),
-            coalesced: obs.counter("serve.coalesced"),
-            attached: obs.counter("serve.attached"),
-            cache_served: obs.counter("serve.cache_served"),
-            cache_evicted: obs.counter("serve.cache_evicted"),
-            trained: obs.counter("serve.trained"),
-            retuned: obs.counter("serve.retuned"),
-            completed: obs.counter("serve.completed"),
-            cancelled: obs.counter("serve.cancelled"),
-            failed: obs.counter("serve.failed"),
-            queries: obs.counter("serve.queries"),
-            query_defaults: obs.counter("serve.query_defaults"),
-            slow_requests: obs.counter("serve.slow_requests"),
-            queue_depth: obs.gauge("serve.queue_depth"),
-            slots_in_use: obs.gauge("serve.slots_in_use"),
-            active_jobs: obs.gauge("serve.active_jobs"),
-            cache_size: obs.gauge("serve.cache_size"),
-            query_latency_us: obs.histogram("serve.query_latency_us"),
-            phase_queue_wait_us: obs.histogram("serve.phase.queue_wait_us"),
-            phase_probe_us: obs.histogram("serve.phase.probe_us"),
-            phase_collect_us: obs.histogram("serve.phase.collect_us"),
-            phase_refit_us: obs.histogram("serve.phase.refit_us"),
-            phase_write_back_us: obs.histogram("serve.phase.write_back_us"),
-            phase_total_us: obs.histogram("serve.phase.total_us"),
-            drift_observations: obs.counter("drift.observations"),
-            drift_unmatched: obs.counter("drift.unmatched"),
-            drift_triggered: obs.counter("drift.triggered"),
-            drift_cost_ratio: obs.histogram("drift.cost_ratio"),
-            drift_last_ratio: obs.gauge("drift.last_ratio"),
-            drift_signatures: obs.gauge("drift.signatures"),
-        }
-    }
-}
-
 /// A point-in-time view of service activity.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ServiceStats {
@@ -502,8 +308,11 @@ pub(crate) struct ServiceInner {
     format: EntryFormat,
     hooks: ServiceHooks,
     next_id: AtomicU64,
-    jobs: Mutex<HashMap<JobId, Arc<JobState>>>,
+    /// What `Status` can answer for: every live job and the most
+    /// recently settled ones, as many as the flight ring keeps.
+    jobs: Mutex<JobTable>,
     counters: ServeCounters,
+    phase_metrics: PhaseMetrics,
     flight: FlightRecorder,
     slow_log_factor: Option<f64>,
     diag: Diag,
@@ -587,6 +396,8 @@ impl TuneService {
         obs.incr_counter("serve.prewarmed_models", cache.len() as u64);
         let counters = ServeCounters::new(&obs);
         counters.cache_size.set(cache.len() as f64);
+        let phase_metrics = PhaseMetrics::new(&obs);
+        let flight = FlightRecorder::new(config.flight_capacity);
         let inner = Arc::new(ServiceInner {
             shared,
             queue: JobQueue::new(config.starvation_window),
@@ -596,9 +407,10 @@ impl TuneService {
             format: config.format,
             hooks: config.hooks,
             next_id: AtomicU64::new(1),
-            jobs: Mutex::new(HashMap::new()),
+            jobs: Mutex::new(JobTable::new(flight.capacity())),
+            phase_metrics,
             counters,
-            flight: FlightRecorder::new(config.flight_capacity),
+            flight,
             slow_log_factor: config.slow_log_factor,
             diag: config.diag,
             drift: DriftDetector::new(config.drift),
@@ -635,12 +447,7 @@ impl TuneService {
         let inner = &self.inner;
         let start = std::time::Instant::now();
         let _span = inner.obs.span("serve", "query");
-        let sig = ClusterSignature::new(
-            &request.dataset,
-            &request.config.space,
-            request.collective,
-            &request.config.learner.collection,
-        );
+        let sig = signature(&request.dataset, &request.config, request.collective);
         let response = match inner.serving_model(&sig) {
             Some(m) => {
                 let algorithm = m.rules.select(request.point);
@@ -680,9 +487,12 @@ impl TuneService {
         self.inner.cancel(id)
     }
 
-    /// Look up a job's status by id (`None` for unknown ids).
+    /// Look up a job's status by id: `None` for an id never issued, or
+    /// for a finished job older than the last `flight_capacity` to
+    /// finish.
     pub fn status(&self, id: JobId) -> Option<JobStatus> {
-        self.inner.jobs.lock().unwrap().get(&id).map(|s| s.status())
+        let state = self.inner.jobs.lock().expect("job table lock").get(id);
+        state.map(|s| s.status())
     }
 
     /// A point-in-time activity snapshot.
@@ -690,7 +500,7 @@ impl TuneService {
         let c = &self.inner.counters;
         ServiceStats {
             queue_depth: self.inner.queue.len(),
-            slots_free: self.inner.slots.max - self.inner.slots.in_use(),
+            slots_free: self.inner.slots.free(),
             entries: self.inner.shared.len(),
             cached_models: self.inner.cache.len(),
             tune_requests: c.tune_requests.get(),
@@ -768,10 +578,7 @@ impl TuneService {
         // Anything still queued was never popped: cancel it so waiters
         // unblock.
         for job in self.inner.queue.drain() {
-            job.state.request_cancel();
-            self.inner.retune_terminal(&job, false);
-            self.inner.finish(&job.state, JobStatus::Cancelled);
-            self.inner.counters.queue_depth.sub(1.0);
+            self.inner.cancel_queued(&job);
         }
     }
 }
@@ -791,12 +598,23 @@ impl ServiceInner {
     fn enqueue(&self, request: TuneRequest, retune: Option<RetuneSpec>) -> Arc<JobState> {
         let id = self.next_id.fetch_add(1, Ordering::SeqCst);
         let state = Arc::new(JobState::new(id));
-        self.jobs.lock().unwrap().insert(id, state.clone());
+        self.jobs
+            .lock()
+            .expect("job table lock")
+            .insert(state.clone());
         let fingerprint = match &retune {
             Some(_) => request.work_fingerprint() ^ RETUNE_FINGERPRINT_TAG,
             None => request.work_fingerprint(),
         };
-        let retune_keys = retune.as_ref().map(|spec| spec.keys.clone());
+        let job = QueuedJob {
+            seq: 0,
+            priority: request.priority,
+            fingerprint,
+            request,
+            state: state.clone(),
+            submitted: Instant::now(),
+            retune,
+        };
         // The inflight lock is held across the queue push so an
         // identical job can never slip between "not running" and "in
         // the queue" — the worker registers under the same lock before
@@ -807,46 +625,24 @@ impl ServiceInner {
             // re-running the whole tune.
             state.set(JobStatus::Running);
             self.counters.attached.incr();
-            waiters.push(QueuedJob {
-                seq: 0,
-                priority: request.priority,
-                fingerprint,
-                request,
-                state: state.clone(),
-                submitted: Instant::now(),
-                retune,
-            });
-            return state;
-        }
-        if self.queue.push(
-            request.priority,
-            fingerprint,
-            request,
-            state.clone(),
-            retune,
-        ) {
-            // Admissions and removals pair `add`/`sub` calls so the
-            // gauge is exact under concurrent submitters (a `set` from
-            // a racing re-read of `queue.len()` could go backwards).
-            self.counters.queue_depth.add(1.0);
+            waiters.push(job);
         } else {
-            if let Some(keys) = &retune_keys {
-                self.drift.retune_finished(keys, false);
-            }
-            let failed = &self.counters.failed;
-            state.set_with(JobStatus::Failed("service is shutting down".into()), || {
-                failed.incr();
-            });
+            self.push(job);
         }
-        drop(inflight);
         state
     }
 
-    /// Release the drift detector's in-flight mark when a re-tune job
-    /// reaches a terminal status (no-op for client jobs).
-    fn retune_terminal(&self, job: &QueuedJob, success: bool) {
-        if let Some(spec) = &job.retune {
-            self.drift.retune_finished(&spec.keys, success);
+    /// Queue `job`, or fail it when the service is shutting down.
+    fn push(&self, job: QueuedJob) {
+        match self.queue.push(job) {
+            // Admissions and removals pair `add`/`sub` calls so the
+            // gauge is exact under concurrent submitters (a `set` from
+            // a racing re-read of `queue.len()` could go backwards).
+            Ok(()) => self.counters.queue_depth.add(1.0),
+            Err(job) => {
+                let failed = JobStatus::Failed("service is shutting down".into());
+                self.settle(&job, &[], failed);
+            }
         }
     }
 
@@ -854,13 +650,10 @@ impl ServiceInner {
     /// flagged and cancel at the next collective boundary.
     fn cancel(&self, id: JobId) -> bool {
         if let Some(job) = self.queue.remove(id) {
-            job.state.request_cancel();
-            self.retune_terminal(&job, false);
-            self.finish(&job.state, JobStatus::Cancelled);
-            self.counters.queue_depth.sub(1.0);
+            self.cancel_queued(&job);
             return true;
         }
-        let state = self.jobs.lock().unwrap().get(&id).cloned();
+        let state = self.jobs.lock().expect("job table lock").get(id);
         match state {
             Some(s) if !s.status().is_terminal() => {
                 s.request_cancel();
@@ -870,15 +663,37 @@ impl ServiceInner {
         }
     }
 
-    /// Move one job to a terminal status, counting the transition.
-    fn finish(&self, state: &Arc<JobState>, status: JobStatus) {
-        let counter = match &status {
-            JobStatus::Done(_) => &self.counters.completed,
-            JobStatus::Cancelled => &self.counters.cancelled,
-            JobStatus::Failed(_) => &self.counters.failed,
-            _ => unreachable!("finish takes terminal statuses"),
+    /// Cancel a job taken out of the queue before any worker saw it.
+    fn cancel_queued(&self, job: &QueuedJob) {
+        job.state.request_cancel();
+        self.settle(job, &[], JobStatus::Cancelled);
+        self.counters.queue_depth.sub(1.0);
+    }
+
+    /// Move `job` and its `riders` to the terminal `status`: the one
+    /// path every job ends through. Each transition is counted, and a
+    /// settled job joins the table's window of finished jobs. A drift
+    /// re-tune releases its detector keys here: the primary on every
+    /// outcome (as a success when `status` is `Done`), a rider only on
+    /// failure or cancellation.
+    fn settle(&self, job: &QueuedJob, riders: &[QueuedJob], status: JobStatus) {
+        let (counter, done) = match &status {
+            JobStatus::Done(_) => (&self.counters.completed, true),
+            JobStatus::Cancelled => (&self.counters.cancelled, false),
+            JobStatus::Failed(_) => (&self.counters.failed, false),
+            _ => unreachable!("settle takes terminal statuses"),
         };
-        state.set_with(status, || counter.incr());
+        for (i, j) in std::iter::once(job).chain(riders).enumerate() {
+            if let Some(spec) = j.retune.as_ref().filter(|_| i == 0 || !done) {
+                self.drift.retune_finished(&spec.keys, done);
+            }
+            if j.state.set_with(status.clone(), || counter.incr()) {
+                self.jobs
+                    .lock()
+                    .expect("job table lock")
+                    .retire(j.state.id());
+            }
+        }
     }
 
     /// A cached serving model for `sig`, loading from disk on first
@@ -886,10 +701,7 @@ impl ServiceInner {
     fn serving_model(&self, sig: &ClusterSignature) -> Option<Arc<ServedModel>> {
         let key = sig.key();
         if let Some(m) = self.cache.get(&key) {
-            if sig.compatibility(&m.signature) == Compatibility::Exact {
-                return Some(m);
-            }
-            return None;
+            return (sig.compatibility(&m.signature) == Compatibility::Exact).then_some(m);
         }
         let entry = self.shared.store().get(&key).ok().flatten()?;
         if sig.compatibility(&entry.signature) != Compatibility::Exact {
@@ -905,19 +717,15 @@ impl ServiceInner {
     /// Serve a tune request purely from cache, if every collective has
     /// an exact entry.
     fn serve_cached(&self, request: &TuneRequest) -> Option<TuneResult> {
-        let mut tables = Vec::with_capacity(request.collectives.len());
-        let mut keys = Vec::with_capacity(request.collectives.len());
-        for &c in &request.collectives {
-            let sig = ClusterSignature::new(
-                &request.dataset,
-                &request.config.space,
-                c,
-                &request.config.learner.collection,
-            );
-            let m = self.serving_model(&sig)?;
-            keys.push(sig.key());
-            tables.push(m.rules.clone());
-        }
+        let (keys, tables) = request
+            .collectives
+            .iter()
+            .map(|&c| {
+                let sig = signature(&request.dataset, &request.config, c);
+                let m = self.serving_model(&sig)?;
+                Some((sig.key(), m.rules.clone()))
+            })
+            .collect::<Option<(Vec<_>, Vec<_>)>>()?;
         Some(TuneResult {
             tuning_file: TuningFile {
                 collectives: tables,
@@ -930,22 +738,16 @@ impl ServiceInner {
         })
     }
 
-    /// Train a request end to end. `Ok(None)` means the job was
-    /// cancelled mid-run (nothing persisted for incomplete
-    /// collectives; completed ones were already written back).
-    ///
-    /// Fills `phases` with the probe / collect / refit / write-back
-    /// wall times and (when tracing is on) emits one host span per
-    /// phase on the request's `track`.
+    /// Train `job` end to end. `Ok(None)` means the job was cancelled
+    /// mid-run (nothing persisted for incomplete collectives; completed
+    /// ones were already written back). Ends the probe, collect and
+    /// write-back phases on `clock`.
     fn run_tune(
         &self,
-        request: &TuneRequest,
-        state: &Arc<JobState>,
-        phases: &mut PhaseTimings,
-        track: &str,
-        retune: Option<&RetuneSpec>,
+        job: &QueuedJob,
+        clock: &mut RequestClock,
     ) -> io::Result<Option<TuneResult>> {
-        let obs = &self.obs;
+        let (request, obs) = (&job.request, &self.obs);
         // The test hooks can swap the benchmark database a request sees
         // (to model a mid-run regime shift); production always builds
         // straight from the request's dataset config.
@@ -954,8 +756,7 @@ impl ServiceInner {
             None => BenchmarkDatabase::new(request.dataset.clone()),
         };
 
-        let probe_from = obs.now_us();
-        let probe_started = Instant::now();
+        clock.restart();
         let mut warms: HashMap<Collective, WarmStart> = HashMap::new();
         let mut signatures = Vec::with_capacity(request.collectives.len());
         // Requests opting into analytical priors get them composed
@@ -971,17 +772,12 @@ impl ServiceInner {
             )
         });
         for &c in &request.collectives {
-            let sig = ClusterSignature::new(
-                &request.dataset,
-                &request.config.space,
-                c,
-                &request.config.learner.collection,
-            );
+            let sig = signature(&request.dataset, &request.config, c);
             let probe = self.shared.probe(&sig)?;
             // A drift re-tune distrusts the cached rows: even exact
             // hits are demoted to thinned priors so fresh measurements
             // from the shifted regime can outvote them.
-            let mut warm = match retune {
+            let mut warm = match &job.retune {
                 Some(spec) => warm_start_deweighted(&probe, spec.deweight, obs),
                 None => warm_start_from_probe(&probe, obs),
             };
@@ -996,30 +792,17 @@ impl ServiceInner {
             }
             signatures.push(sig);
         }
-        phases.probe_us = probe_started.elapsed().as_secs_f64() * 1e6;
-        self.counters.phase_probe_us.record(phases.probe_us);
-        if obs.is_enabled() {
-            obs.host_span_at(
-                "serve",
-                "probe",
-                track,
-                probe_from,
-                obs.now_us(),
-                vec![
-                    (
-                        "collectives".into(),
-                        (request.collectives.len() as u64).into(),
-                    ),
-                    ("warm_hits".into(), (warms.len() as u64).into()),
-                ],
-            );
-        }
+        clock.end(
+            Phase::Probe,
+            vec![
+                ("collectives".into(), request.collectives.len().into()),
+                ("warm_hits".into(), warms.len().into()),
+            ],
+        );
 
-        let collect_from = obs.now_us();
-        let train_started = Instant::now();
         let hooks = self.hooks.clone();
-        let id = state.id();
-        let cancel_state = state.clone();
+        let id = job.state.id();
+        let cancel_state = job.state.clone();
         let (tuning, completed) = Acclaim::new(request.config.clone()).tune_while(
             &db,
             &request.collectives,
@@ -1032,32 +815,20 @@ impl ServiceInner {
                 !cancel_state.is_cancelled()
             },
         );
-        let train_us = train_started.elapsed().as_secs_f64() * 1e6;
         // The learner accounts its model-refit wall separately, so the
         // training wall splits into benchmark collection vs. refits.
-        phases.refit_us = tuning
+        let refit_us = tuning
             .reports
             .iter()
             .map(|(_, o)| o.model_update_wall_us)
             .sum();
-        phases.collect_us = (train_us - phases.refit_us).max(0.0);
-        self.counters.phase_collect_us.record(phases.collect_us);
-        self.counters.phase_refit_us.record(phases.refit_us);
-        if obs.is_enabled() {
-            obs.host_span_at(
-                "serve",
-                "collect",
-                track,
-                collect_from,
-                obs.now_us(),
-                vec![("refit_us".into(), phases.refit_us.into())],
-            );
-        }
+        clock.end(
+            Phase::Collect { refit_us },
+            vec![("refit_us".into(), refit_us.into())],
+        );
 
         // Write back whatever completed — even on a cancelled job the
         // finished collectives' fresh measurements are kept.
-        let write_back_from = obs.now_us();
-        let write_back_started = Instant::now();
         let mut keys = Vec::with_capacity(tuning.reports.len());
         let mut iterations = 0;
         let mut fresh_points = 0;
@@ -1084,27 +855,14 @@ impl ServiceInner {
             self.counters.cache_evicted.add(evicted as u64);
         }
         self.counters.cache_size.set(self.cache.len() as f64);
-        phases.write_back_us = write_back_started.elapsed().as_secs_f64() * 1e6;
-        self.counters
-            .phase_write_back_us
-            .record(phases.write_back_us);
-        if obs.is_enabled() {
-            obs.host_span_at(
-                "serve",
-                "write_back",
-                track,
-                write_back_from,
-                obs.now_us(),
-                vec![
-                    ("iterations".into(), (iterations as u64).into()),
-                    ("fresh_points".into(), (fresh_points as u64).into()),
-                ],
-            );
-        }
-        if !completed {
-            return Ok(None);
-        }
-        Ok(Some(TuneResult {
+        clock.end(
+            Phase::WriteBack,
+            vec![
+                ("iterations".into(), iterations.into()),
+                ("fresh_points".into(), fresh_points.into()),
+            ],
+        );
+        Ok(completed.then_some(TuneResult {
             tuning_file: tuning.tuning_file,
             keys,
             iterations,
@@ -1123,36 +881,13 @@ impl ServiceInner {
         }
     }
 
-    /// Drive one popped job to a terminal status, timing each phase and
-    /// recording the request in the flight ring.
+    /// Drive one popped job to a terminal status, timing it on one
+    /// [`RequestClock`] that ends in the flight ring.
     fn process_one(&self, job: QueuedJob) {
-        let processing = Instant::now();
-        let queue_wait_us = job.submitted.elapsed().as_secs_f64() * 1e6;
-        let track = format!("req {}", job.state.id());
-        let t_pop = self.obs.now_us();
-        if self.obs.is_enabled() {
-            self.obs.host_span_at(
-                "serve",
-                "queue_wait",
-                &track,
-                (t_pop - queue_wait_us).max(0.0),
-                t_pop,
-                vec![
-                    ("id".into(), job.state.id().into()),
-                    ("class".into(), job.priority.label().into()),
-                ],
-            );
-        }
-        let mut phases = PhaseTimings {
-            queue_wait_us,
-            ..PhaseTimings::default()
-        };
-
+        let mut clock = RequestClock::popped(self, &job);
         if job.state.is_cancelled() {
-            self.retune_terminal(&job, false);
-            self.finish(&job.state, JobStatus::Cancelled);
-            phases.total_us = queue_wait_us + processing.elapsed().as_secs_f64() * 1e6;
-            self.note_request(&job, 0, "cancelled", phases, &track);
+            self.settle(&job, &[], JobStatus::Cancelled);
+            clock.finish("cancelled", 0);
             return;
         }
         // Register this run as in-flight and sweep queued duplicates
@@ -1177,14 +912,9 @@ impl ServiceInner {
         if job.retune.is_none() {
             if let Some(result) = self.serve_cached(&job.request) {
                 self.counters.cache_served.incr();
-                let result = Arc::new(result);
                 riders.extend(self.settle_inflight(job.fingerprint));
-                self.finish(&job.state, JobStatus::Done(result.clone()));
-                for r in &riders {
-                    self.finish(&r.state, JobStatus::Done(result.clone()));
-                }
-                phases.total_us = queue_wait_us + processing.elapsed().as_secs_f64() * 1e6;
-                self.note_request(&job, riders.len() as u64, "cached", phases, &track);
+                self.settle(&job, &riders, JobStatus::Done(Arc::new(result)));
+                clock.finish("cached", riders.len() as u64);
                 return;
             }
         }
@@ -1195,13 +925,7 @@ impl ServiceInner {
         for r in &riders {
             r.state.set(JobStatus::Running);
         }
-        let outcome = self.run_tune(
-            &job.request,
-            &job.state,
-            &mut phases,
-            &track,
-            job.retune.as_ref(),
-        );
+        let outcome = self.run_tune(&job, &mut clock);
         drop(slot);
         self.counters.slots_in_use.set(self.slots.in_use() as f64);
 
@@ -1209,8 +933,7 @@ impl ServiceInner {
         // with the same outcome as the queue-swept riders.
         riders.extend(self.settle_inflight(job.fingerprint));
         let rider_count = riders.len() as u64;
-
-        let outcome_label = match outcome {
+        let outcome = match outcome {
             Ok(Some(result)) => {
                 let label = if job.retune.is_some() {
                     self.counters.retuned.incr();
@@ -1219,61 +942,30 @@ impl ServiceInner {
                     self.counters.trained.incr();
                     "trained"
                 };
-                self.retune_terminal(&job, true);
-                let result = Arc::new(result);
-                self.finish(&job.state, JobStatus::Done(result.clone()));
-                for r in &riders {
-                    self.finish(&r.state, JobStatus::Done(result.clone()));
-                }
+                self.settle(&job, &riders, JobStatus::Done(Arc::new(result)));
                 label
             }
             Ok(None) => {
                 // The primary was cancelled mid-run. Its riders
                 // asked for the same work and still want it: any
                 // not themselves cancelled go back in the queue.
-                self.retune_terminal(&job, false);
-                self.finish(&job.state, JobStatus::Cancelled);
+                self.settle(&job, &[], JobStatus::Cancelled);
                 for r in riders {
                     if r.state.is_cancelled() {
-                        self.retune_terminal(&r, false);
-                        self.finish(&r.state, JobStatus::Cancelled);
+                        self.settle(&r, &[], JobStatus::Cancelled);
                     } else {
                         r.state.set(JobStatus::Queued);
-                        let retune_keys = r.retune.as_ref().map(|spec| spec.keys.clone());
-                        if self.queue.push(
-                            r.priority,
-                            r.fingerprint,
-                            r.request,
-                            r.state.clone(),
-                            r.retune,
-                        ) {
-                            self.counters.queue_depth.add(1.0);
-                        } else {
-                            if let Some(keys) = &retune_keys {
-                                self.drift.retune_finished(keys, false);
-                            }
-                            self.finish(
-                                &r.state,
-                                JobStatus::Failed("service is shutting down".into()),
-                            );
-                        }
+                        self.push(r);
                     }
                 }
                 "cancelled"
             }
             Err(e) => {
-                self.retune_terminal(&job, false);
-                let message = e.to_string();
-                self.finish(&job.state, JobStatus::Failed(message.clone()));
-                for r in &riders {
-                    self.retune_terminal(r, false);
-                    self.finish(&r.state, JobStatus::Failed(message.clone()));
-                }
+                self.settle(&job, &riders, JobStatus::Failed(e.to_string()));
                 "failed"
             }
         };
-        phases.total_us = queue_wait_us + processing.elapsed().as_secs_f64() * 1e6;
-        self.note_request(&job, rider_count, outcome_label, phases, &track);
+        clock.finish(outcome, rider_count);
     }
 
     /// Drop `fingerprint`'s in-flight registration and return any late
@@ -1286,81 +978,6 @@ impl ServiceInner {
             .unwrap()
             .remove(&fingerprint)
             .unwrap_or_default()
-    }
-
-    /// Record a finished request everywhere the telemetry wants it:
-    /// queue-wait and end-to-end histograms, the slow log, the flight
-    /// ring, and a whole-request host span. (The intermediate phase
-    /// histograms are recorded by [`ServiceInner::run_tune`], which
-    /// knows which phases actually ran.)
-    fn note_request(
-        &self,
-        job: &QueuedJob,
-        riders: u64,
-        outcome: &str,
-        phases: PhaseTimings,
-        track: &str,
-    ) {
-        let c = &self.counters;
-        c.phase_queue_wait_us.record(phases.queue_wait_us);
-        c.phase_total_us.record(phases.total_us);
-        let slow = self.is_slow(phases.total_us);
-        if slow {
-            c.slow_requests.incr();
-            self.diag.warn(&format!(
-                "slow request id={} fingerprint={:016x} outcome={} total={:.0}us \
-                 (queue={:.0} probe={:.0} collect={:.0} refit={:.0} write_back={:.0})",
-                job.state.id(),
-                job.fingerprint,
-                outcome,
-                phases.total_us,
-                phases.queue_wait_us,
-                phases.probe_us,
-                phases.collect_us,
-                phases.refit_us,
-                phases.write_back_us,
-            ));
-        }
-        self.flight.record(FlightRecord {
-            id: job.state.id(),
-            fingerprint: job.fingerprint,
-            class: job.priority.label().to_string(),
-            outcome: outcome.to_string(),
-            riders,
-            slow,
-            phases,
-        });
-        if self.obs.is_enabled() {
-            let end = self.obs.now_us();
-            self.obs.host_span_at(
-                "serve",
-                "request",
-                track,
-                (end - phases.total_us).max(0.0),
-                end,
-                vec![
-                    ("id".into(), job.state.id().into()),
-                    ("fingerprint".into(), job.fingerprint.into()),
-                    ("class".into(), job.priority.label().into()),
-                    ("outcome".into(), outcome.into()),
-                    ("riders".into(), riders.into()),
-                    ("slow".into(), slow.into()),
-                ],
-            );
-        }
-    }
-
-    /// Whether `total_us` trips the slow-request threshold: a
-    /// configured `--slow-log` factor, a small warm-up so the median
-    /// means something, and `total > factor × p50`. With telemetry
-    /// disabled the histogram stays empty, so nothing is ever slow.
-    fn is_slow(&self, total_us: f64) -> bool {
-        const MIN_SAMPLES: u64 = 8;
-        let Some(factor) = self.slow_log_factor else {
-            return false;
-        };
-        let snap = self.counters.phase_total_us.snapshot();
-        snap.count >= MIN_SAMPLES && total_us > factor * snap.quantile(0.5)
     }
 
     /// See [`TuneService::observe`].
@@ -1384,12 +1001,7 @@ impl ServiceInner {
         if !(observed_us.is_finite() && observed_us > 0.0) {
             return unmatched();
         }
-        let sig = ClusterSignature::new(
-            &request.dataset,
-            &request.config.space,
-            request.collective,
-            &request.config.learner.collection,
-        );
+        let sig = signature(&request.dataset, &request.config, request.collective);
         let Some(model) = self.serving_model(&sig) else {
             return unmatched();
         };
@@ -1459,6 +1071,7 @@ impl ServiceInner {
 mod tests {
     use super::*;
     use acclaim_dataset::FeatureSpace;
+    use std::sync::Condvar;
 
     fn temp_dir(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("acclaim-serve-service-{name}"));
@@ -1985,6 +1598,51 @@ mod tests {
         assert_eq!(stats.attached, 2);
         assert_eq!(stats.coalesced, 0, "nothing was swept from the queue");
         assert_eq!(stats.completed, 3);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn status_forgets_settled_jobs_beyond_the_flight_window() {
+        // The job table keeps every live job and the last
+        // `flight_capacity` settled ones. One worker is held mid-run by
+        // the hook while the other settles ten tunes.
+        let dir = temp_dir("job-window");
+        let (hooks, gate, entered) = first_call_gate();
+        let config = ServeConfig {
+            workers: 2,
+            slots: 2,
+            flight_capacity: 4,
+            hooks,
+            ..ServeConfig::default()
+        };
+        let service = TuneService::open(&dir, config, Obs::disabled()).unwrap();
+        let held = service.submit(request(1, vec![Collective::Bcast]));
+        await_entered(&entered);
+        let req = request(2, vec![Collective::Reduce]);
+        let ids: Vec<JobId> = (0..10)
+            .map(|_| {
+                let handle = service.submit(req.clone());
+                assert!(matches!(handle.wait(), JobStatus::Done(_)));
+                handle.id()
+            })
+            .collect();
+        assert!(
+            service.status(ids[0]).is_none(),
+            "the first id reads unknown"
+        );
+        for &id in &ids[6..] {
+            assert!(matches!(service.status(id), Some(JobStatus::Done(_))));
+        }
+        assert!(
+            matches!(service.status(held.id()), Some(JobStatus::Running)),
+            "a running job is never dropped"
+        );
+        open_gate(&gate);
+        assert!(matches!(held.wait(), JobStatus::Done(_)));
+        assert!(matches!(
+            service.status(held.id()),
+            Some(JobStatus::Done(_))
+        ));
         std::fs::remove_dir_all(&dir).ok();
     }
 
