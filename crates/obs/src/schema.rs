@@ -24,7 +24,8 @@
 //!   ([`crate::flight::FlightRecorder::to_jsonl`]): one record per
 //!   line with `id`, `fingerprint`, `class`, `outcome` (from the known
 //!   outcome set), `riders`, `slow`, and a `phases` object of six
-//!   non-negative µs fields.
+//!   non-negative µs fields whose five phases add up to no more than
+//!   `total_us`.
 //!
 //! `obs-check` exposes both via `--metrics-json` and `--flight`.
 
@@ -287,6 +288,7 @@ pub fn validate_flight_line(text: &str, line: usize) -> Result<(), String> {
     if phases.as_object().is_none() {
         return Err(format!("line {line}: `phases` must be an object"));
     }
+    let mut sum = 0.0;
     for field in FLIGHT_PHASES {
         let us = require_num(phases, field, line)?;
         if us < 0.0 {
@@ -294,6 +296,17 @@ pub fn validate_flight_line(text: &str, line: usize) -> Result<(), String> {
                 "line {line}: `phases.{field}` must be >= 0, got {us}"
             ));
         }
+        if field != "total_us" {
+            sum += us;
+        }
+    }
+    // The phases are disjoint intervals inside submit → terminal, so
+    // they cannot add up to more than the total beyond float rounding.
+    let total = require_num(phases, "total_us", line)?;
+    if sum > total + 1e-9 * total + 1e-6 {
+        return Err(format!(
+            "line {line}: phases add up to {sum} us, more than `total_us` {total}"
+        ));
     }
     Ok(())
 }
@@ -426,5 +439,13 @@ mod tests {
         assert!(validate_flight_line(&missing_phase, 1)
             .unwrap_err()
             .contains("refit_us"));
+        // The five phases of `ok` add up to exactly its total; a total
+        // below their sum is rejected.
+        let short_total = ok.replace(r#""total_us":14.0"#, r#""total_us":13.5"#);
+        assert!(validate_flight_line(&short_total, 1)
+            .unwrap_err()
+            .contains("more than `total_us`"));
+        let rounded = ok.replace(r#""total_us":14.0"#, r#""total_us":13.9999999999"#);
+        assert!(validate_flight_line(&rounded, 1).is_ok());
     }
 }
