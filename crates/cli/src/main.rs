@@ -110,11 +110,11 @@ commands:
   traces      summarize the synthetic application traces [--max-msg B]
 ";
 
-/// The options `command` accepts, read off [`USAGE`]: every `--flag`
-/// in its block of the command list, and in each option section whose
-/// header names it in parentheses or names no command at all.
-fn accepted_options(command: &str) -> BTreeSet<&'static str> {
-    let mut accepted = BTreeSet::new();
+/// The lines of [`USAGE`] that describe `command`'s options: its block
+/// of the command list, and each option section whose header names it
+/// in parentheses or names no command at all.
+fn usage_lines(command: &str) -> Vec<&'static str> {
+    let mut lines = Vec::new();
     let (mut in_commands, mut applies) = (false, false);
     for line in USAGE.lines() {
         if let Some(header) = line.strip_suffix(':').filter(|_| !line.starts_with(' ')) {
@@ -130,19 +130,63 @@ fn accepted_options(command: &str) -> BTreeSet<&'static str> {
             applies = line.split_whitespace().next() == Some(command);
         }
         if applies {
-            let words = line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'));
-            let flags = words.filter_map(|w| w.strip_prefix("--"));
-            accepted.extend(flags.filter(|f| f.ends_with(|c: char| c.is_ascii_alphanumeric())));
+            lines.push(line);
         }
+    }
+    lines
+}
+
+/// Whether `name` is a whole option name: letters, digits and inner
+/// dashes (not `drift-*`, not `json]`).
+fn is_option_name(name: &str) -> bool {
+    name.ends_with(|c: char| c.is_ascii_alphanumeric())
+        && name.chars().all(|c| c.is_ascii_alphanumeric() || c == '-')
+}
+
+/// The options `command` accepts: every `--flag` in its [`usage_lines`].
+fn accepted_options(command: &str) -> BTreeSet<&'static str> {
+    let mut accepted = BTreeSet::new();
+    for line in usage_lines(command) {
+        let words = line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'));
+        let flags = words.filter_map(|w| w.strip_prefix("--"));
+        accepted.extend(flags.filter(|f| is_option_name(f)));
     }
     accepted
 }
 
-/// Reject an option `command` does not accept, before it does any work.
+/// The options `command` reads a value for: each `--flag` its
+/// [`usage_lines`] show followed by a metavariable, that is an
+/// upper-case word (`N`, `FILE`), a choice (`a|b`) or a list (`a,b,c`).
+fn valued_options(command: &str) -> BTreeSet<&'static str> {
+    let mut valued = BTreeSet::new();
+    for line in usage_lines(command) {
+        let words: Vec<&str> = line.split_whitespace().collect();
+        for pair in words.windows(2) {
+            let Some(flag) = pair[0].trim_start_matches(['[', '(']).strip_prefix("--") else {
+                continue;
+            };
+            let meta = pair[1].trim_end_matches([']', ')', ',']);
+            let upper = !meta.is_empty() && meta.bytes().all(|b| b.is_ascii_uppercase());
+            if is_option_name(flag) && (upper || meta.contains(['|', ','])) {
+                valued.insert(flag);
+            }
+        }
+    }
+    valued
+}
+
+/// Reject an option `command` does not accept, or one it reads a value
+/// for given without one, before it does any work.
 fn check_options(command: &str, args: &Args) -> Result<(), String> {
     let accepted = accepted_options(command);
-    match args.options().find(|key| !accepted.contains(key)) {
-        Some(key) => Err(format!("unknown option --{key} for '{command}'\n\n{USAGE}")),
+    if let Some(key) = args.options().find(|key| !accepted.contains(key)) {
+        return Err(format!("unknown option --{key} for '{command}'\n\n{USAGE}"));
+    }
+    match valued_options(command)
+        .into_iter()
+        .find(|key| args.flag(key))
+    {
+        Some(key) => Err(format!("option --{key} for '{command}' needs a value")),
         None => Ok(()),
     }
 }
@@ -241,6 +285,71 @@ mod tests {
         assert!(run(&["traces", "--socket", "s"])
             .unwrap_err()
             .contains("--socket"));
+    }
+
+    #[test]
+    fn valued_option_without_a_value_fails_before_any_work() {
+        let e = run(&[
+            "selections",
+            "--collective",
+            "bcast",
+            "--nodes",
+            "--ppn",
+            "2",
+        ])
+        .unwrap_err();
+        assert_eq!(e, "option --nodes for 'selections' needs a value");
+        let out = std::env::temp_dir().join("acclaim-cli-novalue-test.json");
+        let _ = std::fs::remove_file(&out);
+        let e = run(&["tune", "--out", out.to_str().unwrap(), "--collectives"]).unwrap_err();
+        assert!(e.contains("--collectives"), "{e}");
+        assert!(!out.exists());
+        // Boolean flags take no value and still parse.
+        assert!(run(&["traces", "--quiet"]).is_ok());
+    }
+
+    /// Which options need a value is read off the metavariables `USAGE`
+    /// shows after them.
+    #[test]
+    fn usage_metavariables_mark_the_valued_options() {
+        let tune = valued_options("tune");
+        for valued in [
+            "machine",
+            "nodes",
+            "collectives",
+            "faults",
+            "out",
+            "store",
+            "trace-out",
+        ] {
+            assert!(tune.contains(valued), "tune --{valued}");
+        }
+        for flag in [
+            "sequential",
+            "no-store",
+            "analytic-priors",
+            "no-prune",
+            "quiet",
+            "help",
+        ] {
+            assert!(!tune.contains(flag), "tune --{flag}");
+        }
+        let client = valued_options("client");
+        assert!(client.contains("op") && client.contains("load") && client.contains("priority"));
+        assert!(!client.contains("json"));
+        assert!(valued_options("serve").contains("slow-log"));
+        for command in [
+            "tune",
+            "analytic",
+            "selections",
+            "simulate",
+            "store",
+            "serve",
+            "client",
+        ] {
+            let accepted = accepted_options(command);
+            assert!(valued_options(command).iter().all(|o| accepted.contains(o)));
+        }
     }
 
     /// The options each command reads, including those scripts, CI and
