@@ -175,18 +175,26 @@ fn valued_options(command: &str) -> BTreeSet<&'static str> {
     valued
 }
 
-/// Reject an option `command` does not accept, or one it reads a value
-/// for given without one, before it does any work.
+/// Reject an option `command` does not accept, one it reads a value for
+/// given without one, or a boolean flag given a value, before it does
+/// any work.
 fn check_options(command: &str, args: &Args) -> Result<(), String> {
     let accepted = accepted_options(command);
     if let Some(key) = args.options().find(|key| !accepted.contains(key)) {
         return Err(format!("unknown option --{key} for '{command}'\n\n{USAGE}"));
     }
-    match valued_options(command)
-        .into_iter()
-        .find(|key| args.flag(key))
-    {
-        Some(key) => Err(format!("option --{key} for '{command}' needs a value")),
+    let valued = valued_options(command);
+    if let Some(key) = valued.iter().find(|key| args.flag(key)) {
+        return Err(format!("option --{key} for '{command}' needs a value"));
+    }
+    match args.options().find_map(|key| {
+        args.get(key)
+            .filter(|_| !valued.contains(key))
+            .map(|v| (key, v))
+    }) {
+        Some((key, value)) => Err(format!(
+            "option --{key} for '{command}' takes no value, got '{value}'"
+        )),
         None => Ok(()),
     }
 }
@@ -306,6 +314,21 @@ mod tests {
         assert!(!out.exists());
         // Boolean flags take no value and still parse.
         assert!(run(&["traces", "--quiet"]).is_ok());
+    }
+
+    #[test]
+    fn boolean_flag_given_a_value_fails_before_any_work() {
+        let e = run(&["traces", "--quiet", "1024"]).unwrap_err();
+        assert_eq!(e, "option --quiet for 'traces' takes no value, got '1024'");
+        let out = std::env::temp_dir().join("acclaim-cli-flagvalue-test.json");
+        let _ = std::fs::remove_file(&out);
+        let path = out.to_str().unwrap();
+        let e = run(&["tune", "--sequential", "yes", "--out", path]).unwrap_err();
+        assert!(
+            e.starts_with("option --sequential for 'tune' takes no value"),
+            "{e}"
+        );
+        assert!(!out.exists());
     }
 
     /// Which options need a value is read off the metavariables `USAGE`

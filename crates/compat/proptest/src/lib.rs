@@ -235,7 +235,7 @@ mod tests {
 
         #[test]
         fn macro_binds_and_loops(n in 1u32..50, xs in crate::collection::vec(0.0f64..1.0, 1..6)) {
-            prop_assert!(n >= 1 && n < 50);
+            prop_assert!((1..50).contains(&n));
             prop_assert!(!xs.is_empty() && xs.len() < 6);
             for x in xs {
                 prop_assert!((0.0..1.0).contains(&x));

@@ -1,17 +1,26 @@
-//! Offline subset of `serde`: a JSON-shaped value tree plus
-//! `Serialize`/`Deserialize` traits and derive macros.
+//! Offline subset of `serde`: `Serialize`/`Deserialize` traits and
+//! derive macros over JSON.
 //!
 //! The build environment has no crates.io access. Upstream serde's
 //! visitor architecture is far more than this workspace needs, so the
-//! vendored subset maps every serializable type to a [`Value`] tree
-//! (the same data model `serde_json` exposes) and derives trait impls
-//! with a hand-rolled proc macro. Representations follow serde's JSON
-//! conventions: structs are objects, unit enum variants are strings,
-//! data-carrying variants are single-entry `{"Variant": ...}` objects,
-//! `Option` is `null`/value, and newtype structs are transparent.
+//! vendored subset is JSON-only and asymmetric:
+//!
+//! - reads stream: [`Deserialize`] decodes a type straight from a
+//!   [`Reader`], a cursor over the JSON text, with no intermediate tree;
+//! - writes still build a tree: [`Serialize`] maps a type to a
+//!   [`Value`] (the same data model `serde_json` exposes), which
+//!   `serde_json` then renders.
+//!
+//! Trait impls are derived with a hand-rolled proc macro.
+//! Representations follow serde's JSON conventions: structs are
+//! objects, unit enum variants are strings, data-carrying variants are
+//! single-entry `{"Variant": ...}` objects, `Option` is `null`/value,
+//! and newtype structs are transparent.
 
+mod de;
 mod value;
 
+pub use de::{Reader, MAX_DEPTH};
 pub use serde_derive::{Deserialize, Serialize};
 pub use value::{Map, Number, Value};
 
@@ -21,10 +30,10 @@ pub trait Serialize {
     fn to_value(&self) -> Value;
 }
 
-/// Deserialization from the [`Value`] data model.
+/// Deserialization straight from JSON text.
 pub trait Deserialize: Sized {
-    /// Rebuild `Self` from a value tree.
-    fn from_value(v: &Value) -> Result<Self, Error>;
+    /// Read one `Self` from the cursor, leaving it just past the value.
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error>;
 }
 
 /// Deserialization error.
@@ -35,11 +44,6 @@ impl Error {
     /// An error with a custom message.
     pub fn custom(msg: impl Into<String>) -> Self {
         Error(msg.into())
-    }
-
-    /// A type-mismatch error.
-    pub fn expected(what: &str, got: &Value) -> Self {
-        Error(format!("expected {what}, got {}", got.kind()))
     }
 
     /// A missing-field error.
@@ -67,11 +71,8 @@ impl Serialize for bool {
 }
 
 impl Deserialize for bool {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Bool(b) => Ok(*b),
-            other => Err(Error::expected("bool", other)),
-        }
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        r.parse_bool()
     }
 }
 
@@ -83,8 +84,8 @@ macro_rules! impl_uint {
             }
         }
         impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, Error> {
-                let n = v.as_u64().ok_or_else(|| Error::expected("unsigned integer", v))?;
+            fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+                let n = r.parse_number()?.as_u64().ok_or_else(|| r.error("expected unsigned integer"))?;
                 <$t>::try_from(n).map_err(|_| Error::custom(format!("{n} out of range")))
             }
         }
@@ -101,8 +102,8 @@ macro_rules! impl_int {
             }
         }
         impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, Error> {
-                let n = v.as_i64().ok_or_else(|| Error::expected("integer", v))?;
+            fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+                let n = r.parse_number()?.as_i64().ok_or_else(|| r.error("expected integer"))?;
                 <$t>::try_from(n).map_err(|_| Error::custom(format!("{n} out of range")))
             }
         }
@@ -118,8 +119,8 @@ impl Serialize for f64 {
 }
 
 impl Deserialize for f64 {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        v.as_f64().ok_or_else(|| Error::expected("number", v))
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        Ok(r.parse_number()?.as_f64())
     }
 }
 
@@ -130,10 +131,8 @@ impl Serialize for f32 {
 }
 
 impl Deserialize for f32 {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        v.as_f64()
-            .map(|f| f as f32)
-            .ok_or_else(|| Error::expected("number", v))
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        Ok(r.parse_number()?.as_f64() as f32)
     }
 }
 
@@ -144,11 +143,8 @@ impl Serialize for String {
 }
 
 impl Deserialize for String {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::String(s) => Ok(s.clone()),
-            other => Err(Error::expected("string", other)),
-        }
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        Ok(r.parse_str()?.into_owned())
     }
 }
 
@@ -174,10 +170,11 @@ impl<T: Serialize> Serialize for Option<T> {
 }
 
 impl<T: Deserialize> Deserialize for Option<T> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Null => Ok(None),
-            other => T::from_value(other).map(Some),
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        if r.eat_null() {
+            Ok(None)
+        } else {
+            T::deserialize(r).map(Some)
         }
     }
 }
@@ -189,11 +186,13 @@ impl<T: Serialize> Serialize for Vec<T> {
 }
 
 impl<T: Deserialize> Deserialize for Vec<T> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Array(items) => items.iter().map(T::from_value).collect(),
-            other => Err(Error::expected("array", other)),
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        r.begin_array()?;
+        let mut items = Vec::new();
+        while r.next_element()? {
+            items.push(T::deserialize(r)?);
         }
+        Ok(items)
     }
 }
 
@@ -210,21 +209,15 @@ impl<T: Serialize, const N: usize> Serialize for [T; N] {
 }
 
 impl<T: Deserialize, const N: usize> Deserialize for [T; N] {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let items = match v {
-            Value::Array(items) => items,
-            other => return Err(Error::expected("array", other)),
-        };
-        if items.len() != N {
-            return Err(Error::custom(format!(
-                "expected {N} elements, got {}",
-                items.len()
-            )));
-        }
-        let parsed: Vec<T> = items.iter().map(T::from_value).collect::<Result<_, _>>()?;
-        parsed
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        r.begin_array()?;
+        let items = (0..N)
+            .map(|i| r.element(i, N))
+            .collect::<Result<Vec<T>, _>>()?;
+        r.end_array(N)?;
+        Ok(items
             .try_into()
-            .map_err(|_| Error::custom("array length mismatch"))
+            .unwrap_or_else(|_| unreachable!("read exactly {N} elements")))
     }
 }
 
@@ -236,17 +229,12 @@ macro_rules! impl_tuple {
             }
         }
         impl<$($name: Deserialize),+> Deserialize for ($($name,)+) {
-            fn from_value(v: &Value) -> Result<Self, Error> {
-                let items = match v {
-                    Value::Array(items) => items,
-                    other => return Err(Error::expected("tuple array", other)),
-                };
-                let expect = [$($idx),+].len();
-                if items.len() != expect {
-                    return Err(Error::custom(format!(
-                        "expected {expect}-tuple, got {} elements", items.len())));
-                }
-                Ok(($($name::from_value(&items[$idx])?,)+))
+            fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+                let len = [$($idx),+].len();
+                r.begin_array()?;
+                let tuple = ($(r.element::<$name>($idx, len)?,)+);
+                r.end_array(len)?;
+                Ok(tuple)
             }
         }
     )*};
@@ -265,44 +253,40 @@ impl Serialize for Value {
     }
 }
 
-impl Deserialize for Value {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        Ok(v.clone())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn read<T: Deserialize>(text: &str) -> Result<T, Error> {
+        let mut r = Reader::new(text);
+        let v = T::deserialize(&mut r)?;
+        r.finish()?;
+        Ok(v)
+    }
+
     #[test]
-    fn primitives_round_trip() {
-        assert_eq!(u32::from_value(&42u32.to_value()).unwrap(), 42);
-        assert_eq!(i64::from_value(&(-9i64).to_value()).unwrap(), -9);
-        assert_eq!(f64::from_value(&1.5f64.to_value()).unwrap(), 1.5);
-        assert_eq!(bool::from_value(&true.to_value()).unwrap(), true);
-        assert_eq!(
-            String::from_value(&"hi".to_string().to_value()).unwrap(),
-            "hi"
-        );
-        assert_eq!(
-            Option::<u8>::from_value(&None::<u8>.to_value()).unwrap(),
-            None
-        );
-        assert_eq!(
-            Vec::<u8>::from_value(&vec![1u8, 2, 3].to_value()).unwrap(),
-            vec![1, 2, 3]
-        );
-        assert_eq!(
-            <(u8, f64)>::from_value(&(7u8, 0.5f64).to_value()).unwrap(),
-            (7, 0.5)
-        );
+    fn primitives_decode() {
+        assert_eq!(read::<u32>("42").unwrap(), 42);
+        assert_eq!(read::<i64>("-9").unwrap(), -9);
+        assert_eq!(read::<f64>("1.5").unwrap(), 1.5);
+        assert!(read::<bool>("true").unwrap());
+        assert_eq!(read::<String>(r#""hi""#).unwrap(), "hi");
+        assert_eq!(read::<Option<u8>>("null").unwrap(), None);
+        assert_eq!(read::<Option<u8>>("3").unwrap(), Some(3));
+        assert_eq!(read::<Vec<u8>>("[1,2,3]").unwrap(), vec![1, 2, 3]);
+        assert_eq!(read::<(u8, f64)>("[7,0.5]").unwrap(), (7, 0.5));
+        assert_eq!(read::<[u16; 2]>("[4,5]").unwrap(), [4, 5]);
     }
 
     #[test]
     fn type_mismatches_error() {
-        assert!(u32::from_value(&Value::Bool(true)).is_err());
-        assert!(bool::from_value(&Value::Null).is_err());
-        assert!(u8::from_value(&300u64.to_value()).is_err());
+        assert!(read::<u32>("true").is_err());
+        assert!(read::<bool>("null").is_err());
+        assert!(read::<u8>("300").is_err());
+        assert!(read::<u8>("2.5").is_err());
+        assert!(read::<String>("1").is_err());
+        assert!(read::<(u8, u8)>("[1]").is_err());
+        assert!(read::<(u8, u8)>("[1,2,3]").is_err());
+        assert!(read::<[u8; 2]>("[1,2,3]").is_err());
     }
 }

@@ -18,18 +18,6 @@ pub enum Value {
 }
 
 impl Value {
-    /// Human-readable kind name for error messages.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Value::Null => "null",
-            Value::Bool(_) => "bool",
-            Value::Number(_) => "number",
-            Value::String(_) => "string",
-            Value::Array(_) => "array",
-            Value::Object(_) => "object",
-        }
-    }
-
     /// Object member lookup (`None` for non-objects and missing keys).
     pub fn get(&self, key: &str) -> Option<&Value> {
         match self {
@@ -259,15 +247,6 @@ impl Map {
     pub fn iter(&self) -> impl Iterator<Item = (&String, &Value)> {
         self.entries.iter().map(|(k, v)| (k, v))
     }
-
-    /// The single `(key, value)` entry, when the map has exactly one —
-    /// the shape of an externally tagged enum variant.
-    pub fn single_entry(&self) -> Option<(&str, &Value)> {
-        match self.entries.as_slice() {
-            [(k, v)] => Some((k.as_str(), v)),
-            _ => None,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -294,14 +273,5 @@ mod tests {
         assert_eq!(Number::from_f64(2.0).as_u64(), Some(2));
         assert_eq!(Number::from_f64(2.5).as_u64(), None);
         assert_eq!(Number::from_f64(-2.0).as_i64(), Some(-2));
-    }
-
-    #[test]
-    fn single_entry_detects_enum_shape() {
-        let mut m = Map::new();
-        m.insert("Variant".into(), Value::Null);
-        assert_eq!(m.single_entry().unwrap().0, "Variant");
-        m.insert("Other".into(), Value::Null);
-        assert!(m.single_entry().is_none());
     }
 }

@@ -5,10 +5,11 @@
 //! written against `proc_macro` alone — no `syn`, no `quote`. A small
 //! token-walker extracts the item shape (struct with named / tuple /
 //! unit fields, or enum with unit / tuple / struct variants) and the
-//! impls are emitted as formatted source strings. Generics are not
-//! supported (nothing in the workspace derives on a generic type); the
-//! `#[serde(default)]` and `#[serde(skip)]` field attributes are honored
-//! on named fields.
+//! impls are emitted as formatted source strings. `Serialize` builds a
+//! `serde::Value`; `Deserialize` reads straight from a `serde::Reader`,
+//! one field slot per struct field. Generics are not supported (nothing
+//! in the workspace derives on a generic type); the `#[serde(default)]`
+//! and `#[serde(skip)]` field attributes are honored on named fields.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -402,133 +403,114 @@ fn emit_deserialize(item: &Item) -> String {
     format!(
         "#[automatically_derived]\n\
          impl ::serde::Deserialize for {name} {{\n\
-             fn from_value(v: &::serde::Value) -> ::core::result::Result<Self, ::serde::Error> {{\n\
+             fn deserialize(r: &mut ::serde::Reader<'_>) \
+                 -> ::core::result::Result<Self, ::serde::Error> {{\n\
                  {body}\n\
              }}\n\
          }}"
     )
 }
 
-fn named_fields_constructor(path: &str, fs: &[FieldDef], source: &str) -> String {
-    let mut out = format!("::core::result::Result::Ok({path} {{\n");
-    for f in fs {
+/// An expression reading a JSON object into `path { ... }`: one slot
+/// per field, filled as its key comes by (a repeated key overwrites, so
+/// the last one wins), unknown and skipped keys validated and dropped.
+fn named_fields_expr(path: &str, fs: &[FieldDef]) -> String {
+    let mut slots = String::new();
+    let mut arms = String::new();
+    let mut ctor = String::new();
+    for (i, f) in fs.iter().enumerate() {
+        let n = &f.name;
         if f.skip {
-            out.push_str(&format!(
-                "{}: ::core::default::Default::default(),\n",
-                f.name
-            ));
+            ctor.push_str(&format!("{n}: ::core::default::Default::default(),\n"));
             continue;
         }
+        slots.push_str(&format!(
+            "let mut __slot{i} = ::core::option::Option::None;\n"
+        ));
+        arms.push_str(&format!(
+            "{n:?} => __slot{i} = ::core::option::Option::Some(\
+             ::serde::Deserialize::deserialize(r)?),\n"
+        ));
         let missing = if f.default {
             "::core::default::Default::default()".to_string()
         } else {
-            format!(
-                "return ::core::result::Result::Err(::serde::Error::missing_field({:?}))",
-                f.name
-            )
+            format!("return ::core::result::Result::Err(::serde::Error::missing_field({n:?}))")
         };
-        out.push_str(&format!(
-            "{n}: match {source}.get({n:?}) {{\n\
-                 ::core::option::Option::Some(x) => ::serde::Deserialize::from_value(x)?,\n\
+        ctor.push_str(&format!(
+            "{n}: match __slot{i} {{\n\
+                 ::core::option::Option::Some(x) => x,\n\
                  ::core::option::Option::None => {missing},\n\
-             }},\n",
-            n = f.name
+             }},\n"
         ));
     }
-    out.push_str("})");
-    out
+    format!(
+        "{{\n\
+             r.begin_object()?;\n\
+             {slots}\
+             while let ::core::option::Option::Some(__key) = r.next_key()? {{\n\
+                 match &*__key {{\n\
+                     {arms}\
+                     _ => r.skip_value()?,\n\
+                 }}\n\
+             }}\n\
+             {path} {{\n{ctor}}}\n\
+         }}"
+    )
+}
+
+/// An expression reading a JSON array of exactly `n` elements into
+/// `path(...)`.
+fn tuple_fields_expr(path: &str, n: usize) -> String {
+    let items: Vec<String> = (0..n).map(|i| format!("r.element({i}, {n})?")).collect();
+    format!(
+        "{{\n\
+             r.begin_array()?;\n\
+             let __value = {path}({items});\n\
+             r.end_array({n})?;\n\
+             __value\n\
+         }}",
+        items = items.join(", ")
+    )
 }
 
 fn deserialize_struct_body(name: &str, fields: &Fields) -> String {
-    match fields {
-        Fields::Named(fs) => format!(
-            "let m = v.as_object().ok_or_else(|| ::serde::Error::expected(\"object\", v))?;\n{}",
-            named_fields_constructor(name, fs, "m")
-        ),
-        Fields::Tuple(1) => {
-            format!("::core::result::Result::Ok({name}(::serde::Deserialize::from_value(v)?))")
-        }
-        Fields::Tuple(n) => {
-            let mut out = format!(
-                "let a = v.as_array().ok_or_else(|| ::serde::Error::expected(\"array\", v))?;\n\
-                 if a.len() != {n} {{\n\
-                     return ::core::result::Result::Err(::serde::Error::custom(\
-                         format!(\"expected {n} elements, got {{}}\", a.len())));\n\
-                 }}\n\
-                 ::core::result::Result::Ok({name}(",
-            );
-            for i in 0..*n {
-                out.push_str(&format!("::serde::Deserialize::from_value(&a[{i}])?, "));
-            }
-            out.push_str("))");
-            out
-        }
-        Fields::Unit => format!(
-            "if v.is_null() {{ ::core::result::Result::Ok({name}) }} else {{\n\
-                 ::core::result::Result::Err(::serde::Error::expected(\"null\", v))\n\
-             }}"
-        ),
-    }
+    let value = match fields {
+        Fields::Named(fs) => named_fields_expr(name, fs),
+        Fields::Tuple(1) => format!("{name}(::serde::Deserialize::deserialize(r)?)"),
+        Fields::Tuple(n) => tuple_fields_expr(name, *n),
+        Fields::Unit => format!("{{ r.parse_null()?; {name} }}"),
+    };
+    format!("::core::result::Result::Ok({value})")
 }
 
 fn deserialize_enum_body(name: &str, variants: &[VariantDef]) -> String {
-    let mut unit_arms = String::new();
-    let mut tagged_arms = String::new();
+    let mut arms = String::new();
     for v in variants {
         let tag = &v.name;
-        match &v.fields {
-            Fields::Unit => unit_arms.push_str(&format!(
-                "{tag:?} => ::core::result::Result::Ok({name}::{tag}),\n"
-            )),
-            Fields::Tuple(1) => tagged_arms.push_str(&format!(
-                "{tag:?} => ::core::result::Result::Ok({name}::{tag}(\
-                 ::serde::Deserialize::from_value(val)?)),\n"
-            )),
-            Fields::Tuple(n) => {
-                let mut arm = format!(
-                    "{tag:?} => {{\n\
-                         let a = val.as_array().ok_or_else(|| ::serde::Error::expected(\"array\", val))?;\n\
-                         if a.len() != {n} {{\n\
-                             return ::core::result::Result::Err(::serde::Error::custom(\
-                                 format!(\"expected {n} elements, got {{}}\", a.len())));\n\
-                         }}\n\
-                         ::core::result::Result::Ok({name}::{tag}(",
-                );
-                for i in 0..*n {
-                    arm.push_str(&format!("::serde::Deserialize::from_value(&a[{i}])?, "));
-                }
-                arm.push_str("))\n}\n");
-                tagged_arms.push_str(&arm);
-            }
-            Fields::Named(fs) => {
-                let ctor = named_fields_constructor(&format!("{name}::{tag}"), fs, "inner");
-                tagged_arms.push_str(&format!(
-                    "{tag:?} => {{\n\
-                         let inner = val.as_object().ok_or_else(|| \
-                             ::serde::Error::expected(\"object\", val))?;\n\
-                         {ctor}\n\
-                     }}\n"
-                ));
-            }
-        }
+        let path = format!("{name}::{tag}");
+        let (data, value) = match &v.fields {
+            Fields::Unit => (false, path),
+            Fields::Tuple(1) => (
+                true,
+                format!("{path}(::serde::Deserialize::deserialize(r)?)"),
+            ),
+            Fields::Tuple(n) => (true, tuple_fields_expr(&path, *n)),
+            Fields::Named(fs) => (true, named_fields_expr(&path, fs)),
+        };
+        arms.push_str(&format!("({tag:?}, {data}) => {value},\n"));
     }
     format!(
-        "match v {{\n\
-             ::serde::Value::String(s) => match s.as_str() {{\n\
-                 {unit_arms}\
-                 other => ::core::result::Result::Err(::serde::Error::custom(\
-                     format!(\"unknown unit variant `{{other}}` for {name}\"))),\n\
-             }},\n\
-             ::serde::Value::Object(m) => {{\n\
-                 let (tag, val) = m.single_entry().ok_or_else(|| ::serde::Error::custom(\
-                     \"expected single-entry object for enum {name}\"))?;\n\
-                 match tag {{\n\
-                     {tagged_arms}\
-                     other => ::core::result::Result::Err(::serde::Error::custom(\
-                         format!(\"unknown variant `{{other}}` for {name}\"))),\n\
-                 }}\n\
-             }}\n\
-             other => ::core::result::Result::Err(::serde::Error::expected(\"enum value\", other)),\n\
-         }}"
+        "let (__tag, __data) = r.begin_enum()?;\n\
+         let __value = match (&*__tag, __data) {{\n\
+             {arms}\
+             (other, false) => return ::core::result::Result::Err(r.error(\
+                 &::std::format!(\"unknown unit variant `{{other}}` for {name}\"))),\n\
+             (other, true) => return ::core::result::Result::Err(r.error(\
+                 &::std::format!(\"unknown variant `{{other}}` for {name}\"))),\n\
+         }};\n\
+         if __data {{\n\
+             r.end_enum()?;\n\
+         }}\n\
+         ::core::result::Result::Ok(__value)"
     )
 }

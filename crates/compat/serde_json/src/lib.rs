@@ -1,23 +1,18 @@
-//! Offline subset of `serde_json`: JSON text ⇄ the [`Value`] tree from
-//! the vendored `serde` crate, plus typed entry points over its
-//! `Serialize`/`Deserialize` traits and a `json!` macro.
+//! Offline subset of `serde_json`: typed entry points over the vendored
+//! `serde` crate's `Serialize`/`Deserialize` traits, the [`Value`] tree
+//! and a `json!` macro. Reads decode straight from the text through
+//! [`serde::Reader`] (a `Value` is just one more `Deserialize` type);
+//! writes render the `Value` a type serializes to.
 
-mod parser;
 mod writer;
 
 pub use serde::{Map, Number, Value};
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Reader, Serialize};
 
 /// JSON (de)serialization error.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Error(String);
-
-impl Error {
-    pub(crate) fn msg(msg: impl Into<String>) -> Self {
-        Error(msg.into())
-    }
-}
 
 impl std::fmt::Display for Error {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -43,10 +38,13 @@ pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Erro
     Ok(writer::write(&value.to_value(), Some(0)))
 }
 
-/// Parse JSON text into any deserializable type.
+/// Parse JSON text into any deserializable type. The whole text must be
+/// one value, with nothing but whitespace after it.
 pub fn from_str<T: Deserialize>(text: &str) -> Result<T, Error> {
-    let value = parser::parse(text)?;
-    Ok(T::from_value(&value)?)
+    let mut reader = Reader::new(text);
+    let value = T::deserialize(&mut reader)?;
+    reader.finish()?;
+    Ok(value)
 }
 
 /// Build a [`Value`] from JSON-like syntax.
