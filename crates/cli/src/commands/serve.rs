@@ -47,20 +47,21 @@ fn socket_path(args: &Args) -> String {
 #[cfg(unix)]
 mod unix {
     use super::*;
-    use acclaim_dataset::BenchmarkDatabase;
-    use acclaim_obs::{FlightRecorder, HistogramSnapshot, Obs};
+    use acclaim_dataset::Point;
+    use acclaim_obs::{FlightRecorder, HistogramSnapshot};
+    use acclaim_serve::loadgen::{self, LoadGenConfig};
     use acclaim_serve::protocol::{
         decode_request, decode_response, encode_request, encode_response, handle_request,
         WireRequest, WireResponse,
     };
-    use acclaim_serve::{loadgen, DriftConfig, Priority, QueryRequest, ServeConfig, TuneService};
-    use acclaim_store::EntryFormat;
-    use rand::{rngs::StdRng, Rng, SeedableRng};
-    use std::collections::BTreeSet;
+    use acclaim_serve::{
+        DriftConfig, Priority, QueryRequest, ServeConfig, TuneRequest, TuneService,
+    };
     use std::io::{BufRead, BufReader, Read, Write};
     use std::os::unix::net::{UnixListener, UnixStream};
     use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::{Arc, Mutex};
+    use std::sync::Arc;
+    use std::thread::JoinHandle;
 
     fn parse_priority(args: &Args) -> Result<Priority, String> {
         match args.get_or("priority", "normal") {
@@ -74,10 +75,9 @@ mod unix {
     }
 
     /// `acclaim serve --store DIR [--socket PATH] [--workers N]
-    /// [--slots N] [--shards N] [--format json|binary] [--flight N]
-    /// [--slow-log FACTOR] [--cache-cap N] [--drift-band B]
-    /// [--drift-min-obs N] [--drift-cooldown N] [--drift-deweight W]
-    /// [--drift-max-signatures N]`
+    /// [--slots N] [--shards N] [--flight N] [--slow-log FACTOR]
+    /// [--cache-cap N] [--drift-band B] [--drift-min-obs N]
+    /// [--drift-cooldown N] [--drift-deweight W] [--drift-max-signatures N]`
     ///
     /// `--drift-band` > 1 arms the drift policy engine: signatures
     /// whose mean observed/predicted ratio leaves `[1/B, B]` get a
@@ -88,10 +88,7 @@ mod unix {
     /// `serve.*`/`drift.*` counters and gauges plus phase-latency
     /// quantiles.
     pub fn serve(args: &Args, diag: &Diag) -> Result<String, String> {
-        let dir = args
-            .get("store")
-            .ok_or("missing required option --store DIR")?
-            .to_string();
+        let dir = args.require("store")?.to_string();
         let socket = socket_path(args);
         let (obs, outputs) = TraceOutputs::from_args(args)?;
         // The service's counters are the daemon's exit report either way;
@@ -106,11 +103,6 @@ mod unix {
             workers: args.num_or("workers", 2usize)?,
             slots: args.num_or("slots", 4usize)?,
             shards: args.num_or("shards", 16usize)?,
-            format: match args.get_or("format", "binary") {
-                "json" => EntryFormat::Json,
-                "binary" => EntryFormat::Binary,
-                other => return Err(format!("unknown --format '{other}' (json | binary)")),
-            },
             flight_capacity: args.num_or("flight", 256usize)?,
             slow_log_factor: args.get_num::<f64>("slow-log")?,
             cache_capacity: args.num_or("cache-cap", 0usize)?,
@@ -147,7 +139,7 @@ mod unix {
         ));
 
         let stop = Arc::new(AtomicBool::new(false));
-        let conns: Mutex<Vec<std::thread::JoinHandle<()>>> = Mutex::new(Vec::new());
+        let mut conns = Vec::new();
         for incoming in listener.incoming() {
             if stop.load(Ordering::SeqCst) {
                 break;
@@ -159,9 +151,10 @@ mod unix {
             let handle = std::thread::spawn(move || {
                 handle_connection(stream, &service, &stop, &socket);
             });
-            conns.lock().unwrap().push(handle);
+            retain_live(&mut conns);
+            conns.push(handle);
         }
-        for handle in conns.into_inner().unwrap() {
+        for handle in conns {
             let _ = handle.join();
         }
         service.shutdown();
@@ -213,6 +206,13 @@ mod unix {
             report.push('\n');
         }
         Ok(report)
+    }
+
+    /// Drop the handles of connection threads that have exited, so a
+    /// long-running daemon holds one handle per open connection rather
+    /// than one per connection it ever served.
+    fn retain_live(conns: &mut Vec<JoinHandle<()>>) {
+        conns.retain(|handle| !handle.is_finished());
     }
 
     /// Longest request line the daemon buffers, in bytes. Requests are
@@ -342,7 +342,18 @@ mod unix {
         let pool_size = args.num_or("pool", 16usize)?.max(1);
 
         if let Some(sessions) = args.get_num::<usize>("load")? {
-            return load(args, diag, &socket, wait, seed, pool_size, sessions);
+            let config = LoadGenConfig {
+                sessions,
+                clients: args.num_or("clients", 8usize)?.max(1),
+                pool: pool_size,
+                seed,
+                queries_per_session: args.num_or("queries", 1usize)?,
+            };
+            diag.progress(&format!(
+                "driving {sessions} sessions over {} connections (pool {pool_size}, seed {seed})",
+                config.clients
+            ));
+            return load(&config, &socket, wait);
         }
 
         let mut conn = Connection::open(&socket, wait)?;
@@ -359,30 +370,15 @@ mod unix {
             return observe(args, &mut conn, seed, pool_size);
         }
         let request = match op {
-            "tune" => {
-                let index = args.num_or("pool-index", 0usize)?;
-                let pool = loadgen::request_pool(pool_size.max(index + 1), seed);
-                let mut request = pool[index].clone();
-                request.priority = parse_priority(args)?;
-                WireRequest::Tune { request }
-            }
-            "query" => {
-                let index = args.num_or("pool-index", 0usize)?;
-                let pool = loadgen::request_pool(pool_size.max(index + 1), seed);
-                let base = &pool[index];
-                WireRequest::Query {
-                    request: QueryRequest {
-                        dataset: base.dataset.clone(),
-                        config: base.config.clone(),
-                        collective: base.collectives[0],
-                        point: acclaim_dataset::Point::new(
-                            args.num_or("nodes", 2u32)?,
-                            args.num_or("ppn", 2u32)?,
-                            args.num_or("msg", 1024u64)?,
-                        ),
-                    },
-                }
-            }
+            "tune" => WireRequest::Tune {
+                request: TuneRequest {
+                    priority: parse_priority(args)?,
+                    ..pool_slot(args, seed, pool_size)?
+                },
+            },
+            "query" => WireRequest::Query {
+                request: pool_query(args, seed, pool_size)?,
+            },
             "stats" => WireRequest::Stats,
             "drift" => WireRequest::DriftStatus,
             "metrics" => WireRequest::Metrics,
@@ -399,6 +395,22 @@ mod unix {
         };
         let response = conn.round_trip(&request)?;
         render_response(&response, args.flag("json"))
+    }
+
+    /// The `--pool-index` slot of the seeded request pool.
+    fn pool_slot(args: &Args, seed: u64, pool_size: usize) -> Result<TuneRequest, String> {
+        let index = args.num_or("pool-index", 0usize)?;
+        Ok(loadgen::request_pool(pool_size.max(index + 1), seed).swap_remove(index))
+    }
+
+    /// The `--pool-index` slot queried at `--nodes`/`--ppn`/`--msg`.
+    fn pool_query(args: &Args, seed: u64, pool_size: usize) -> Result<QueryRequest, String> {
+        let point = Point::new(
+            args.num_or("nodes", 2u32)?,
+            args.num_or("ppn", 2u32)?,
+            args.num_or("msg", 1024u64)?,
+        );
+        Ok(loadgen::query(&pool_slot(args, seed, pool_size)?, point))
     }
 
     /// `client watch`: poll stats + metrics every `--interval-ms`,
@@ -477,19 +489,7 @@ mod unix {
         seed: u64,
         pool_size: usize,
     ) -> Result<String, String> {
-        let index = args.num_or("pool-index", 0usize)?;
-        let pool = loadgen::request_pool(pool_size.max(index + 1), seed);
-        let base = &pool[index];
-        let query = QueryRequest {
-            dataset: base.dataset.clone(),
-            config: base.config.clone(),
-            collective: base.collectives[0],
-            point: acclaim_dataset::Point::new(
-                args.num_or("nodes", 2u32)?,
-                args.num_or("ppn", 2u32)?,
-                args.num_or("msg", 1024u64)?,
-            ),
-        };
+        let query = pool_query(args, seed, pool_size)?;
         let reply = conn.round_trip(&WireRequest::Query {
             request: query.clone(),
         })?;
@@ -675,162 +675,15 @@ mod unix {
         }
     }
 
-    /// Deterministic over-the-wire load run: the socket twin of
-    /// [`loadgen::run`]. Sessions are distributed round-robin over
-    /// `--clients` connections; the printed summary (sessions, ok,
-    /// distinct keys, fingerprint) depends only on the seed.
-    fn load(
-        args: &Args,
-        diag: &Diag,
-        socket: &str,
-        wait: u64,
-        seed: u64,
-        pool_size: usize,
-        sessions: usize,
-    ) -> Result<String, String> {
-        let clients = args.num_or("clients", 8usize)?.max(1);
-        let queries_per_session = args.num_or("queries", 1usize)?;
-        let pool = loadgen::request_pool(pool_size, seed);
-        diag.progress(&format!(
-            "driving {sessions} sessions over {clients} connections (pool {pool_size}, seed {seed})"
-        ));
-        // Client-observed latency aggregates live in a recorder local
-        // to this run; the daemon's own metrics are scraped separately.
-        let recorder = Obs::enabled();
-        let tune_latency = recorder.histogram("load.tune_latency_us");
-        let query_latency = recorder.histogram("load.query_latency_us");
-
-        struct SessionResult {
-            session: usize,
-            pool_index: usize,
-            ok: bool,
-            cached: bool,
-            keys: Vec<String>,
-            digest: u64,
-        }
-
-        let results: Vec<(Vec<SessionResult>, usize)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..clients)
-                .map(|client| {
-                    let pool = &pool;
-                    let tune_latency = tune_latency.clone();
-                    let query_latency = query_latency.clone();
-                    scope.spawn(move || -> Result<(Vec<SessionResult>, usize), String> {
-                        let mut conn = Connection::open(socket, wait.max(5))?;
-                        let mut out = Vec::new();
-                        let mut observed = 0usize;
-                        let mut session = client;
-                        while session < sessions {
-                            let mut rng = StdRng::seed_from_u64(
-                                seed ^ (session as u64).wrapping_mul(0xA076_1D64_78BD_642F),
-                            );
-                            let pool_index = rng.random_range(0..pool.len());
-                            let mut request = pool[pool_index].clone();
-                            request.priority = match rng.random_range(0..3u32) {
-                                0 => Priority::Low,
-                                1 => Priority::Normal,
-                                _ => Priority::High,
-                            };
-                            let base = request.clone();
-                            let started = std::time::Instant::now();
-                            let response = conn.round_trip(&WireRequest::Tune { request })?;
-                            tune_latency.record(started.elapsed().as_secs_f64() * 1e6);
-                            let result = match response {
-                                WireResponse::Tuned { cached, keys, .. } => SessionResult {
-                                    session,
-                                    pool_index,
-                                    ok: true,
-                                    cached,
-                                    digest: {
-                                        let mut f = acclaim_netsim::Fingerprint::new();
-                                        for k in &keys {
-                                            f.write_str(k);
-                                        }
-                                        f.finish()
-                                    },
-                                    keys,
-                                },
-                                _ => SessionResult {
-                                    session,
-                                    pool_index,
-                                    ok: false,
-                                    cached: false,
-                                    keys: Vec::new(),
-                                    digest: 0,
-                                },
-                            };
-                            // Follow-up queries + drift feedback over
-                            // the wire, mirroring loadgen::run.
-                            let db = (queries_per_session > 0)
-                                .then(|| BenchmarkDatabase::new(base.dataset.clone()));
-                            for _ in 0..queries_per_session {
-                                let space = &base.config.space;
-                                let point = acclaim_dataset::Point::new(
-                                    space.nodes[rng.random_range(0..space.nodes.len())],
-                                    space.ppns[rng.random_range(0..space.ppns.len())],
-                                    space.msg_sizes[rng.random_range(0..space.msg_sizes.len())],
-                                );
-                                let query = QueryRequest {
-                                    dataset: base.dataset.clone(),
-                                    config: base.config.clone(),
-                                    collective: base.collectives[0],
-                                    point,
-                                };
-                                let started = std::time::Instant::now();
-                                let reply = conn.round_trip(&WireRequest::Query {
-                                    request: query.clone(),
-                                })?;
-                                query_latency.record(started.elapsed().as_secs_f64() * 1e6);
-                                let WireResponse::Selected { response } = reply else {
-                                    continue;
-                                };
-                                let (Some(db), Some(algorithm)) = (
-                                    db.as_ref(),
-                                    base.collectives[0]
-                                        .algorithms()
-                                        .iter()
-                                        .copied()
-                                        .find(|a| a.name() == response.algorithm),
-                                ) else {
-                                    continue;
-                                };
-                                let observed_us = db.time(algorithm, point);
-                                if let WireResponse::Drift { sample } =
-                                    conn.round_trip(&WireRequest::Observe {
-                                        request: query,
-                                        algorithm: algorithm.name().to_string(),
-                                        observed_us,
-                                    })?
-                                {
-                                    observed += usize::from(sample.matched);
-                                }
-                            }
-                            out.push(result);
-                            session += clients;
-                        }
-                        Ok((out, observed))
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("load client panicked"))
-                .collect::<Result<Vec<_>, String>>()
+    /// `client --load N`: [`loadgen::run`] over `--clients` socket
+    /// connections, one per client thread. The first line printed
+    /// (sessions, ok, distinct keys, fingerprint) depends only on the
+    /// seed, pool and session count.
+    fn load(config: &LoadGenConfig, socket: &str, wait: u64) -> Result<String, String> {
+        let report = loadgen::run(config, || {
+            let mut conn = Connection::open(socket, wait.max(5))?;
+            Ok(move |request: WireRequest| conn.round_trip(&request))
         })?;
-
-        let observed: usize = results.iter().map(|(_, n)| n).sum();
-        let mut all: Vec<SessionResult> = results.into_iter().flat_map(|(o, _)| o).collect();
-        all.sort_by_key(|r| r.session);
-        let ok = all.iter().filter(|r| r.ok).count();
-        let cached = all.iter().filter(|r| r.cached).count();
-        let distinct: BTreeSet<&String> = all.iter().flat_map(|r| r.keys.iter()).collect();
-        let mut f = acclaim_netsim::Fingerprint::new();
-        for r in &all {
-            f.write_u64(r.session as u64);
-            f.write_u64(r.pool_index as u64);
-            f.write_u64(r.digest);
-            f.write_u32(u32::from(r.ok));
-        }
         let quantiles = |h: &HistogramSnapshot| {
             format!(
                 "p50={:.0} p95={:.0} p99={:.0}",
@@ -839,21 +692,19 @@ mod unix {
                 h.quantile(0.99)
             )
         };
-        let mut report = format!(
-            "load: sessions={} ok={ok} cached={cached} distinct_keys={} fingerprint={:016x}\n",
-            all.len(),
-            distinct.len(),
-            f.finish(),
-        );
-        let tune = tune_latency.snapshot();
-        let query = query_latency.snapshot();
-        report.push_str(&format!(
-            "load latency (us): tune {} | query {} (queries={} observed={observed})\n",
-            quantiles(&tune),
-            quantiles(&query),
-            query.count,
-        ));
-        Ok(report)
+        Ok(format!(
+            "load: sessions={} ok={} cached={} distinct_keys={} fingerprint={:016x}\n\
+             load latency (us): tune {} | query {} (queries={} observed={})\n",
+            report.outcomes.len(),
+            report.outcomes.iter().filter(|o| o.ok).count(),
+            report.outcomes.iter().filter(|o| o.cached).count(),
+            report.distinct_keys().len(),
+            report.fingerprint(),
+            quantiles(&report.tune_latency),
+            quantiles(&report.query_latency),
+            report.queries,
+            report.observations,
+        ))
     }
 
     #[cfg(test)]
@@ -1014,6 +865,107 @@ mod unix {
             std::fs::remove_file(&socket).ok();
         }
 
+        /// Start `serve` on a fresh store and socket in a thread.
+        fn spawn_daemon(
+            name: &str,
+        ) -> (
+            std::path::PathBuf,
+            std::path::PathBuf,
+            std::thread::JoinHandle<Result<String, String>>,
+        ) {
+            let store = temp(&format!("acclaim-cli-{name}-store"));
+            let socket = temp(&format!("acclaim-cli-{name}.sock"));
+            let server = {
+                let (store, socket) = (store.clone(), socket.clone());
+                std::thread::spawn(move || {
+                    serve(
+                        &args(&[
+                            "serve",
+                            "--store",
+                            store.to_str().unwrap(),
+                            "--socket",
+                            socket.to_str().unwrap(),
+                        ]),
+                        &Diag::new(true),
+                    )
+                })
+            };
+            (store, socket, server)
+        }
+
+        #[test]
+        fn in_process_and_socket_loads_print_one_fingerprint() {
+            // The fingerprint `client --load` printed for this config
+            // against a fresh daemon before both transports shared one
+            // driver.
+            let pinned = "f060a74362e93369";
+            let config = LoadGenConfig {
+                seed: 3,
+                ..LoadGenConfig::default()
+            };
+            let dir = temp("acclaim-cli-load-in-process");
+            let service =
+                TuneService::open(&dir, ServeConfig::default(), acclaim_obs::Obs::disabled())
+                    .unwrap();
+            let report = loadgen::run(&config, || Ok(loadgen::in_process(&service))).unwrap();
+            drop(service);
+            std::fs::remove_dir_all(&dir).ok();
+            assert!(report.all_ok());
+            assert_eq!(format!("{:016x}", report.fingerprint()), pinned);
+
+            let (store, socket, server) = spawn_daemon("load-socket");
+            let sock = socket.to_str().unwrap();
+            let out = client(
+                &args(&[
+                    "client",
+                    "--socket",
+                    sock,
+                    "--wait-server",
+                    "10",
+                    "--load",
+                    "64",
+                    "--clients",
+                    "8",
+                    "--pool",
+                    "16",
+                    "--seed",
+                    "3",
+                    "--queries",
+                    "2",
+                ]),
+                &Diag::new(true),
+            )
+            .unwrap();
+            client(
+                &args(&["client", "--socket", sock, "--op", "shutdown"]),
+                &Diag::new(true),
+            )
+            .unwrap();
+            server.join().unwrap().unwrap();
+            std::fs::remove_dir_all(&store).ok();
+
+            assert!(out.contains("load: sessions=64 ok=64 "), "{out}");
+            assert!(out.contains(&format!("fingerprint={pinned}\n")), "{out}");
+        }
+
+        #[test]
+        fn retain_live_keeps_only_running_connection_threads() {
+            let (release, wait) = std::sync::mpsc::channel::<()>();
+            let live = std::thread::spawn(move || {
+                let _ = wait.recv();
+            });
+            let live_id = live.thread().id();
+            let mut conns = vec![std::thread::spawn(|| {}), live, std::thread::spawn(|| {})];
+            while !(conns[0].is_finished() && conns[2].is_finished()) {
+                std::thread::yield_now();
+            }
+            retain_live(&mut conns);
+            assert_eq!(conns.len(), 1);
+            assert_eq!(conns[0].thread().id(), live_id);
+            release.send(()).unwrap();
+            conns.pop().unwrap().join().unwrap();
+        }
+
         #[test]
         fn client_without_server_fails_fast() {
             let socket = temp("acclaim-cli-serve-nosrv.sock");
@@ -1033,23 +985,7 @@ mod unix {
 
         #[test]
         fn non_utf8_line_gets_an_error_and_keeps_the_connection() {
-            let store = temp("acclaim-cli-serve-utf8-store");
-            let socket = temp("acclaim-cli-serve-utf8.sock");
-            let server = {
-                let (store, socket) = (store.clone(), socket.clone());
-                std::thread::spawn(move || {
-                    serve(
-                        &args(&[
-                            "serve",
-                            "--store",
-                            store.to_str().unwrap(),
-                            "--socket",
-                            socket.to_str().unwrap(),
-                        ]),
-                        &Diag::new(true),
-                    )
-                })
-            };
+            let (store, socket, server) = spawn_daemon("serve-utf8");
             let mut conn = Connection::open(socket.to_str().unwrap(), 10).unwrap();
             conn.writer.write_all(b"{\"Stats\xff\xfe\n").unwrap();
             let mut reply = String::new();
@@ -1070,23 +1006,7 @@ mod unix {
 
         #[test]
         fn oversized_line_gets_an_error_and_keeps_the_connection() {
-            let store = temp("acclaim-cli-serve-long-store");
-            let socket = temp("acclaim-cli-serve-long.sock");
-            let server = {
-                let (store, socket) = (store.clone(), socket.clone());
-                std::thread::spawn(move || {
-                    serve(
-                        &args(&[
-                            "serve",
-                            "--store",
-                            store.to_str().unwrap(),
-                            "--socket",
-                            socket.to_str().unwrap(),
-                        ]),
-                        &Diag::new(true),
-                    )
-                })
-            };
+            let (store, socket, server) = spawn_daemon("serve-long");
             let mut conn = Connection::open(socket.to_str().unwrap(), 10).unwrap();
             // Three times the cap, written from a second thread so the
             // write does not wait on the socket buffer.

@@ -12,9 +12,7 @@ use std::fmt::Write;
 
 /// Run the subcommand; returns the report printed to stdout.
 pub fn run(args: &Args, diag: &Diag) -> Result<String, String> {
-    let dir = args
-        .get("store")
-        .ok_or("missing required option --store DIR")?;
+    let dir = args.require("store")?;
     let store = TuningStore::open(dir).map_err(|e| format!("opening store {dir}: {e}"))?;
     match args.action.as_deref() {
         Some("ls") => ls(&store),
@@ -109,8 +107,8 @@ fn export(store: &TuningStore, args: &Args, diag: &Diag) -> Result<String, Strin
 
 fn import(store: &TuningStore, args: &Args, diag: &Diag) -> Result<String, String> {
     let in_path = args
-        .get("in")
-        .ok_or("missing required option --in FILE (an `acclaim store export` bundle)")?;
+        .require("in")
+        .map_err(|e| format!("{e} (an `acclaim store export` bundle)"))?;
     let report = store
         .import(in_path)
         .map_err(|e| format!("importing {in_path}: {e}"))?;

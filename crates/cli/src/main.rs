@@ -83,8 +83,7 @@ commands:
               import --store DIR --in FILE    merge a bundle (local wins)
   serve       run the tuning-as-a-service daemon on a local socket
               --store DIR [--socket PATH] [--workers N] [--slots N]
-              [--shards N] [--format json|binary]
-              [--flight N] [--slow-log FACTOR] [--cache-cap N]
+              [--shards N] [--flight N] [--slow-log FACTOR] [--cache-cap N]
               [--drift-band F] [--drift-min-obs N] [--drift-cooldown N]
               [--drift-deweight F] [--drift-max-signatures N]
               (runs until a client sends shutdown; prints serve.*
@@ -451,7 +450,6 @@ mod tests {
                     "workers",
                     "slots",
                     "shards",
-                    "format",
                     "flight",
                     "slow-log",
                     "cache-cap",

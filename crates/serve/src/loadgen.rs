@@ -1,30 +1,37 @@
-//! Deterministic load generator for [`TuneService`].
+//! Deterministic load generator: seeded virtual clients drive tune
+//! sessions, follow-up rule queries and drift feedback.
 //!
-//! Virtual clients drive tune sessions (and follow-up rule queries)
-//! against a service from multiple threads. Everything a test asserts
-//! on is seed-determined, never wall-clock- or interleaving-determined:
+//! [`run`] is the one session driver. Each client thread opens its own
+//! transport, a function from a [`WireRequest`] to its
+//! [`WireResponse`]: [`in_process`] answers through [`handle_request`],
+//! the daemon's own dispatch, and `acclaim client --load` uses the Unix
+//! socket. Every session fact is read from the replies, so both report
+//! the same run. Everything a test asserts on is seed-determined, never
+//! wall-clock- or interleaving-determined:
 //!
 //! * The request pool is built from the seed alone, and its entries
 //!   are **pairwise incompatible** (distinct dataset seeds force
 //!   distinct environment fingerprints, so signatures never collide or
 //!   near-match across pool slots). A session's training inputs are
 //!   therefore independent of what other sessions did first.
-//! * Session `i` always picks pool slot and priority from its own
-//!   seeded RNG stream — thread assignment is round-robin by session
-//!   index, so which thread runs a session never changes what the
-//!   session asks for.
+//! * Session `i` always picks pool slot, priority and query points from
+//!   its own seeded RNG stream — thread assignment is round-robin by
+//!   session index, so which thread runs a session never changes what
+//!   the session asks for.
 //! * The report's [`LoadReport::fingerprint`] hashes per-session
 //!   outcomes in session order, *excluding* interleaving-dependent
 //!   facts (who trained vs. who hit the cache, iteration counts):
 //!   two runs with the same seed produce the same fingerprint no
-//!   matter how the scheduler interleaved them.
+//!   matter how the scheduler interleaved them or which transport
+//!   carried them.
 
-use crate::queue::{JobStatus, Priority};
+use crate::protocol::{handle_request, WireRequest, WireResponse};
+use crate::queue::Priority;
 use crate::service::{QueryRequest, QuerySource, TuneRequest, TuneService};
-use acclaim_core::{AcclaimConfig, TuningFile};
+use acclaim_core::AcclaimConfig;
 use acclaim_dataset::{BenchmarkDatabase, DatasetConfig, FeatureSpace, Point};
 use acclaim_netsim::Fingerprint;
-use acclaim_obs::{HistogramSnapshot, Obs};
+use acclaim_obs::{Histogram, HistogramSnapshot, Obs};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::BTreeSet;
 use std::time::Instant;
@@ -34,19 +41,17 @@ use std::time::Instant;
 pub struct LoadGenConfig {
     /// Total tune sessions to run.
     pub sessions: usize,
-    /// Concurrent virtual clients (threads) driving them.
+    /// Concurrent virtual clients (threads, one transport each).
     pub clients: usize,
     /// Distinct request-pool slots sessions draw from.
     pub pool: usize,
     /// Master seed for pool construction and per-session draws.
     pub seed: u64,
     /// Rule queries each session issues after its tune completes.
+    /// Each selection is then "run" in the simulator and its cost fed
+    /// back as a drift observation, so the daemon's `drift.*` family
+    /// sees traffic; observations never enter the fingerprint.
     pub queries_per_session: usize,
-    /// After each tuned query, feed the simulator's measurement back
-    /// through [`TuneService::observe`] so the daemon's `drift.*`
-    /// family sees traffic. Metrics-only; tuning outcomes and the
-    /// report fingerprint are unaffected.
-    pub observe: bool,
 }
 
 impl Default for LoadGenConfig {
@@ -57,7 +62,6 @@ impl Default for LoadGenConfig {
             pool: 16,
             seed: 0,
             queries_per_session: 2,
-            observe: true,
         }
     }
 }
@@ -72,14 +76,16 @@ pub struct SessionOutcome {
     /// Whether the result came from cache (interleaving-dependent —
     /// excluded from the fingerprint).
     pub cached: bool,
-    /// Whether the job reached [`JobStatus::Done`].
+    /// Whether the tune was answered with `Tuned`.
     pub ok: bool,
     /// Whether the result reports convergence.
     pub converged: bool,
-    /// Digest of the tuning file the session received.
-    pub rules_digest: u64,
     /// Store keys the job touched.
     pub keys: Vec<String>,
+    /// Follow-up queries answered by the default heuristic.
+    pub default_selections: usize,
+    /// Drift observations that matched a served model.
+    pub observations: usize,
 }
 
 /// The aggregate outcome of one load-generator run.
@@ -92,10 +98,9 @@ pub struct LoadReport {
     /// Queries answered by the default heuristic instead of a tuned
     /// table (0 when every query targets a tuned signature).
     pub default_selections: usize,
-    /// Drift observations that matched a served model (0 when
-    /// [`LoadGenConfig::observe`] is off).
+    /// Drift observations that matched a served model.
     pub observations: usize,
-    /// Submit→terminal latency of every tune session (µs), aggregated
+    /// Submit→reply latency of every tune session (µs), aggregated
     /// in an obs histogram for bucketed quantiles.
     pub tune_latency: HistogramSnapshot,
     /// Rule-query latency (µs) as seen by the virtual clients.
@@ -122,26 +127,23 @@ impl LoadReport {
     }
 
     /// Seed-determined digest of the run: per-session (index, pool
-    /// slot, rules digest) in session order. Identical across reruns
-    /// with the same seed regardless of thread interleaving.
+    /// slot, digest of the store keys, ok) in session order. Identical
+    /// across reruns with the same seed regardless of thread
+    /// interleaving, and across transports.
     pub fn fingerprint(&self) -> u64 {
         let mut f = Fingerprint::new();
         for o in &self.outcomes {
+            let mut keys = Fingerprint::new();
+            for key in &o.keys {
+                keys.write_str(key);
+            }
             f.write_u64(o.session as u64);
             f.write_u64(o.pool_index as u64);
-            f.write_u64(o.rules_digest);
+            f.write_u64(if o.ok { keys.finish() } else { 0 });
             f.write_u32(u32::from(o.ok));
         }
         f.finish()
     }
-}
-
-/// Stable digest of a tuning file (serialization-based; bit-identical
-/// rules hash identically on every platform).
-pub fn rules_digest(file: &TuningFile) -> u64 {
-    let mut f = Fingerprint::new();
-    f.write_str(&serde_json::to_string(file).unwrap_or_default());
-    f.finish()
 }
 
 /// Build the deterministic request pool: `n` pairwise-incompatible
@@ -173,134 +175,177 @@ pub fn request_pool(n: usize, seed: u64) -> Vec<TuneRequest> {
         .collect()
 }
 
+/// The query of a pool slot's collective at `point`, under the slot's
+/// dataset and configuration.
+pub fn query(slot: &TuneRequest, point: Point) -> QueryRequest {
+    QueryRequest {
+        dataset: slot.dataset.clone(),
+        config: slot.config.clone(),
+        collective: slot.collectives[0],
+        point,
+    }
+}
+
+/// The in-process transport: each request is answered by
+/// [`handle_request`] on `service`, the dispatch the daemon runs for
+/// every line it reads.
+pub fn in_process(
+    service: &TuneService,
+) -> impl FnMut(WireRequest) -> Result<WireResponse, String> + '_ {
+    move |request| Ok(handle_request(service, request).0)
+}
+
 /// Per-session RNG stream: independent of thread assignment.
 fn session_rng(seed: u64, session: usize) -> StdRng {
     StdRng::seed_from_u64(seed ^ (session as u64).wrapping_mul(0xA076_1D64_78BD_642F))
 }
 
-/// Run the load against `service`, blocking until every session
-/// finishes. Sessions are distributed round-robin over `clients`
-/// threads; outcomes come back in session order.
-pub fn run(service: &TuneService, config: &LoadGenConfig) -> LoadReport {
-    let pool = request_pool(config.pool.max(1), config.seed);
+/// What every client thread reads: the shape, the pool, and the
+/// client-side latency histograms.
+struct Load<'a> {
+    config: &'a LoadGenConfig,
+    pool: Vec<TuneRequest>,
+    tune_latency: Histogram,
+    query_latency: Histogram,
+}
+
+impl Load<'_> {
+    /// Session `session`: tune a seeded pool slot, then query it at
+    /// seeded points and feed each selection's simulated cost back.
+    fn session<T>(&self, transport: &mut T, session: usize) -> Result<SessionOutcome, String>
+    where
+        T: FnMut(WireRequest) -> Result<WireResponse, String>,
+    {
+        let mut rng = session_rng(self.config.seed, session);
+        let pool_index = rng.random_range(0..self.pool.len());
+        let slot = &self.pool[pool_index];
+        let mut request = slot.clone();
+        request.priority = match rng.random_range(0..3u32) {
+            0 => Priority::Low,
+            1 => Priority::Normal,
+            _ => Priority::High,
+        };
+        let started = Instant::now();
+        let reply = transport(WireRequest::Tune { request })?;
+        self.tune_latency
+            .record(started.elapsed().as_secs_f64() * 1e6);
+        let (ok, cached, converged, keys) = match reply {
+            WireResponse::Tuned {
+                cached,
+                converged,
+                keys,
+                ..
+            } => (true, cached, converged, keys),
+            _ => (false, false, false, Vec::new()),
+        };
+        let mut outcome = SessionOutcome {
+            session,
+            pool_index,
+            cached,
+            ok,
+            converged,
+            keys,
+            default_selections: 0,
+            observations: 0,
+        };
+
+        let mut db = None;
+        let space = &slot.config.space;
+        for _ in 0..self.config.queries_per_session {
+            let point = Point::new(
+                space.nodes[rng.random_range(0..space.nodes.len())],
+                space.ppns[rng.random_range(0..space.ppns.len())],
+                space.msg_sizes[rng.random_range(0..space.msg_sizes.len())],
+            );
+            let request = query(slot, point);
+            let started = Instant::now();
+            let reply = transport(WireRequest::Query {
+                request: request.clone(),
+            })?;
+            self.query_latency
+                .record(started.elapsed().as_secs_f64() * 1e6);
+            let WireResponse::Selected { response } = reply else {
+                continue;
+            };
+            outcome.default_selections += usize::from(response.source == QuerySource::Default);
+            // Close the loop for drift measurement: "run" the selection
+            // in the simulator and report what it actually cost.
+            let Some(algorithm) = request
+                .collective
+                .algorithms()
+                .iter()
+                .copied()
+                .find(|a| a.name() == response.algorithm)
+            else {
+                continue;
+            };
+            let observed_us = db
+                .get_or_insert_with(|| BenchmarkDatabase::new(slot.dataset.clone()))
+                .time(algorithm, point);
+            if let WireResponse::Drift { sample } = transport(WireRequest::Observe {
+                request,
+                algorithm: response.algorithm,
+                observed_us,
+            })? {
+                outcome.observations += usize::from(sample.matched);
+            }
+        }
+        Ok(outcome)
+    }
+}
+
+/// Run the load, blocking until every session finishes. `connect`
+/// opens one transport per client thread; sessions are distributed
+/// round-robin over `clients` threads, and outcomes come back in
+/// session order. A transport error (a broken socket) ends the run
+/// with that error; an error reply to a `Tune` is a failed session.
+pub fn run<T>(
+    config: &LoadGenConfig,
+    connect: impl Fn() -> Result<T, String> + Sync,
+) -> Result<LoadReport, String>
+where
+    T: FnMut(WireRequest) -> Result<WireResponse, String>,
+{
     let clients = config.clients.max(1);
     // Client-side latency aggregation lives in a recorder local to
     // this run, so it never mixes with the service's own metrics.
     let recorder = Obs::enabled();
-    let tune_latency = recorder.histogram("loadgen.tune_latency_us");
-    let query_latency = recorder.histogram("loadgen.query_latency_us");
-    let results = std::thread::scope(|scope| {
+    let load = Load {
+        config,
+        pool: request_pool(config.pool.max(1), config.seed),
+        tune_latency: recorder.histogram("loadgen.tune_latency_us"),
+        query_latency: recorder.histogram("loadgen.query_latency_us"),
+    };
+    let per_client = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..clients)
             .map(|client| {
-                let pool = &pool;
-                let tune_latency = tune_latency.clone();
-                let query_latency = query_latency.clone();
+                let (load, connect) = (&load, &connect);
                 scope.spawn(move || {
-                    let mut outcomes = Vec::new();
-                    let mut queries = 0;
-                    let mut defaults = 0;
-                    let mut observations = 0;
-                    let mut session = client;
-                    while session < config.sessions {
-                        let mut rng = session_rng(config.seed, session);
-                        let pool_index = rng.random_range(0..pool.len());
-                        let mut request = pool[pool_index].clone();
-                        request.priority = match rng.random_range(0..3u32) {
-                            0 => Priority::Low,
-                            1 => Priority::Normal,
-                            _ => Priority::High,
-                        };
-                        let tune_started = Instant::now();
-                        let handle = service.submit(request.clone());
-                        let outcome = match handle.wait() {
-                            JobStatus::Done(r) => SessionOutcome {
-                                session,
-                                pool_index,
-                                cached: r.cached,
-                                ok: true,
-                                converged: r.converged,
-                                rules_digest: rules_digest(&r.tuning_file),
-                                keys: r.keys.clone(),
-                            },
-                            _ => SessionOutcome {
-                                session,
-                                pool_index,
-                                cached: false,
-                                ok: false,
-                                converged: false,
-                                rules_digest: 0,
-                                keys: Vec::new(),
-                            },
-                        };
-                        tune_latency.record(tune_started.elapsed().as_secs_f64() * 1e6);
-                        // Follow-up queries against the now-tuned
-                        // signature, at seeded points.
-                        let db = (config.observe && config.queries_per_session > 0)
-                            .then(|| BenchmarkDatabase::new(request.dataset.clone()));
-                        for _ in 0..config.queries_per_session {
-                            let space = &request.config.space;
-                            let point = Point::new(
-                                space.nodes[rng.random_range(0..space.nodes.len())],
-                                space.ppns[rng.random_range(0..space.ppns.len())],
-                                space.msg_sizes[rng.random_range(0..space.msg_sizes.len())],
-                            );
-                            let query = QueryRequest {
-                                dataset: request.dataset.clone(),
-                                config: request.config.clone(),
-                                collective: request.collectives[0],
-                                point,
-                            };
-                            let query_started = Instant::now();
-                            let response = service.query(&query);
-                            query_latency.record(query_started.elapsed().as_secs_f64() * 1e6);
-                            queries += 1;
-                            if response.source == QuerySource::Default {
-                                defaults += 1;
-                            }
-                            // Close the loop for drift measurement:
-                            // "run" the selection in the simulator and
-                            // report what it actually cost.
-                            if let Some(db) = &db {
-                                if let Some(algorithm) = query
-                                    .collective
-                                    .algorithms()
-                                    .iter()
-                                    .copied()
-                                    .find(|a| a.name() == response.algorithm)
-                                {
-                                    let observed = db.time(algorithm, point);
-                                    let sample =
-                                        service.observe(&query, algorithm.name(), observed);
-                                    if sample.matched {
-                                        observations += 1;
-                                    }
-                                }
-                            }
-                        }
-                        outcomes.push(outcome);
-                        session += clients;
-                    }
-                    (outcomes, queries, defaults, observations)
+                    let mut transport = connect()?;
+                    (client..config.sessions)
+                        .step_by(clients)
+                        .map(|session| load.session(&mut transport, session))
+                        .collect::<Result<Vec<_>, String>>()
                 })
             })
             .collect();
         handles
             .into_iter()
             .map(|h| h.join().expect("load client panicked"))
-            .collect::<Vec<_>>()
-    });
+            .collect::<Result<Vec<_>, String>>()
+    })?;
 
-    let mut outcomes: Vec<SessionOutcome> =
-        results.iter().flat_map(|(o, _, _, _)| o.clone()).collect();
+    let mut outcomes: Vec<SessionOutcome> = per_client.into_iter().flatten().collect();
     outcomes.sort_by_key(|o| o.session);
-    LoadReport {
+    let query_latency = load.query_latency.snapshot();
+    Ok(LoadReport {
+        queries: query_latency.count as usize,
+        default_selections: outcomes.iter().map(|o| o.default_selections).sum(),
+        observations: outcomes.iter().map(|o| o.observations).sum(),
         outcomes,
-        queries: results.iter().map(|(_, q, _, _)| q).sum(),
-        default_selections: results.iter().map(|(_, _, d, _)| d).sum(),
-        observations: results.iter().map(|(_, _, _, n)| n).sum(),
-        tune_latency: tune_latency.snapshot(),
-        query_latency: query_latency.snapshot(),
-    }
+        tune_latency: load.tune_latency.snapshot(),
+        query_latency,
+    })
 }
 
 #[cfg(test)]
@@ -364,9 +409,8 @@ mod tests {
             pool: 4,
             seed: 9,
             queries_per_session: 1,
-            observe: true,
         };
-        let report = run(&service, &config);
+        let report = run(&config, || Ok(in_process(&service))).unwrap();
         assert_eq!(report.outcomes.len(), 12);
         assert!(report.all_ok());
         assert!(report.all_converged());

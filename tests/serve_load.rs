@@ -8,9 +8,10 @@
 //!    converged rules, and the store holds exactly one entry per
 //!    distinct signature touched.
 //! 2. **Seed reproducibility** — rerunning the same load with the same
-//!    seed against a fresh store produces the same per-session rules
-//!    (fingerprint equality) and bit-identical store entries, no matter
-//!    how the scheduler interleaved the two runs.
+//!    seed against a fresh store produces the same per-session pool
+//!    slots and store keys (fingerprint equality) and bit-identical
+//!    store entries, hence the same rules, no matter how the scheduler
+//!    interleaved the two runs.
 //! 3. **Bit-identity with the library path** — a single session through
 //!    the service produces the same tuning file and the same store
 //!    entry as `tune_with_store` on the same inputs, for every seed and
@@ -55,13 +56,12 @@ fn thousand_concurrent_sessions_converge_and_reproduce_by_seed() {
         pool: 16,
         seed: 11,
         queries_per_session: 1,
-        observe: true,
     };
 
     let run_once = |name: &str| {
         let dir = temp_dir(name);
         let service = TuneService::open(&dir, ServeConfig::default(), Obs::enabled()).unwrap();
-        let report = loadgen::run(&service, &load);
+        let report = loadgen::run(&load, || Ok(loadgen::in_process(&service))).unwrap();
         let entries = entry_snapshot(service.shared().store());
         let index_len = service.shared().len();
         drop(service);
@@ -84,25 +84,25 @@ fn thousand_concurrent_sessions_converge_and_reproduce_by_seed() {
     assert_eq!(index_a, report_a.distinct_keys().len());
     assert_eq!(entries_a.len(), report_a.distinct_keys().len());
 
-    // Same seed, fresh store: same rules per session, same bytes in the
+    // Same seed, fresh store: same keys per session, same bytes in the
     // store — regardless of which sessions trained vs. hit the cache.
     let (report_b, entries_b, _) = run_once("acclaim-serve-load-b");
     assert_eq!(
         report_a.fingerprint(),
         report_b.fingerprint(),
-        "same seed must reproduce every session's rules"
+        "same seed must reproduce every session's slot and keys"
     );
     assert_eq!(entries_a, entries_b, "store contents must be bit-identical");
 
-    // A different seed draws a different pool and produces different
-    // rules (everything is seeded, so this is deterministic too).
+    // A different seed draws a different pool and touches different
+    // keys (everything is seeded, so this is deterministic too).
     let other = LoadGenConfig {
         seed: 12,
         ..load.clone()
     };
     let dir = temp_dir("acclaim-serve-load-d");
     let service = TuneService::open(&dir, ServeConfig::default(), Obs::enabled()).unwrap();
-    let report_d = loadgen::run(&service, &other);
+    let report_d = loadgen::run(&other, || Ok(loadgen::in_process(&service))).unwrap();
     assert_ne!(report_a.fingerprint(), report_d.fingerprint());
     drop(service);
     std::fs::remove_dir_all(&dir).ok();
