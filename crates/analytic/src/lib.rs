@@ -48,4 +48,4 @@ pub mod prior;
 
 pub use guidelines::{Guideline, GuidelineSet, Violation};
 pub use model::{CostModel, ModelParams};
-pub use prior::{analytic_warms, tune_with_analytic, AnalyticPrior};
+pub use prior::AnalyticPrior;

@@ -19,14 +19,11 @@
 
 use crate::guidelines::GuidelineSet;
 use crate::model::CostModel;
-use acclaim_collectives::Collective;
-use acclaim_core::{
-    Acclaim, AcclaimConfig, AnalyticPriorsConfig, JobTuning, TrainingSample, WarmStart,
-};
-use acclaim_dataset::{BenchmarkDatabase, DatasetConfig, FeatureSpace};
-use acclaim_netsim::Fingerprint;
+use acclaim_collectives::{Algorithm, Collective};
+use acclaim_core::{thin_priors, AnalyticPriorsConfig, TrainingSample, WarmStart};
+use acclaim_dataset::{DatasetConfig, FeatureSpace, Point};
 use acclaim_obs::Obs;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// Predictions below this floor are clamped: the learner regresses
 /// `ln(time)`, so a prior row must stay strictly positive.
@@ -90,20 +87,21 @@ impl AnalyticPrior {
         if !self.config.enabled {
             return WarmStart::default();
         }
-        let mut rows: Vec<TrainingSample> = Vec::new();
-        for point in space.points() {
-            for &algorithm in collective.algorithms() {
-                let time_us = self.model.predict_us(algorithm, point).max(MIN_PRIOR_US);
-                let row = TrainingSample {
-                    point,
-                    algorithm,
-                    time_us,
-                };
-                if survives(&row, self.config.weight) {
-                    rows.push(row);
-                }
-            }
-        }
+        let sketch = space
+            .points()
+            .into_iter()
+            .flat_map(|point| {
+                collective
+                    .algorithms()
+                    .iter()
+                    .map(move |&algorithm| TrainingSample {
+                        point,
+                        algorithm,
+                        time_us: self.model.predict_us(algorithm, point).max(MIN_PRIOR_US),
+                    })
+            })
+            .collect();
+        let rows = thin_priors(sketch, self.config.weight);
         obs.incr_counter("analytic.priors_injected", rows.len() as u64);
 
         let pruned = if self.config.prune {
@@ -141,88 +139,23 @@ impl AnalyticPrior {
         let Some(mut base) = base else {
             return analytic;
         };
-        let covered: HashSet<(u32, u32, u64, &str)> = base
-            .exact
-            .iter()
-            .map(|s| {
-                (
-                    s.point.nodes,
-                    s.point.ppn,
-                    s.point.msg_bytes,
-                    s.algorithm.name(),
-                )
-            })
-            .collect();
-        let key = |p: &acclaim_dataset::Point, a: &acclaim_collectives::Algorithm| {
-            (p.nodes, p.ppn, p.msg_bytes, a.name())
-        };
+        let covered: HashSet<(Point, Algorithm)> =
+            base.exact.iter().map(|s| (s.point, s.algorithm)).collect();
+        let fresh = |point: Point, algorithm: Algorithm| !covered.contains(&(point, algorithm));
         base.priors.extend(
             analytic
                 .priors
                 .into_iter()
-                .filter(|s| !covered.contains(&key(&s.point, &s.algorithm))),
+                .filter(|s| fresh(s.point, s.algorithm)),
         );
         base.pruned.extend(
             analytic
                 .pruned
                 .into_iter()
-                .filter(|c| !covered.contains(&key(&c.point, &c.algorithm))),
+                .filter(|c| fresh(c.point, c.algorithm)),
         );
         base
     }
-}
-
-/// Deterministic per-row thinning, mirroring the store's `thin_priors`:
-/// a row survives iff its fingerprint falls under the weight. Depends
-/// only on the row, so the same sketch is selected on every machine
-/// and under every learner seed.
-fn survives(s: &TrainingSample, w: f64) -> bool {
-    let threshold = (w.clamp(0.0, 1.0) * u64::MAX as f64) as u64;
-    let mut f = Fingerprint::new();
-    f.write_u32(s.point.nodes);
-    f.write_u32(s.point.ppn);
-    f.write_u64(s.point.msg_bytes);
-    f.write_str(s.algorithm.name());
-    f.write_f64(s.time_us);
-    f.finish() <= threshold
-}
-
-/// The analytical warm starts for a whole job, one per collective —
-/// the map orchestration layers hand to [`Acclaim::tune_with_warm`].
-/// Empty (tune cold) when `config.learner.analytic_priors` is
-/// disabled.
-pub fn analytic_warms(
-    config: &AcclaimConfig,
-    dataset: &DatasetConfig,
-    collectives: &[Collective],
-    obs: &Obs,
-) -> HashMap<Collective, WarmStart> {
-    let mut warms = HashMap::new();
-    if !config.learner.analytic_priors.enabled {
-        return warms;
-    }
-    let prior = AnalyticPrior::from_dataset(dataset, config.learner.analytic_priors.clone());
-    for &c in collectives {
-        let warm = prior.warm_start(c, &config.space, obs);
-        if !warm.is_empty() {
-            warms.insert(c, warm);
-        }
-    }
-    warms
-}
-
-/// [`Acclaim::tune_with_obs`] plus analytical priors: the store-less
-/// tuning entry point honoring `config.learner.analytic_priors`. With
-/// the config disabled no warm start exists and the run is
-/// bit-identical to [`Acclaim::tune_with_obs`].
-pub fn tune_with_analytic(
-    config: &AcclaimConfig,
-    db: &BenchmarkDatabase,
-    collectives: &[Collective],
-    obs: &Obs,
-) -> JobTuning {
-    let warms = analytic_warms(config, db.config(), collectives, obs);
-    Acclaim::new(config.clone()).tune_with_warm(db, collectives, obs, |c| warms.get(&c).cloned())
 }
 
 #[cfg(test)]
@@ -242,14 +175,6 @@ mod tests {
         let prior = AnalyticPrior::from_dataset(&DatasetConfig::tiny(), Default::default());
         let warm = prior.warm_start(Collective::Bcast, &FeatureSpace::tiny(), &Obs::disabled());
         assert!(warm.is_empty());
-        let cfg = AcclaimConfig::new(FeatureSpace::tiny());
-        assert!(analytic_warms(
-            &cfg,
-            &DatasetConfig::tiny(),
-            &Collective::ALL,
-            &Obs::disabled()
-        )
-        .is_empty());
     }
 
     #[test]

@@ -268,12 +268,14 @@ fn main() {
         cfg.learner.seed = seed;
         let cold = Acclaim::new(cfg.clone()).tune(&db, &[Collective::Bcast]);
         cfg.learner.analytic_priors.enabled = true;
-        let warm = acclaim_analytic::tune_with_analytic(
+        let warm = acclaim_store::tune_with_store(
+            None,
             &cfg,
             &db,
             &[Collective::Bcast],
             &acclaim_obs::Obs::disabled(),
-        );
+        )
+        .expect("a store-less tune does no I/O");
         let (cold, warm) = (&cold.reports[0].1, &warm.reports[0].1);
         cold_iters.push(cold.log.len() as f64);
         warm_iters.push(warm.log.len() as f64);

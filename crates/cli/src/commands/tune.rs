@@ -4,7 +4,6 @@
 use crate::args::Args;
 use crate::context::{cluster_from, collectives_from, database_from, maybe_save_db, space_from};
 use crate::trace::TraceOutputs;
-use acclaim_analytic::tune_with_analytic;
 use acclaim_core::{
     AcclaimConfig, CollectionPolicy, CollectionStrategy, CriterionConfig, RobustAgg,
 };
@@ -45,6 +44,21 @@ fn collection_from(args: &Args) -> Result<CollectionPolicy, String> {
     Ok(policy)
 }
 
+/// One `<label> counters (obs): …` report line: every counter named
+/// under `prefix`, with the prefix stripped, or `none recorded`.
+fn counter_line(counters: &[(String, u64)], prefix: &str, label: &str) -> String {
+    let found: Vec<String> = counters
+        .iter()
+        .filter_map(|(name, value)| Some(format!("{}={value}", name.strip_prefix(prefix)?)))
+        .collect();
+    let found = if found.is_empty() {
+        "none recorded".to_string()
+    } else {
+        found.join(" ")
+    };
+    format!("{label} counters (obs): {found}\n")
+}
+
 /// Run the subcommand; returns the report printed to stdout.
 pub fn run(args: &Args, diag: &Diag) -> Result<String, String> {
     let (obs, outputs) = TraceOutputs::from_args(args)?;
@@ -65,7 +79,7 @@ pub fn run(args: &Args, diag: &Diag) -> Result<String, String> {
         config.learner.max_iterations = iters;
     }
     config.learner.collection = collection_from(args)?;
-    let policy = config.learner.collection.clone();
+    let faults = config.learner.collection.is_enabled();
 
     // Analytical cost-model priors: `--analytic-priors` seeds cold
     // runs with the Hockney/LogGP sketch and prunes guideline
@@ -88,15 +102,12 @@ pub fn run(args: &Args, diag: &Diag) -> Result<String, String> {
     // Persistent tuning store: `--store DIR` warm-starts from (and
     // writes back to) a cross-job cache; `--no-store` wins when both
     // are given, so scripts can override an aliased default.
-    let store_dir = args
-        .get("store")
-        .filter(|_| !args.flag("no-store"))
-        .map(str::to_string);
+    let store_dir = args.get("store").filter(|_| !args.flag("no-store"));
 
     // Fault handling and store traffic are counted through acclaim-obs,
     // so both force the recorder on even without a trace output — the
     // report's counter lines are sourced from the metrics snapshot.
-    let obs = if (policy.is_enabled() || store_dir.is_some() || analytic) && !obs.is_enabled() {
+    let obs = if (faults || store_dir.is_some() || analytic) && !obs.is_enabled() {
         Obs::enabled()
     } else {
         obs
@@ -109,18 +120,11 @@ pub fn run(args: &Args, diag: &Diag) -> Result<String, String> {
     ));
     let tuning = {
         let _span = obs.span("cli", "tune");
-        match &store_dir {
-            Some(dir) => {
-                let store =
-                    TuningStore::open(dir).map_err(|e| format!("opening store {dir}: {e}"))?;
-                tune_with_store(&store, &config, &db, &collectives, &obs)
-                    .map_err(|e| format!("store-backed tuning: {e}"))?
-            }
-            // The store-less path honors the analytic config too
-            // (tune_with_analytic is a literal tune_with_obs when the
-            // config is disabled).
-            None => tune_with_analytic(&config, &db, &collectives, &obs),
-        }
+        let store = store_dir
+            .map(|dir| TuningStore::open(dir).map_err(|e| format!("opening store {dir}: {e}")))
+            .transpose()?;
+        tune_with_store(store.as_ref(), &config, &db, &collectives, &obs)
+            .map_err(|e| format!("store-backed tuning: {e}"))?
     };
     let json = serde_json::to_string_pretty(&tuning.tuning_file.to_mpich_json())
         .expect("tuning file serializes");
@@ -130,59 +134,15 @@ pub fn run(args: &Args, diag: &Diag) -> Result<String, String> {
 
     let mut report = String::new();
     report.push_str(&tuning.summary());
-    if store_dir.is_some() {
-        let snap = obs.snapshot();
-        let counters: Vec<String> = snap
-            .metrics
-            .counters
-            .iter()
-            .filter(|(name, _)| name.starts_with("store."))
-            .map(|(name, value)| format!("{}={value}", name.trim_start_matches("store.")))
-            .collect();
-        report.push_str(&format!(
-            "store counters (obs): {}\n",
-            if counters.is_empty() {
-                "none recorded".to_string()
-            } else {
-                counters.join(" ")
-            }
-        ));
-    }
-    if analytic {
-        let snap = obs.snapshot();
-        let counters: Vec<String> = snap
-            .metrics
-            .counters
-            .iter()
-            .filter(|(name, _)| name.starts_with("analytic."))
-            .map(|(name, value)| format!("{}={value}", name.trim_start_matches("analytic.")))
-            .collect();
-        report.push_str(&format!(
-            "analytic counters (obs): {}\n",
-            if counters.is_empty() {
-                "none recorded".to_string()
-            } else {
-                counters.join(" ")
-            }
-        ));
-    }
-    if policy.is_enabled() {
-        let snap = obs.snapshot();
-        let counters: Vec<String> = snap
-            .metrics
-            .counters
-            .iter()
-            .filter(|(name, _)| name.starts_with("collect."))
-            .map(|(name, value)| format!("{}={value}", name.trim_start_matches("collect.")))
-            .collect();
-        report.push_str(&format!(
-            "fault counters (obs): {}\n",
-            if counters.is_empty() {
-                "none recorded".to_string()
-            } else {
-                counters.join(" ")
-            }
-        ));
+    let counters = obs.metrics_snapshot().counters;
+    for (on, prefix, label) in [
+        (store_dir.is_some(), "store.", "store"),
+        (analytic, "analytic.", "analytic"),
+        (faults, "collect.", "fault"),
+    ] {
+        if on {
+            report.push_str(&counter_line(&counters, prefix, label));
+        }
     }
     report.push_str(&format!("tuning file written to {out_path}\n"));
     for line in outputs.write(&obs)? {
@@ -312,6 +272,26 @@ mod tests {
         assert!(noprune.contains("priors_injected="), "{noprune}");
         assert!(!noprune.contains("candidates_pruned="), "{noprune}");
         std::fs::remove_file(&out).ok();
+    }
+
+    #[test]
+    fn counter_line_strips_the_prefix_or_says_none_recorded() {
+        let counters = vec![
+            ("collect.retries".to_string(), 3),
+            ("store.misses".to_string(), 1),
+        ];
+        assert_eq!(
+            counter_line(&counters, "store.", "store"),
+            "store counters (obs): misses=1\n"
+        );
+        assert_eq!(
+            counter_line(&counters, "analytic.", "analytic"),
+            "analytic counters (obs): none recorded\n"
+        );
+        assert_eq!(
+            counter_line(&[], "collect.", "fault"),
+            "fault counters (obs): none recorded\n"
+        );
     }
 
     #[test]

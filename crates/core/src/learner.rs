@@ -145,8 +145,8 @@ pub struct AnalyticPriorsConfig {
     pub enabled: bool,
     /// Fraction of the analytical prior rows to keep, thinned
     /// deterministically by candidate fingerprint (1.0 = the full
-    /// sketch of the candidate grid). Mirrors the store's
-    /// `thin_priors` deweighting semantics.
+    /// sketch of the candidate grid), by the same [`thin_priors`]
+    /// rule that deweights store priors.
     #[serde(default = "default_analytic_weight")]
     pub weight: f64,
     /// Whether guideline violations retire candidates from the
@@ -337,6 +337,25 @@ impl WarmStart {
     pub fn is_empty(&self) -> bool {
         self.exact.is_empty() && self.priors.is_empty() && self.pruned.is_empty()
     }
+}
+
+/// Deterministically thin prior rows to a fraction `w`: row `s`
+/// survives iff `hash(s) / 2^64 <= w`. The decision depends only on the
+/// row itself, so the same prior set is selected on every machine and
+/// under every learner seed. Store near hits, drift re-tunes and
+/// analytical sketches all thin through this one rule.
+pub fn thin_priors(mut rows: Vec<TrainingSample>, w: f64) -> Vec<TrainingSample> {
+    let threshold = (w.clamp(0.0, 1.0) * u64::MAX as f64) as u64;
+    rows.retain(|s| {
+        let mut f = acclaim_netsim::Fingerprint::new();
+        f.write_u32(s.point.nodes);
+        f.write_u32(s.point.ppn);
+        f.write_u64(s.point.msg_bytes);
+        f.write_str(s.algorithm.name());
+        f.write_f64(s.time_us);
+        f.finish() <= threshold
+    });
+    rows
 }
 
 /// The result of a training run.
@@ -1351,6 +1370,30 @@ mod tests {
 
     fn tiny_db() -> BenchmarkDatabase {
         BenchmarkDatabase::new(DatasetConfig::tiny())
+    }
+
+    #[test]
+    fn thinning_is_deterministic_and_monotone_in_weight() {
+        let rows: Vec<_> = (0u32..200)
+            .map(|i| TrainingSample {
+                point: Point::new(2 + (i % 7), 2, 64u64 << (i % 10)),
+                algorithm: Collective::Bcast.algorithms()[0],
+                time_us: 10.0 + f64::from(i),
+            })
+            .collect();
+        let half = thin_priors(rows.clone(), 0.5);
+        assert_eq!(
+            half,
+            thin_priors(rows.clone(), 0.5),
+            "must be deterministic"
+        );
+        assert!(thin_priors(rows.clone(), 1.0).len() == rows.len());
+        assert!(thin_priors(rows.clone(), 0.0).is_empty());
+        let tenth = thin_priors(rows.clone(), 0.1);
+        assert!(tenth.len() < half.len() && half.len() < rows.len());
+        // Lower-weight survivors are a subset of higher-weight ones
+        // (same hash, lower threshold).
+        assert!(tenth.iter().all(|s| half.contains(s)));
     }
 
     fn fast_forest() -> ForestConfig {

@@ -40,8 +40,8 @@ pub use collector::{
 };
 pub use convergence::{SlowdownThreshold, VarianceConvergence};
 pub use learner::{
-    ActiveLearner, AnalyticPriorsConfig, CollectionStrategy, CriterionConfig, IterationRecord,
-    LearnerConfig, SelectionPolicy, TrainingOutcome, WarmStart,
+    thin_priors, ActiveLearner, AnalyticPriorsConfig, CollectionStrategy, CriterionConfig,
+    IterationRecord, LearnerConfig, SelectionPolicy, TrainingOutcome, WarmStart,
 };
 pub use model::{PerfModel, TrainingSample};
 pub use rules::{generate_rules, CollectiveRules, Rule, RuleSet, TunedSelector, TuningFile};

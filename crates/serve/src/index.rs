@@ -199,7 +199,7 @@ mod tests {
         let mut config = AcclaimConfig::new(FeatureSpace::tiny());
         config.learner.max_iterations = 12;
         tune_with_store(
-            &store,
+            Some(&store),
             &config,
             &db,
             &[Collective::Bcast],

@@ -26,7 +26,8 @@
 //!   asserted on is seed-determined, never interleaving-determined.
 //!
 //! Training goes through the same probe → warm-start → train →
-//! write-back helpers as [`acclaim_store::tune_with_store`], so a
+//! write-back [`acclaim_store::StorePlan`] as
+//! [`acclaim_store::tune_with_store`], so a
 //! single-session service run produces bit-identical artifacts to the
 //! CLI path by construction.
 //!

@@ -7,10 +7,11 @@
 //! identical queued requests are coalesced behind one training run
 //! (`serve.coalesced`); otherwise a worker acquires an allocation slot
 //! and trains through the same probe → warm-start → train → write-back
-//! path as [`acclaim_store::tune_with_store`] — the two share
-//! [`acclaim_store::warm_start_from_probe`] and
-//! [`acclaim_store::entry_from_outcome`], so a single-session service
-//! run is bit-identical to the CLI path by construction.
+//! [`acclaim_store::StorePlan`] as [`acclaim_store::tune_with_store`],
+//! so a single-session service run is bit-identical to the CLI path by
+//! construction. `ServiceInner::run_tune` adds only the daemon's own
+//! concerns: the database hook, phase timing, cancellation between
+//! collectives, and publishing each written entry to the rule cache.
 //!
 //! Rule queries never touch the job queue: [`TuneService::query`]
 //! resolves against pre-warmed serving models (rules plus a
@@ -31,16 +32,12 @@ mod slots;
 use crate::drift::{DriftConfig, DriftDetector, DriftStatusReport};
 use crate::index::SharedStore;
 use crate::queue::{JobId, JobQueue, JobState, JobStatus, JobTable, Priority, QueuedJob};
-use acclaim_analytic::AnalyticPrior;
 use acclaim_collectives::{mpich_default, Collective};
-use acclaim_core::{Acclaim, AcclaimConfig, TuningFile, WarmStart};
+use acclaim_core::{Acclaim, AcclaimConfig, TuningFile};
 use acclaim_dataset::{BenchmarkDatabase, DatasetConfig, Point};
 use acclaim_netsim::Fingerprint;
 use acclaim_obs::{Diag, FlightRecord, FlightRecorder, MetricsSnapshot, Obs};
-use acclaim_store::{
-    entry_from_outcome, warm_start_deweighted, warm_start_from_probe, ClusterSignature,
-    Compatibility, EntryFormat,
-};
+use acclaim_store::{ClusterSignature, Compatibility, EntryFormat, StorePlan};
 use cache::{RuleCache, ServedModel};
 use counters::ServeCounters;
 use phase::{Phase, PhaseMetrics, RequestClock};
@@ -757,46 +754,21 @@ impl ServiceInner {
         };
 
         clock.restart();
-        let mut warms: HashMap<Collective, WarmStart> = HashMap::new();
-        let mut signatures = Vec::with_capacity(request.collectives.len());
-        // Requests opting into analytical priors get them composed
-        // with whatever the store provides — cold-path requests
-        // automatically start from the full analytical sketch. The
-        // request's own config gates this (default off), so the served
-        // path stays bit-identical to `tune_with_store` and to
-        // pre-analytic behavior.
-        let analytic = request.config.learner.analytic_priors.enabled.then(|| {
-            AnalyticPrior::from_dataset(
-                &request.dataset,
-                request.config.learner.analytic_priors.clone(),
-            )
-        });
-        for &c in &request.collectives {
-            let sig = signature(&request.dataset, &request.config, c);
-            let probe = self.shared.probe(&sig)?;
-            // A drift re-tune distrusts the cached rows: even exact
-            // hits are demoted to thinned priors so fresh measurements
-            // from the shifted regime can outvote them.
-            let mut warm = match &job.retune {
-                Some(spec) => warm_start_deweighted(&probe, spec.deweight, obs),
-                None => warm_start_from_probe(&probe, obs),
-            };
-            if let Some(prior) = &analytic {
-                let augmented = prior.augment(warm.take(), c, &request.config.space, obs);
-                if !augmented.is_empty() {
-                    warm = Some(augmented);
-                }
-            }
-            if let Some(warm) = warm {
-                warms.insert(c, warm);
-            }
-            signatures.push(sig);
-        }
+        // Signatures come from the request's dataset, never
+        // `db.config()`; a drift re-tune demotes its hits to priors.
+        let plan = StorePlan::probe(
+            &request.dataset,
+            &request.config,
+            &request.collectives,
+            job.retune.as_ref().map(|spec| spec.deweight),
+            Some(|sig: &ClusterSignature| self.shared.probe(sig)),
+            obs,
+        )?;
         clock.end(
             Phase::Probe,
             vec![
                 ("collectives".into(), request.collectives.len().into()),
-                ("warm_hits".into(), warms.len().into()),
+                ("warm_hits".into(), plan.warmed().into()),
             ],
         );
 
@@ -807,7 +779,7 @@ impl ServiceInner {
             &db,
             &request.collectives,
             obs,
-            |c| warms.get(&c).cloned(),
+            |c| plan.warm(c),
             move || {
                 if let Some(h) = &hooks.before_collective {
                     h(id);
@@ -828,46 +800,33 @@ impl ServiceInner {
         );
 
         // Write back whatever completed — even on a cancelled job the
-        // finished collectives' fresh measurements are kept.
-        let mut keys = Vec::with_capacity(tuning.reports.len());
-        let mut iterations = 0;
-        let mut fresh_points = 0;
-        let mut converged = true;
-        for (i, (c, outcome)) in tuning.reports.iter().enumerate() {
-            iterations += outcome.log.len();
-            converged &= outcome.converged;
-            let sig = &signatures[i];
-            keys.push(sig.key());
-            let Some(entry) = entry_from_outcome(sig, &tuning.tuning_file.collectives[i], outcome)
-            else {
-                continue;
-            };
-            let iters = if warms.contains_key(c) {
-                "store.warm_iterations"
-            } else {
-                "store.cold_iterations"
-            };
-            obs.incr_counter(iters, outcome.log.len() as u64);
-            fresh_points += entry.samples.len();
-            self.shared.put(&entry, self.format)?;
-            obs.incr_counter("store.entries_written", 1);
-            let evicted = self.cache.insert(Arc::new(ServedModel::from_entry(&entry)));
-            self.counters.cache_evicted.add(evicted as u64);
-        }
+        // finished collectives' fresh measurements are kept — and
+        // publish each new entry to the rule cache.
+        let written = plan.write_back(
+            &tuning,
+            |entry| {
+                self.shared.put(entry, self.format)?;
+                let evicted = self.cache.insert(Arc::new(ServedModel::from_entry(entry)));
+                self.counters.cache_evicted.add(evicted as u64);
+                Ok(())
+            },
+            obs,
+        )?;
         self.counters.cache_size.set(self.cache.len() as f64);
+        let iterations: usize = tuning.reports.iter().map(|(_, o)| o.log.len()).sum();
         clock.end(
             Phase::WriteBack,
             vec![
                 ("iterations".into(), iterations.into()),
-                ("fresh_points".into(), fresh_points.into()),
+                ("fresh_points".into(), written.fresh_points.into()),
             ],
         );
         Ok(completed.then_some(TuneResult {
+            converged: tuning.reports.iter().all(|(_, o)| o.converged),
             tuning_file: tuning.tuning_file,
-            keys,
+            keys: written.keys,
             iterations,
-            fresh_points,
-            converged,
+            fresh_points: written.fresh_points,
             cached: false,
         }))
     }

@@ -20,13 +20,14 @@
 //! * [`TuningStore`] — the on-disk store: one JSON entry per
 //!   signature, with `put`/`get`/`probe`, maintenance (`gc`), and
 //!   portability (`export`/`import`).
-//! * [`tune_with_store`] — the orchestration: probe, build a
-//!   [`acclaim_core::WarmStart`], train through the ordinary
+//! * [`StorePlan`] — the orchestration every tune path shares: probe,
+//!   build a [`acclaim_core::WarmStart`], train through the ordinary
 //!   [`acclaim_core::Acclaim`] pipeline, write the converged
-//!   artifacts back. On an exact hit the learner skips the cold
-//!   bootstrap entirely and converges in a handful of plateau-length
-//!   iterations; on a near hit the cached rows become deweighted
-//!   priors the learner may overrule.
+//!   artifacts back. [`tune_with_store`] runs it over a
+//!   [`TuningStore`] (or none). On an exact hit the learner skips the
+//!   cold bootstrap entirely and converges in a handful of
+//!   plateau-length iterations; on a near hit the cached rows become
+//!   deweighted priors the learner may overrule.
 //!
 //! A cold probe (miss) leaves the run bit-identical to a store-less
 //! tune — the warm-start hooks in `acclaim-core` are gated exactly
@@ -49,13 +50,12 @@
 //! config.learner.max_iterations = 30;
 //!
 //! // First job: cold — trains from scratch, then persists.
-//! let cold = tune_with_store(&store, &config, &db, &[Collective::Bcast], &Obs::disabled())
-//!     .unwrap();
+//! let obs = Obs::disabled();
+//! let cold = tune_with_store(Some(&store), &config, &db, &[Collective::Bcast], &obs).unwrap();
 //! assert_eq!(store.keys().unwrap().len(), 1);
 //!
 //! // Second job, same configuration: exact hit — converges faster.
-//! let warm = tune_with_store(&store, &config, &db, &[Collective::Bcast], &Obs::disabled())
-//!     .unwrap();
+//! let warm = tune_with_store(Some(&store), &config, &db, &[Collective::Bcast], &obs).unwrap();
 //! assert!(warm.reports[0].1.reused_points > 0);
 //! assert!(warm.reports[0].1.log.len() < cold.reports[0].1.log.len());
 //! # std::fs::remove_dir_all(&dir).ok();
@@ -100,4 +100,4 @@ pub use store::{
     EntryFormat, GcReport, ImportReport, Probe, StoreEntry, StoreSummary, TuningStore,
     STORE_SCHEMA_VERSION,
 };
-pub use warm::{entry_from_outcome, tune_with_store, warm_start_deweighted, warm_start_from_probe};
+pub use warm::{entry_from_outcome, tune_with_store, StorePlan, WriteBack};

@@ -64,8 +64,8 @@
 //! let config = AcclaimConfig::new(FeatureSpace::tiny());
 //!
 //! let obs = Obs::disabled();
-//! let cold = tune_with_store(&store, &config, &db, &[Collective::Reduce], &obs).unwrap();
-//! let warm = tune_with_store(&store, &config, &db, &[Collective::Reduce], &obs).unwrap();
+//! let cold = tune_with_store(Some(&store), &config, &db, &[Collective::Reduce], &obs).unwrap();
+//! let warm = tune_with_store(Some(&store), &config, &db, &[Collective::Reduce], &obs).unwrap();
 //!
 //! let (cold, warm) = (&cold.reports[0].1, &warm.reports[0].1);
 //! assert!(warm.log.len() < cold.log.len());
@@ -107,9 +107,7 @@ pub use acclaim_store as store;
 
 /// The commonly used types, one `use` away.
 pub mod prelude {
-    pub use acclaim_analytic::{
-        analytic_warms, tune_with_analytic, AnalyticPrior, CostModel, GuidelineSet,
-    };
+    pub use acclaim_analytic::{AnalyticPrior, CostModel, GuidelineSet};
     pub use acclaim_collectives::{
         mpich_default, Algorithm, Collective, Measurement, MicrobenchConfig,
     };
@@ -131,6 +129,6 @@ pub mod prelude {
     pub use acclaim_obs::{Diag, Obs};
     pub use acclaim_serve::{JobStatus, Priority, ServeConfig, TuneRequest, TuneService};
     pub use acclaim_store::{
-        tune_with_store, ClusterSignature, Compatibility, StoreEntry, TuningStore,
+        tune_with_store, ClusterSignature, Compatibility, StoreEntry, StorePlan, TuningStore,
     };
 }

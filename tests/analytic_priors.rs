@@ -68,12 +68,14 @@ fn priors_converge_faster_and_cheaper_for_seeds_0_to_4() {
     for seed in 0..5u64 {
         for &collective in &[Collective::Bcast, Collective::Allreduce] {
             let cold = Acclaim::new(config_with_seed(seed)).tune(&db, &[collective]);
-            let warm = tune_with_analytic(
+            let warm = tune_with_store(
+                None,
                 &analytic_config_with_seed(seed),
                 &db,
                 &[collective],
                 &Obs::disabled(),
-            );
+            )
+            .unwrap();
             let (cold, warm) = (&cold.reports[0].1, &warm.reports[0].1);
             assert!(
                 cold.converged && warm.converged,
@@ -112,7 +114,8 @@ fn disabled_config_is_bit_identical_to_plain_tune() {
             "default must be off"
         );
         let plain = Acclaim::new(config.clone()).tune(&db, &[Collective::Reduce]);
-        let gated = tune_with_analytic(&config, &db, &[Collective::Reduce], &Obs::disabled());
+        let gated =
+            tune_with_store(None, &config, &db, &[Collective::Reduce], &Obs::disabled()).unwrap();
         assert_outcomes_identical(
             &plain.reports[0].1,
             &gated.reports[0].1,
@@ -157,7 +160,7 @@ fn wrong_model_still_converges_to_good_selections() {
     }
 
     for &collective in &Collective::ALL {
-        let good = tune_with_analytic(&config, &db, &[collective], &obs);
+        let good = tune_with_store(None, &config, &db, &[collective], &obs).unwrap();
         let bad = Acclaim::new(config.clone())
             .tune_with_warm(&db, &[collective], &obs, |c| warms.get(&c).cloned());
         assert!(
@@ -234,7 +237,7 @@ fn analytic_priors_compose_with_store_warm_starts() {
     let obs = Obs::enabled();
 
     // First run: no store entry yet — pure analytical warm start.
-    let first = tune_with_store(&store, &config, &db, &[Collective::Bcast], &obs).unwrap();
+    let first = tune_with_store(Some(&store), &config, &db, &[Collective::Bcast], &obs).unwrap();
     let first = &first.reports[0].1;
     assert!(first.prior_points > 0 && first.reused_points == 0);
 
@@ -256,7 +259,7 @@ fn analytic_priors_compose_with_store_warm_starts() {
 
     // Second run: the store's exact rows win; analytical rows only
     // cover candidates the store has no measurement for.
-    let second = tune_with_store(&store, &config, &db, &[Collective::Bcast], &obs).unwrap();
+    let second = tune_with_store(Some(&store), &config, &db, &[Collective::Bcast], &obs).unwrap();
     let second = &second.reports[0].1;
     assert!(second.reused_points > 0, "exact store hit must be reused");
     assert!(

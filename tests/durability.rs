@@ -57,13 +57,27 @@ fn put_roundtrip_leaves_no_debris_and_survives_overwrite() {
     let store = TuningStore::open(&dir).unwrap();
     let cfg = config();
 
-    tune_with_store(&store, &cfg, &db(), &[Collective::Bcast], &Obs::disabled()).unwrap();
+    tune_with_store(
+        Some(&store),
+        &cfg,
+        &db(),
+        &[Collective::Bcast],
+        &Obs::disabled(),
+    )
+    .unwrap();
     assert_eq!(store.keys().unwrap().len(), 1);
     assert_eq!(tmp_debris(&store), 0, "put must not leave temp files");
 
     // Overwrite the same key (second run rewrites the entry) — still
     // exactly one file, still readable.
-    tune_with_store(&store, &cfg, &db(), &[Collective::Bcast], &Obs::disabled()).unwrap();
+    tune_with_store(
+        Some(&store),
+        &cfg,
+        &db(),
+        &[Collective::Bcast],
+        &Obs::disabled(),
+    )
+    .unwrap();
     let keys = store.keys().unwrap();
     assert_eq!(keys.len(), 1);
     assert!(store.get(&keys[0]).unwrap().is_some());
@@ -79,7 +93,14 @@ fn torn_entry_quarantines_probe_and_tune_degrades_to_cold() {
     let cfg = config();
     let db = db();
 
-    tune_with_store(&store, &cfg, &db, &[Collective::Bcast], &Obs::disabled()).unwrap();
+    tune_with_store(
+        Some(&store),
+        &cfg,
+        &db,
+        &[Collective::Bcast],
+        &Obs::disabled(),
+    )
+    .unwrap();
     let key = store.keys().unwrap().remove(0);
 
     // Simulate a torn write published at the final name: truncate the
@@ -94,7 +115,7 @@ fn torn_entry_quarantines_probe_and_tune_degrades_to_cold() {
     // A second tune degrades to a cold run — no Err — and surfaces the
     // quarantine through the obs counters.
     let obs = Obs::enabled();
-    let rerun = tune_with_store(&store, &cfg, &db, &[Collective::Bcast], &obs).unwrap();
+    let rerun = tune_with_store(Some(&store), &cfg, &db, &[Collective::Bcast], &obs).unwrap();
     assert!(rerun.reports[0].1.converged);
     assert_eq!(
         rerun.reports[0].1.reused_points, 0,
@@ -136,7 +157,14 @@ fn gc_sweeps_crashed_writer_debris() {
     let store = TuningStore::open(&dir).unwrap();
     let cfg = config();
 
-    tune_with_store(&store, &cfg, &db(), &[Collective::Reduce], &Obs::disabled()).unwrap();
+    tune_with_store(
+        Some(&store),
+        &cfg,
+        &db(),
+        &[Collective::Reduce],
+        &Obs::disabled(),
+    )
+    .unwrap();
 
     // A writer that died between create and rename leaves a temp file;
     // it is never listed as a key and never served.
@@ -231,7 +259,14 @@ fn binary_rows_survive_roundtrip_and_torn_binary_quarantines() {
 
     // Tune once (JSON rows), then promote the entry to the binary row
     // format; the stale JSON file is retired and the key still serves.
-    tune_with_store(&store, &cfg, &db, &[Collective::Bcast], &Obs::disabled()).unwrap();
+    tune_with_store(
+        Some(&store),
+        &cfg,
+        &db,
+        &[Collective::Bcast],
+        &Obs::disabled(),
+    )
+    .unwrap();
     let key = store.keys().unwrap().remove(0);
     let entry = store.get(&key).unwrap().unwrap();
     store.put_with(&entry, EntryFormat::Binary).unwrap();

@@ -17,6 +17,10 @@
 //!    `Observe` traffic leaves tuning files and store bytes
 //!    bit-identical to a service that never saw an observation, for
 //!    seeds 0–4.
+//! 4. **The re-tune is the library plan** — a drift re-tune writes the
+//!    same tuning file and store entry as `StorePlan` with the same
+//!    drift weight, run on a copy of the store over the shifted
+//!    database.
 
 use acclaim::prelude::*;
 use acclaim::serve::{loadgen, DriftConfig, QueryRequest, ServiceHooks};
@@ -45,10 +49,9 @@ fn degraded(mut config: DatasetConfig) -> DatasetConfig {
     config
 }
 
-#[test]
-fn regime_shift_triggers_warm_retune_and_converges_back() {
-    let dir = temp_dir("acclaim-serve-drift-shift");
-    let shifted = Arc::new(AtomicBool::new(false));
+/// A one-worker daemon config whose database hook trains on
+/// `degraded` once `shifted` is set, with a drift band that triggers.
+fn shifting_config(shifted: &Arc<AtomicBool>) -> ServeConfig {
     let hook_shifted = shifted.clone();
     let hooks = ServiceHooks {
         database: Some(Arc::new(move |cfg: &DatasetConfig| {
@@ -67,21 +70,28 @@ fn regime_shift_triggers_warm_retune_and_converges_back() {
         deweight: 0.75,
         ..DriftConfig::default()
     };
-    let config = ServeConfig {
+    ServeConfig {
         workers: 1,
         drift,
         hooks,
         ..ServeConfig::default()
-    };
+    }
+}
+
+fn one_collective_request() -> TuneRequest {
+    let mut r = loadgen::request_pool(1, 9)[0].clone();
+    r.collectives.truncate(1);
+    r
+}
+
+#[test]
+fn regime_shift_triggers_warm_retune_and_converges_back() {
+    let dir = temp_dir("acclaim-serve-drift-shift");
+    let shifted = Arc::new(AtomicBool::new(false));
     // Telemetry disabled: the policy engine must not be blind without
     // the metrics recorder.
-    let service = TuneService::open(&dir, config, Obs::disabled()).unwrap();
-
-    let request = {
-        let mut r = loadgen::request_pool(1, 9)[0].clone();
-        r.collectives.truncate(1);
-        r
-    };
+    let service = TuneService::open(&dir, shifting_config(&shifted), Obs::disabled()).unwrap();
+    let request = one_collective_request();
     let collective = request.collectives[0];
 
     // Phase 1: cold tune under the healthy regime.
@@ -306,4 +316,101 @@ fn disabled_band_with_observe_traffic_is_bit_identical_for_seeds_0_to_4() {
         std::fs::remove_dir_all(&dir_ref).ok();
         std::fs::remove_dir_all(&dir_obs).ok();
     }
+}
+
+#[test]
+fn drift_retune_is_the_library_plan_on_the_shifted_database() {
+    // The daemon's re-tune must be exactly the store plan with the
+    // drift weight, run over a copy of the store it probed and on the
+    // database the hook shifted: same tuning file, same written entry.
+    let dir = temp_dir("acclaim-serve-drift-pin");
+    let copy = temp_dir("acclaim-serve-drift-pin-copy");
+    let shifted = Arc::new(AtomicBool::new(false));
+    let config = shifting_config(&shifted);
+    let deweight = config.drift.deweight;
+    let min_obs = config.drift.min_obs;
+    let service = TuneService::open(&dir, config, Obs::disabled()).unwrap();
+    let request = one_collective_request();
+    let JobStatus::Done(cold) = service.submit(request.clone()).wait() else {
+        panic!("cold tune did not finish");
+    };
+    std::fs::create_dir_all(&copy).unwrap();
+    for file in std::fs::read_dir(&dir).unwrap() {
+        let file = file.unwrap();
+        std::fs::copy(file.path(), copy.join(file.file_name())).unwrap();
+    }
+
+    // Shift the regime, then report costs far out of band until the
+    // detector queues exactly one re-tune, and wait for it.
+    shifted.store(true, Ordering::SeqCst);
+    let query = QueryRequest {
+        dataset: request.dataset.clone(),
+        config: request.config.clone(),
+        collective: request.collectives[0],
+        point: request.config.space.points()[0],
+    };
+    let selected = service.query(&query);
+    let observed = 10.0 * selected.predicted_us.expect("a tuned model predicts");
+    for _ in 0..min_obs {
+        assert!(
+            service
+                .observe(&query, &selected.algorithm, observed)
+                .matched
+        );
+    }
+    let mut waited = 0;
+    while service.drift_status().completed == 0 {
+        assert!(waited < 60_000, "the re-tune never completed");
+        std::thread::sleep(std::time::Duration::from_millis(1));
+        waited += 1;
+    }
+    assert_eq!(service.drift_status().triggered, 1);
+
+    // The library side: the same plan on the copy and the shifted db.
+    let store = TuningStore::open(&copy).unwrap();
+    let shifted_db = BenchmarkDatabase::new(degraded(request.dataset.clone()));
+    let obs = Obs::disabled();
+    let plan = StorePlan::probe(
+        &request.dataset,
+        &request.config,
+        &request.collectives,
+        Some(deweight),
+        Some(|sig: &ClusterSignature| store.probe(sig)),
+        &obs,
+    )
+    .unwrap();
+    let tuning = Acclaim::new(request.config.clone()).tune_with_warm(
+        &shifted_db,
+        &request.collectives,
+        &obs,
+        |c| plan.warm(c),
+    );
+    assert!(
+        tuning.reports[0].1.prior_points > 0,
+        "the re-tune starts warm"
+    );
+    let written = plan
+        .write_back(&tuning, |entry| store.put(entry).map(drop), &obs)
+        .unwrap();
+    assert_eq!(written.keys, cold.keys);
+
+    // The daemon serves the re-tuned rules from its cache.
+    let JobStatus::Done(served) = service.submit(request.clone()).wait() else {
+        panic!("repeat tune did not finish");
+    };
+    assert!(served.cached);
+    assert_eq!(
+        serde_json::to_string(&served.tuning_file).unwrap(),
+        serde_json::to_string(&tuning.tuning_file).unwrap(),
+        "the re-tuned rules differ from the library plan's"
+    );
+    assert_eq!(
+        entry_snapshot(service.shared().store()),
+        entry_snapshot(&store),
+        "the re-tuned entry differs from the library plan's"
+    );
+
+    drop(service);
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&copy).ok();
 }

@@ -124,7 +124,7 @@ fn single_session_is_bit_identical_to_tune_with_store() {
         let store = TuningStore::open(&dir_lib).unwrap();
         let db = BenchmarkDatabase::new(request.dataset.clone());
         let direct = tune_with_store(
-            &store,
+            Some(&store),
             &request.config,
             &db,
             &request.collectives,

@@ -48,7 +48,7 @@ fn template_entry(name: &str) -> StoreEntry {
     let store = TuningStore::open(&dir).unwrap();
     let db = BenchmarkDatabase::new(DatasetConfig::tiny());
     tune_with_store(
-        &store,
+        Some(&store),
         &config(),
         &db,
         &[Collective::Bcast],

@@ -10,6 +10,8 @@
 //!    run produces exactly the store-less outcome, for seeds 0–4.
 //! 3. A store roundtrip (export → import into a fresh store) preserves
 //!    forest predictions exactly, per tree, bit for bit.
+//!
+//! A tune with no store at all records no `store.*` counter.
 
 use acclaim::prelude::*;
 use acclaim_core::all_candidates;
@@ -68,8 +70,8 @@ fn second_tune_converges_faster_and_cheaper() {
     let config = config_with_seed(0);
     let obs = Obs::enabled();
 
-    let cold = tune_with_store(&store, &config, &db, &[Collective::Bcast], &obs).unwrap();
-    let warm = tune_with_store(&store, &config, &db, &[Collective::Bcast], &obs).unwrap();
+    let cold = tune_with_store(Some(&store), &config, &db, &[Collective::Bcast], &obs).unwrap();
+    let warm = tune_with_store(Some(&store), &config, &db, &[Collective::Bcast], &obs).unwrap();
 
     let (cold, warm) = (&cold.reports[0].1, &warm.reports[0].1);
     assert!(cold.converged && warm.converged, "both runs must converge");
@@ -145,7 +147,7 @@ fn storeless_runs_stay_bit_identical_for_seeds_0_to_4() {
         let dir = temp_dir(&format!("acclaim-warmstart-miss-{seed}"));
         let store = TuningStore::open(&dir).unwrap();
         let via_store = tune_with_store(
-            &store,
+            Some(&store),
             &config,
             &db,
             &[Collective::Reduce],
@@ -167,6 +169,36 @@ fn storeless_runs_stay_bit_identical_for_seeds_0_to_4() {
 }
 
 #[test]
+fn storeless_tune_records_no_store_counters() {
+    // The CLI without `--store`: the plan probes nothing and writes
+    // nothing, so it records no `store.*` counter, with or without
+    // analytical priors (whose own counters prove the recorder is on).
+    // The learner tallies every injected warm-start row under
+    // `store.points_reused` / `store.prior_points`, whatever its
+    // source, so the sketch's rows show up there.
+    let db = db();
+    let injected = ["store.points_reused", "store.prior_points"];
+    for analytic in [false, true] {
+        let mut config = config_with_seed(0);
+        config.learner.analytic_priors.enabled = analytic;
+        let obs = Obs::enabled();
+        let collectives = [Collective::Bcast, Collective::Reduce];
+        tune_with_store(None, &config, &db, &collectives, &obs).unwrap();
+        let counters = obs.metrics_snapshot().counters;
+        let store: Vec<_> = counters
+            .iter()
+            .filter(|(n, _)| n.starts_with("store."))
+            .filter(|(n, _)| !(analytic && injected.contains(&n.as_str())))
+            .collect();
+        assert!(store.is_empty(), "analytic={analytic}: {store:?}");
+        let priors = counters
+            .iter()
+            .any(|(n, v)| n == "analytic.priors_injected" && *v > 0);
+        assert_eq!(priors, analytic, "analytic={analytic}: {counters:?}");
+    }
+}
+
+#[test]
 fn export_import_preserves_forest_predictions_exactly() {
     let dir = temp_dir("acclaim-warmstart-roundtrip-src");
     let dir2 = temp_dir("acclaim-warmstart-roundtrip-dst");
@@ -176,7 +208,7 @@ fn export_import_preserves_forest_predictions_exactly() {
     let config = config_with_seed(3);
 
     let tuning = tune_with_store(
-        &store,
+        Some(&store),
         &config,
         &db,
         &[Collective::Allgather],
@@ -229,14 +261,21 @@ fn near_signature_reuses_measurements_as_priors_only() {
 
     // First job trains over the full tiny grid.
     let wide = config_with_seed(1);
-    tune_with_store(&store, &wide, &db, &[Collective::Bcast], &Obs::disabled()).unwrap();
+    tune_with_store(
+        Some(&store),
+        &wide,
+        &db,
+        &[Collective::Bcast],
+        &Obs::disabled(),
+    )
+    .unwrap();
 
     // Second job: same machine and message axis, narrower node axis —
     // a near match, so cached rows arrive as priors, never as exact.
     let mut narrow = config_with_seed(1);
     narrow.space = FeatureSpace::new(vec![2, 4], vec![1, 2], vec![64, 256, 1_024, 4_096]);
     let obs = Obs::enabled();
-    let outcome = tune_with_store(&store, &narrow, &db, &[Collective::Bcast], &obs).unwrap();
+    let outcome = tune_with_store(Some(&store), &narrow, &db, &[Collective::Bcast], &obs).unwrap();
     let report = &outcome.reports[0].1;
 
     assert_eq!(report.reused_points, 0, "near hits must not be trusted");
