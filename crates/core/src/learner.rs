@@ -903,11 +903,6 @@ impl<'a> LoopState<'a> {
         for c in &w.pruned {
             self.pool.retire(c);
         }
-        let obs = self.obs;
-        obs.counter("store.points_reused")
-            .add(self.reused_points as u64);
-        obs.counter("store.prior_points")
-            .add(self.prior_points as u64);
     }
 
     /// Corner seeding: benchmark the corners of the feature-space box,

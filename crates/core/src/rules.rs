@@ -12,6 +12,7 @@
 use crate::model::PerfModel;
 use acclaim_collectives::{mpich_default, Algorithm, Collective};
 use acclaim_dataset::{FeatureSpace, Point};
+use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// One selection rule: applies to message sizes up to and including
@@ -108,14 +109,18 @@ impl CollectiveRules {
 }
 
 /// Generate the pruned, complete rule table from a trained model
-/// (Fig. 9's A/B/C construction).
+/// (Fig. 9's A/B/C construction). The (nodes, ppn) contexts are
+/// independent, so they map on the worker pool, in grid order.
 pub fn generate_rules(model: &PerfModel, space: &FeatureSpace) -> CollectiveRules {
-    let mut contexts = Vec::with_capacity(space.nodes.len() * space.ppns.len());
-    for &nodes in &space.nodes {
-        for &ppn in &space.ppns {
-            contexts.push(generate_context(model, space, nodes, ppn));
-        }
-    }
+    let grid: Vec<(u32, u32)> = space
+        .nodes
+        .iter()
+        .flat_map(|&nodes| space.ppns.iter().map(move |&ppn| (nodes, ppn)))
+        .collect();
+    let contexts = grid
+        .into_par_iter()
+        .map(|(nodes, ppn)| generate_context(model, space, nodes, ppn))
+        .collect();
     CollectiveRules {
         collective: model.collective(),
         contexts,

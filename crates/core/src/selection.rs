@@ -15,6 +15,7 @@ use acclaim_collectives::{Algorithm, Collective};
 use acclaim_dataset::{FeatureSpace, Point};
 use acclaim_ml::{DirtyRegion, TreeUpdate};
 use rand::Rng;
+use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// One selectable training candidate.
@@ -72,6 +73,10 @@ pub fn rank_by_variance(model: &PerfModel, candidates: &[Candidate]) -> Variance
         .collect();
     VarianceRanking::sorted(ranked)
 }
+
+/// Lattice cells per item of [`VarianceScanCache::cell_variances`]'s
+/// map: 4 KiB of each tree's column.
+const VARIANCE_RUN: usize = 512;
 
 /// A cached candidate-space variance scan — the incremental counterpart
 /// of [`rank_by_variance`].
@@ -170,20 +175,28 @@ impl VarianceScanCache {
                 full,
             };
         }
-        // Sequential on purpose: a column paints in microseconds, less
-        // than handing columns to threads costs.
-        let mut painted = 0;
-        for (tree, column) in self.preds.chunks_mut(cells).enumerate() {
-            let dirty: Vec<&DirtyRegion> = changed
-                .iter()
-                .filter(|u| u.tree == tree)
-                .map(|u| &u.dirty)
-                .collect();
-            if full || !dirty.is_empty() {
+        // One map over the columns to repaint, on the worker pool. The
+        // caller paints too, so a parked helper costs only its wake-up.
+        let columns: Vec<(usize, &mut [f64])> = self
+            .preds
+            .chunks_mut(cells)
+            .enumerate()
+            .filter(|(tree, _)| full || changed.iter().any(|u| u.tree == *tree))
+            .collect();
+        let lattice = &self.lattice;
+        let painted: Vec<usize> = columns
+            .into_par_iter()
+            .map(|(tree, column)| {
+                let dirty: Vec<&DirtyRegion> = changed
+                    .iter()
+                    .filter(|u| u.tree == tree)
+                    .map(|u| &u.dirty)
+                    .collect();
                 let dirty = (!full).then_some(&dirty[..]);
-                painted += self.lattice.paint(model.forest().tree(tree), dirty, column);
-            }
-        }
+                lattice.paint(model.forest().tree(tree), dirty, column)
+            })
+            .collect();
+        let painted = painted.into_iter().sum();
         RefreshStats {
             cells_total,
             cells_recomputed: painted,
@@ -209,30 +222,40 @@ impl VarianceScanCache {
     }
 
     /// [`acclaim_ml::jackknife_variance`] of every lattice cell,
-    /// accumulated column by column. Each cell sees the same two passes
-    /// in tree order `0..T` from the same `-0.0` start that
-    /// `Iterator::sum` uses, so its variance is bit-identical to
-    /// `jackknife_variance` of its row.
+    /// accumulated column by column over disjoint runs of
+    /// [`VARIANCE_RUN`] cells, one run per item of a map on the worker
+    /// pool. Each cell sees the same two passes in tree order `0..T`
+    /// from the same `-0.0` start that `Iterator::sum` uses, so its
+    /// variance is bit-identical to `jackknife_variance` of its row,
+    /// however the runs are split.
     fn cell_variances(&self) -> Vec<f64> {
         let (cells, n) = (self.lattice.len(), self.n_trees as f64);
         if self.n_trees < 2 || cells == 0 {
             return vec![0.0; cells];
         }
-        let columns = || self.preds.chunks_exact(cells);
-        let mut mean = vec![-0.0; cells];
-        for column in columns() {
-            mean.iter_mut().zip(column).for_each(|(s, &p)| *s += p);
-        }
-        mean.iter_mut().for_each(|s| *s /= n);
-        let mut variance = vec![-0.0; cells];
-        for column in columns() {
-            for ((s, &p), &m) in variance.iter_mut().zip(column).zip(&mean) {
-                let d = (p - m) / (n - 1.0);
-                *s += d * d;
-            }
-        }
-        variance.iter_mut().for_each(|s| *s /= n - 1.0);
-        variance
+        let runs: Vec<usize> = (0..cells).step_by(VARIANCE_RUN).collect();
+        let runs: Vec<Vec<f64>> = runs
+            .into_par_iter()
+            .map(|lo| {
+                let run = lo..(lo + VARIANCE_RUN).min(cells);
+                let columns = || self.preds.chunks_exact(cells).map(|c| &c[run.clone()]);
+                let mut mean = vec![-0.0; run.len()];
+                for column in columns() {
+                    mean.iter_mut().zip(column).for_each(|(s, &p)| *s += p);
+                }
+                mean.iter_mut().for_each(|s| *s /= n);
+                let mut variance = vec![-0.0; run.len()];
+                for column in columns() {
+                    for ((s, &p), &m) in variance.iter_mut().zip(column).zip(&mean) {
+                        let d = (p - m) / (n - 1.0);
+                        *s += d * d;
+                    }
+                }
+                variance.iter_mut().for_each(|s| *s /= n - 1.0);
+                variance
+            })
+            .collect();
+        runs.concat()
     }
 }
 

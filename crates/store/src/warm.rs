@@ -144,6 +144,12 @@ impl StorePlan {
             let sig = ClusterSignature::new(dataset, &config.space, c, &config.learner.collection);
             let probed = probe.as_ref().map(|probe| probe(&sig)).transpose()?;
             let mut warm = probed.and_then(|p| warm_start(p, deweight, obs));
+            // Only store rows count here: analytical rows have their
+            // own `analytic.*` counters.
+            if let Some(w) = &warm {
+                obs.incr_counter("store.points_reused", w.exact.len() as u64);
+                obs.incr_counter("store.prior_points", w.priors.len() as u64);
+            }
             if let Some(prior) = &analytic {
                 warm = Some(prior.augment(warm, c, &config.space, obs)).filter(|w| !w.is_empty());
             }

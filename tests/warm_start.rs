@@ -11,7 +11,8 @@
 //! 3. A store roundtrip (export → import into a fresh store) preserves
 //!    forest predictions exactly, per tree, bit for bit.
 //!
-//! A tune with no store at all records no `store.*` counter.
+//! A tune with no store at all records no `store.*` counter, and the
+//! store's row counters never count analytical priors.
 
 use acclaim::prelude::*;
 use acclaim_core::all_candidates;
@@ -173,11 +174,7 @@ fn storeless_tune_records_no_store_counters() {
     // The CLI without `--store`: the plan probes nothing and writes
     // nothing, so it records no `store.*` counter, with or without
     // analytical priors (whose own counters prove the recorder is on).
-    // The learner tallies every injected warm-start row under
-    // `store.points_reused` / `store.prior_points`, whatever its
-    // source, so the sketch's rows show up there.
     let db = db();
-    let injected = ["store.points_reused", "store.prior_points"];
     for analytic in [false, true] {
         let mut config = config_with_seed(0);
         config.learner.analytic_priors.enabled = analytic;
@@ -188,7 +185,6 @@ fn storeless_tune_records_no_store_counters() {
         let store: Vec<_> = counters
             .iter()
             .filter(|(n, _)| n.starts_with("store."))
-            .filter(|(n, _)| !(analytic && injected.contains(&n.as_str())))
             .collect();
         assert!(store.is_empty(), "analytic={analytic}: {store:?}");
         let priors = counters
@@ -196,6 +192,41 @@ fn storeless_tune_records_no_store_counters() {
             .any(|(n, v)| n == "analytic.priors_injected" && *v > 0);
         assert_eq!(priors, analytic, "analytic={analytic}: {counters:?}");
     }
+}
+
+#[test]
+fn store_row_counters_count_only_store_rows() {
+    // With analytical priors on, a cold miss injects only analytical
+    // rows, so the store's row counters stay at zero; the exact hit
+    // that follows counts exactly the stored rows.
+    let dir = temp_dir("acclaim-warmstart-row-counters");
+    let store = TuningStore::open(&dir).unwrap();
+    let db = db();
+    let mut config = config_with_seed(0);
+    config.learner.analytic_priors.enabled = true;
+    let counter = |obs: &Obs, name: &str| {
+        let counters = obs.metrics_snapshot().counters;
+        counters
+            .iter()
+            .find(|(n, _)| n == name)
+            .map_or(0, |(_, v)| *v)
+    };
+    let cold_obs = Obs::enabled();
+    let cold =
+        tune_with_store(Some(&store), &config, &db, &[Collective::Bcast], &cold_obs).unwrap();
+    assert_eq!(counter(&cold_obs, "store.misses"), 1);
+    assert!(counter(&cold_obs, "analytic.priors_injected") > 0);
+    assert_eq!(counter(&cold_obs, "store.points_reused"), 0);
+    assert_eq!(counter(&cold_obs, "store.prior_points"), 0);
+
+    let warm_obs = Obs::enabled();
+    tune_with_store(Some(&store), &config, &db, &[Collective::Bcast], &warm_obs).unwrap();
+    let outcome = &cold.reports[0].1;
+    let stored = outcome.collected.len() - outcome.prior_points;
+    assert_eq!(counter(&warm_obs, "store.exact_hits"), 1);
+    assert_eq!(counter(&warm_obs, "store.points_reused"), stored as u64);
+    assert_eq!(counter(&warm_obs, "store.prior_points"), 0);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
