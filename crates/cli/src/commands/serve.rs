@@ -1030,5 +1030,40 @@ mod unix {
             server.join().unwrap().unwrap();
             std::fs::remove_dir_all(&store).ok();
         }
+
+        #[test]
+        fn hostile_lines_get_bad_request_and_the_daemon_keeps_answering() {
+            // A 20,000-deep array, bare and as the value of an unknown
+            // key the decoder skips, and a request of 1,000 unknown
+            // keys: each gets a `bad request` reply, not a crash.
+            let (store, socket, server) = spawn_daemon("serve-hostile");
+            let mut conn = Connection::open(socket.to_str().unwrap(), 10).unwrap();
+            let deep = "[".repeat(20_000);
+            let keys: Vec<String> = (0..1000).map(|i| format!("\"k{i}\":[{i}]")).collect();
+            let lines = [
+                deep.clone(),
+                format!("{{\"Query\":{{\"request\":{{\"x\":{deep}"),
+                format!("{{\"Query\":{{\"request\":{{{}}}}}}}", keys.join(",")),
+            ];
+            for line in lines {
+                conn.writer
+                    .write_all(format!("{line}\n").as_bytes())
+                    .unwrap();
+                let mut reply = String::new();
+                conn.reader.read_line(&mut reply).unwrap();
+                match decode_response(&reply).unwrap() {
+                    WireResponse::Error { message } => {
+                        assert!(message.starts_with("bad request"), "{message}")
+                    }
+                    other => panic!("expected an error reply, got {other:?}"),
+                }
+            }
+            let stats = conn.round_trip(&WireRequest::Stats).unwrap();
+            assert!(matches!(stats, WireResponse::Stats { .. }), "{stats:?}");
+            let bye = conn.round_trip(&WireRequest::Shutdown).unwrap();
+            assert!(matches!(bye, WireResponse::Bye), "{bye:?}");
+            server.join().unwrap().unwrap();
+            std::fs::remove_dir_all(&store).ok();
+        }
     }
 }

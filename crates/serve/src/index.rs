@@ -74,9 +74,10 @@ impl SharedStore {
         self.shard_for(&key).write().unwrap().insert(key, sig);
     }
 
-    /// Persist an entry and index its signature.
-    pub fn put(&self, entry: &StoreEntry, format: EntryFormat) -> io::Result<String> {
-        let key = self.store.put_with(entry, format)?;
+    /// Persist an entry in the binary row format and index its
+    /// signature.
+    pub fn put(&self, entry: &StoreEntry) -> io::Result<String> {
+        let key = self.store.put_with(entry, EntryFormat::Binary)?;
         self.index_signature(entry.signature.clone());
         Ok(key)
     }
@@ -294,7 +295,7 @@ mod tests {
         let dir2 = temp_dir("put2");
         let shared = SharedStore::open(&dir2, 4).unwrap();
         assert!(shared.is_empty());
-        let key = shared.put(&entry, EntryFormat::Binary).unwrap();
+        let key = shared.put(&entry).unwrap();
         assert_eq!(key, sig.key());
         assert_eq!(shared.keys(), vec![key]);
         assert!(shared.probe(&sig).unwrap().exact.is_some());

@@ -37,7 +37,7 @@ use acclaim_core::{Acclaim, AcclaimConfig, TuningFile};
 use acclaim_dataset::{BenchmarkDatabase, DatasetConfig, Point};
 use acclaim_netsim::Fingerprint;
 use acclaim_obs::{Diag, FlightRecord, FlightRecorder, MetricsSnapshot, Obs};
-use acclaim_store::{ClusterSignature, Compatibility, EntryFormat, StorePlan};
+use acclaim_store::{ClusterSignature, Compatibility, StorePlan};
 use cache::{RuleCache, ServedModel};
 use counters::ServeCounters;
 use phase::{Phase, PhaseMetrics, RequestClock};
@@ -214,8 +214,6 @@ pub struct ServeConfig {
     pub shards: usize,
     /// Anti-starvation window for the queue (0 disables).
     pub starvation_window: u64,
-    /// On-disk format for entries this service writes.
-    pub format: EntryFormat,
     /// Flight-recorder ring capacity (recent request records kept for
     /// dump-on-demand).
     pub flight_capacity: usize,
@@ -244,7 +242,6 @@ impl Default for ServeConfig {
             slots: 4,
             shards: 16,
             starvation_window: 8,
-            format: EntryFormat::Binary,
             flight_capacity: 256,
             slow_log_factor: None,
             diag: Diag::default(),
@@ -302,7 +299,6 @@ pub(crate) struct ServiceInner {
     slots: SlotPool,
     cache: RuleCache,
     obs: Obs,
-    format: EntryFormat,
     hooks: ServiceHooks,
     next_id: AtomicU64,
     /// What `Status` can answer for: every live job and the most
@@ -401,7 +397,6 @@ impl TuneService {
             slots: SlotPool::new(config.slots),
             cache,
             obs,
-            format: config.format,
             hooks: config.hooks,
             next_id: AtomicU64::new(1),
             jobs: Mutex::new(JobTable::new(flight.capacity())),
@@ -805,7 +800,7 @@ impl ServiceInner {
         let written = plan.write_back(
             &tuning,
             |entry| {
-                self.shared.put(entry, self.format)?;
+                self.shared.put(entry)?;
                 let evicted = self.cache.insert(Arc::new(ServedModel::from_entry(entry)));
                 self.counters.cache_evicted.add(evicted as u64);
                 Ok(())

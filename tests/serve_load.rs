@@ -14,8 +14,9 @@
 //!    interleaved the two runs.
 //! 3. **Bit-identity with the library path** — a single session through
 //!    the service produces the same tuning file and the same store
-//!    entry as `tune_with_store` on the same inputs, for every seed and
-//!    for both on-disk row formats.
+//!    entry as `tune_with_store` on the same inputs, for every seed, and
+//!    a store of JSON copies of the daemon's binary entries serves the
+//!    same tuning file and `Query` answers.
 //!
 //! Nothing here asserts on wall time or real randomness: every input is
 //! derived from a seed, and every asserted digest excludes
@@ -24,8 +25,7 @@
 
 use acclaim::prelude::*;
 use acclaim::serve::loadgen::{self, LoadGenConfig};
-use acclaim::serve::{ServeConfig, TuneService};
-use acclaim::store::EntryFormat;
+use acclaim::serve::{QuerySource, ServeConfig, TuneService};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
@@ -132,8 +132,8 @@ fn single_session_is_bit_identical_to_tune_with_store() {
         )
         .unwrap();
 
-        // Service path, binary row format (the default): same rules,
-        // same store rows, despite the different on-disk encoding.
+        // Service path (binary rows): same rules, same store rows,
+        // despite the different on-disk encoding.
         let dir_srv = temp_dir(&format!("acclaim-serve-ident-srv-{seed}"));
         let service = TuneService::open(&dir_srv, ServeConfig::default(), Obs::disabled()).unwrap();
         let handle = service.submit(request.clone());
@@ -160,27 +160,66 @@ fn single_session_is_bit_identical_to_tune_with_store() {
 
 #[test]
 fn json_and_binary_row_formats_serve_identical_results() {
+    // The daemon writes binary rows and the CLI writes JSON. A store
+    // holding JSON copies of the daemon's entries must serve exactly
+    // what the daemon's own store serves.
     let request = loadgen::request_pool(1, 99)[0].clone();
-    let mut snapshots = Vec::new();
-    for (name, format) in [
-        ("acclaim-serve-fmt-json", EntryFormat::Json),
-        ("acclaim-serve-fmt-bin", EntryFormat::Binary),
-    ] {
-        let dir = temp_dir(name);
-        let config = ServeConfig {
-            format,
-            ..ServeConfig::default()
-        };
-        let service = TuneService::open(&dir, config, Obs::disabled()).unwrap();
-        let JobStatus::Done(result) = service.submit(request.clone()).wait() else {
-            panic!("job did not finish");
-        };
-        snapshots.push((
-            serde_json::to_string(&result.tuning_file).unwrap(),
-            entry_snapshot(service.shared().store()),
-        ));
-        drop(service);
-        std::fs::remove_dir_all(&dir).ok();
+    let dir_bin = temp_dir("acclaim-serve-fmt-bin");
+    let daemon = TuneService::open(&dir_bin, ServeConfig::default(), Obs::disabled()).unwrap();
+    let JobStatus::Done(trained) = daemon.submit(request.clone()).wait() else {
+        panic!("job did not finish");
+    };
+
+    let dir_json = temp_dir("acclaim-serve-fmt-json");
+    let json_store = TuningStore::open(&dir_json).unwrap();
+    let binary_store = daemon.shared().store();
+    for key in binary_store.keys().unwrap() {
+        json_store
+            .put(&binary_store.get(&key).unwrap().unwrap())
+            .unwrap();
     }
-    assert_eq!(snapshots[0], snapshots[1]);
+    // One collective, one entry: binary rows where the daemon wrote
+    // it, JSON in the copy.
+    let [key] = &trained.keys[..] else {
+        panic!("one collective must touch one key");
+    };
+    assert!(dir_bin.join(format!("{key}.bin")).is_file());
+    assert!(dir_json.join(format!("{key}.json")).is_file());
+
+    let reopened = TuneService::open(&dir_json, ServeConfig::default(), Obs::disabled()).unwrap();
+    assert_eq!(
+        entry_snapshot(binary_store),
+        entry_snapshot(reopened.shared().store())
+    );
+
+    let tuned: Vec<String> = [&daemon, &reopened]
+        .into_iter()
+        .map(|service| {
+            let JobStatus::Done(result) = service.submit(request.clone()).wait() else {
+                panic!("cached job did not finish");
+            };
+            assert!(
+                result.cached,
+                "a stored signature must be served from cache"
+            );
+            serde_json::to_string(&result.tuning_file).unwrap()
+        })
+        .collect();
+    assert_eq!(tuned[0], tuned[1]);
+
+    let space = &request.config.space;
+    for &nodes in &space.nodes {
+        for &ppn in &space.ppns {
+            for &msg in &space.msg_sizes {
+                let query = loadgen::query(&request, Point::new(nodes, ppn, msg));
+                let answer = daemon.query(&query);
+                assert_eq!(answer.source, QuerySource::Tuned);
+                assert_eq!(answer, reopened.query(&query));
+            }
+        }
+    }
+
+    drop((daemon, reopened));
+    std::fs::remove_dir_all(&dir_bin).ok();
+    std::fs::remove_dir_all(&dir_json).ok();
 }
