@@ -75,9 +75,9 @@ mod unix {
     }
 
     /// `acclaim serve --store DIR [--socket PATH] [--workers N]
-    /// [--slots N] [--shards N] [--flight N] [--slow-log FACTOR]
-    /// [--cache-cap N] [--drift-band B] [--drift-min-obs N]
-    /// [--drift-cooldown N] [--drift-deweight W] [--drift-max-signatures N]`
+    /// [--shards N] [--flight N] [--slow-log FACTOR] [--cache-cap N]
+    /// [--drift-band B] [--drift-min-obs N] [--drift-cooldown N]
+    /// [--drift-deweight W] [--drift-max-signatures N]`
     ///
     /// `--drift-band` > 1 arms the drift policy engine: signatures
     /// whose mean observed/predicted ratio leaves `[1/B, B]` get a
@@ -99,25 +99,23 @@ mod unix {
         } else {
             acclaim_obs::Obs::metrics_only()
         };
+        let defaults = ServeConfig::default();
         let config = ServeConfig {
-            workers: args.num_or("workers", 2usize)?,
-            slots: args.num_or("slots", 4usize)?,
-            shards: args.num_or("shards", 16usize)?,
-            flight_capacity: args.num_or("flight", 256usize)?,
+            workers: args.num_or("workers", defaults.workers)?,
+            shards: args.num_or("shards", defaults.shards)?,
+            flight_capacity: args.num_or("flight", defaults.flight_capacity)?,
             slow_log_factor: args.get_num::<f64>("slow-log")?,
-            cache_capacity: args.num_or("cache-cap", 0usize)?,
-            drift: {
-                let defaults = DriftConfig::default();
-                DriftConfig {
-                    band: args.num_or("drift-band", defaults.band)?,
-                    min_obs: args.num_or("drift-min-obs", defaults.min_obs)?,
-                    cooldown_obs: args.num_or("drift-cooldown", defaults.cooldown_obs)?,
-                    deweight: args.num_or("drift-deweight", defaults.deweight)?,
-                    max_signatures: args.num_or("drift-max-signatures", defaults.max_signatures)?,
-                }
+            cache_capacity: args.num_or("cache-cap", defaults.cache_capacity)?,
+            drift: DriftConfig {
+                band: args.num_or("drift-band", defaults.drift.band)?,
+                min_obs: args.num_or("drift-min-obs", defaults.drift.min_obs)?,
+                cooldown_obs: args.num_or("drift-cooldown", defaults.drift.cooldown_obs)?,
+                deweight: args.num_or("drift-deweight", defaults.drift.deweight)?,
+                max_signatures: args
+                    .num_or("drift-max-signatures", defaults.drift.max_signatures)?,
             },
             diag: *diag,
-            ..ServeConfig::default()
+            ..defaults
         };
 
         // A leftover socket file from a dead daemon is reclaimable; a
@@ -448,12 +446,11 @@ mod unix {
                     .unwrap_or(0.0)
             };
             let line = format!(
-                "watch[{tick}] queue={} active={} slots_free={} entries={} models={} \
-                 requests={} trained={} cached={} queries={} e2e_p50={:.0}us query_p50={:.0}us \
+                "watch[{tick}] queue={} active={} entries={} models={} requests={} \
+                 trained={} cached={} queries={} e2e_p50={:.0}us query_p50={:.0}us \
                  drift_obs={:.0}",
                 stats.queue_depth,
                 gauge("serve.active_jobs"),
-                stats.slots_free,
                 stats.entries,
                 stats.cached_models,
                 stats.tune_requests,
@@ -558,14 +555,13 @@ mod unix {
             }
             WireResponse::StatusIs { job, state } => Ok(format!("status: job {job} {state}\n")),
             WireResponse::Stats { stats } => Ok(format!(
-                "stats: entries={} cached_models={} queue_depth={} slots_free={} \
-                 requests={} completed={} trained={} cache_served={} coalesced={} \
+                "stats: entries={} cached_models={} queue_depth={} requests={} \
+                 completed={} trained={} cache_served={} coalesced={} \
                  attached={} retuned={} drift_triggered={} cache_evicted={} \
                  cancelled={} failed={} queries={} defaults={} p50_query_us={:.1}\n",
                 stats.entries,
                 stats.cached_models,
                 stats.queue_depth,
-                stats.slots_free,
                 stats.tune_requests,
                 stats.completed,
                 stats.trained,
@@ -865,9 +861,11 @@ mod unix {
             std::fs::remove_file(&socket).ok();
         }
 
-        /// Start `serve` on a fresh store and socket in a thread.
+        /// Start `serve` with `extra` flags on a fresh store and socket
+        /// in a thread.
         fn spawn_daemon(
             name: &str,
+            extra: &[&str],
         ) -> (
             std::path::PathBuf,
             std::path::PathBuf,
@@ -875,22 +873,108 @@ mod unix {
         ) {
             let store = temp(&format!("acclaim-cli-{name}-store"));
             let socket = temp(&format!("acclaim-cli-{name}.sock"));
-            let server = {
-                let (store, socket) = (store.clone(), socket.clone());
-                std::thread::spawn(move || {
-                    serve(
-                        &args(&[
-                            "serve",
-                            "--store",
-                            store.to_str().unwrap(),
-                            "--socket",
-                            socket.to_str().unwrap(),
-                        ]),
-                        &Diag::new(true),
-                    )
-                })
-            };
+            let mut tokens = vec![
+                "serve",
+                "--store",
+                store.to_str().unwrap(),
+                "--socket",
+                socket.to_str().unwrap(),
+            ];
+            tokens.extend_from_slice(extra);
+            let serve_args = args(&tokens);
+            let server = std::thread::spawn(move || serve(&serve_args, &Diag::new(true)));
             (store, socket, server)
+        }
+
+        /// Run `client` against `socket` with `extra` flags.
+        fn client_at(socket: &str, extra: &[&str]) -> Result<String, String> {
+            let mut tokens = vec!["client", "--socket", socket, "--wait-server", "10"];
+            tokens.extend_from_slice(extra);
+            client(&args(&tokens), &Diag::new(true))
+        }
+
+        #[test]
+        fn out_of_band_observations_trigger_exactly_one_warm_retune() {
+            // One burst of 8 observations at 2x the served prediction,
+            // outside the 1.3 band with min_obs 4, triggers exactly
+            // once: the in-flight mark and the cooldown suppress the
+            // rest.
+            let trace = temp("acclaim-cli-serve-drift-trace.jsonl");
+            let (store, socket, server) = spawn_daemon(
+                "serve-drift",
+                &[
+                    "--drift-band",
+                    "1.3",
+                    "--drift-min-obs",
+                    "4",
+                    "--drift-cooldown",
+                    "8",
+                    "--flight",
+                    "64",
+                    "--trace-out",
+                    trace.to_str().unwrap(),
+                ],
+            );
+            let sock = socket.to_str().unwrap();
+            let out =
+                client_at(sock, &["--op", "tune", "--pool-index", "0", "--seed", "7"]).unwrap();
+            assert!(out.contains("(trained)"), "{out}");
+            let out = client_at(
+                sock,
+                &[
+                    "--seed",
+                    "7",
+                    "observe",
+                    "--pool-index",
+                    "0",
+                    "--count",
+                    "8",
+                    "--factor",
+                    "2.0",
+                ],
+            )
+            .unwrap();
+            assert!(out.contains("factor=2 count=8 matched=8"), "{out}");
+
+            // The re-tune runs in the background: poll until the
+            // detector reports it done and its flight record landed
+            // (the record is written just after the job settles).
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(120);
+            let retuned = |l: &str| l.contains("\"outcome\":\"retuned\"");
+            let (report, flight) = loop {
+                let report = client_at(sock, &["drift"]).unwrap();
+                let flight = client_at(sock, &["--op", "trace", "--last", "64", "--json"]).unwrap();
+                let done = report.contains("completed=1") && flight.lines().any(retuned);
+                if done || std::time::Instant::now() > deadline {
+                    break (report, flight);
+                }
+                std::thread::sleep(std::time::Duration::from_millis(50));
+            };
+            assert!(report.contains("drift: band=1.3 enabled=true"), "{report}");
+            assert!(
+                report.contains("tracked=1 triggered=1 completed=1"),
+                "{report}"
+            );
+            assert!(report.contains("retunes=1"), "{report}");
+            acclaim_obs::schema::validate_flight_records(&flight).unwrap();
+            assert!(
+                flight
+                    .lines()
+                    .any(|l| retuned(l) && l.contains("\"class\":\"low\"")),
+                "{flight}"
+            );
+            let stats = client_at(sock, &["--op", "stats"]).unwrap();
+            assert!(stats.contains(" retuned=1 "), "{stats}");
+            assert!(stats.contains(" drift_triggered=1 "), "{stats}");
+
+            client_at(sock, &["--op", "shutdown"]).unwrap();
+            let exit = server.join().unwrap().unwrap();
+            assert!(exit.contains("drift.observations=8"), "{exit}");
+            assert!(exit.contains("drift.triggered=1"), "{exit}");
+            let text = std::fs::read_to_string(&trace).unwrap();
+            acclaim_obs::schema::validate_trace(&text).unwrap();
+            std::fs::remove_dir_all(&store).ok();
+            std::fs::remove_file(&trace).ok();
         }
 
         #[test]
@@ -913,7 +997,7 @@ mod unix {
             assert!(report.all_ok());
             assert_eq!(format!("{:016x}", report.fingerprint()), pinned);
 
-            let (store, socket, server) = spawn_daemon("load-socket");
+            let (store, socket, server) = spawn_daemon("load-socket", &[]);
             let sock = socket.to_str().unwrap();
             let out = client(
                 &args(&[
@@ -985,7 +1069,7 @@ mod unix {
 
         #[test]
         fn non_utf8_line_gets_an_error_and_keeps_the_connection() {
-            let (store, socket, server) = spawn_daemon("serve-utf8");
+            let (store, socket, server) = spawn_daemon("serve-utf8", &[]);
             let mut conn = Connection::open(socket.to_str().unwrap(), 10).unwrap();
             conn.writer.write_all(b"{\"Stats\xff\xfe\n").unwrap();
             let mut reply = String::new();
@@ -1006,7 +1090,7 @@ mod unix {
 
         #[test]
         fn oversized_line_gets_an_error_and_keeps_the_connection() {
-            let (store, socket, server) = spawn_daemon("serve-long");
+            let (store, socket, server) = spawn_daemon("serve-long", &[]);
             let mut conn = Connection::open(socket.to_str().unwrap(), 10).unwrap();
             // Three times the cap, written from a second thread so the
             // write does not wait on the socket buffer.
@@ -1036,7 +1120,7 @@ mod unix {
             // A 20,000-deep array, bare and as the value of an unknown
             // key the decoder skips, and a request of 1,000 unknown
             // keys: each gets a `bad request` reply, not a crash.
-            let (store, socket, server) = spawn_daemon("serve-hostile");
+            let (store, socket, server) = spawn_daemon("serve-hostile", &[]);
             let mut conn = Connection::open(socket.to_str().unwrap(), 10).unwrap();
             let deep = "[".repeat(20_000);
             let keys: Vec<String> = (0..1000).map(|i| format!("\"k{i}\":[{i}]")).collect();

@@ -274,6 +274,84 @@ mod tests {
         std::fs::remove_file(&out).ok();
     }
 
+    /// `acclaim tune` at 8 nodes x 2 ppn, 64 B to 4 KiB, bcast only,
+    /// plus `extra`: the smoke shape whose report lines are asserted
+    /// below.
+    fn smoke_tune(extra: &[&str], out: &std::path::Path) -> String {
+        let mut tokens = vec![
+            "tune",
+            "--nodes",
+            "8",
+            "--ppn",
+            "2",
+            "--min-msg",
+            "64",
+            "--max-msg",
+            "4096",
+            "--collectives",
+            "bcast",
+        ];
+        tokens.extend_from_slice(extra);
+        tokens.extend(["--out", out.to_str().unwrap()]);
+        let args = Args::parse(tokens.iter().map(|s| s.to_string())).unwrap();
+        run(&args, &Diag::new(true)).unwrap()
+    }
+
+    /// Whether the report's `bcast` summary line says it converged.
+    fn bcast_converged(report: &str) -> bool {
+        report
+            .lines()
+            .any(|l| l.starts_with("bcast ") && l.contains("converged"))
+    }
+
+    /// The value of `name` on the report's `<label> counters (obs):`
+    /// line.
+    fn counter(report: &str, label: &str, name: &str) -> Option<u64> {
+        let line = report
+            .lines()
+            .find_map(|l| l.strip_prefix(&format!("{label} counters (obs): ")))?;
+        line.split(' ')
+            .find_map(|kv| kv.strip_prefix(&format!("{name}=")))
+            .and_then(|v| v.parse().ok())
+    }
+
+    #[test]
+    fn bcast_converges_under_production_faults_with_a_valid_trace() {
+        let out = std::env::temp_dir().join("acclaim-cli-tune-fault-smoke.json");
+        let trace = std::env::temp_dir().join("acclaim-cli-tune-fault-smoke.jsonl");
+        let report = smoke_tune(
+            &[
+                "--budget",
+                "40",
+                "--faults",
+                "production",
+                "--trace-out",
+                trace.to_str().unwrap(),
+            ],
+            &out,
+        );
+        assert!(bcast_converged(&report), "{report}");
+        assert!(counter(&report, "fault", "retries").is_some(), "{report}");
+        let text = std::fs::read_to_string(&trace).unwrap();
+        acclaim_obs::schema::validate_trace(&text).unwrap();
+        std::fs::remove_file(&out).ok();
+        std::fs::remove_file(&trace).ok();
+    }
+
+    #[test]
+    fn analytic_priors_cold_start_converges_injecting_and_pruning() {
+        // The budget sits above the injected prior rows (they count
+        // toward it), leaving headroom for real measurements.
+        let out = std::env::temp_dir().join("acclaim-cli-tune-analytic-smoke.json");
+        let report = smoke_tune(&["--analytic-priors", "--budget", "160"], &out);
+        assert!(bcast_converged(&report), "{report}");
+        for name in ["priors_injected", "candidates_pruned"] {
+            let n = counter(&report, "analytic", name);
+            assert!(n.is_some_and(|n| n > 0), "{name}: {report}");
+        }
+        std::fs::remove_file(&out).ok();
+    }
+
     #[test]
     fn counter_line_strips_the_prefix_or_says_none_recorded() {
         let counters = vec![

@@ -9,7 +9,7 @@
 //! acclaim selections --tuning tuning.json --collective bcast --nodes 16 --ppn 8
 //! acclaim simulate   --machine bebop --nodes 16 --ppn 4 --collective reduce --msg 262144
 //! acclaim store      ls|gc|export|import --store DIR [--out FILE] [--in FILE]
-//! acclaim serve      --store DIR [--socket PATH] [--workers N] [--slots N]
+//! acclaim serve      --store DIR [--socket PATH] [--workers N]
 //! acclaim client     --socket PATH --op tune|query|stats|shutdown | --load N
 //! acclaim traces
 //! ```
@@ -82,8 +82,8 @@ commands:
               export --store DIR --out FILE   bundle entries to one file
               import --store DIR --in FILE    merge a bundle (local wins)
   serve       run the tuning-as-a-service daemon on a local socket
-              --store DIR [--socket PATH] [--workers N] [--slots N]
-              [--shards N] [--flight N] [--slow-log FACTOR] [--cache-cap N]
+              --store DIR [--socket PATH] [--workers N] [--shards N]
+              [--flight N] [--slow-log FACTOR] [--cache-cap N]
               [--drift-band F] [--drift-min-obs N] [--drift-cooldown N]
               [--drift-deweight F] [--drift-max-signatures N]
               (runs until a client sends shutdown; prints serve.*
@@ -448,7 +448,6 @@ mod tests {
                     "store",
                     "socket",
                     "workers",
-                    "slots",
                     "shards",
                     "flight",
                     "slow-log",
@@ -496,5 +495,6 @@ mod tests {
         }
         assert!(!accepted_options("traces").contains("trace-out"));
         assert!(!accepted_options("tune").contains("drift"));
+        assert!(!accepted_options("serve").contains("slots"));
     }
 }

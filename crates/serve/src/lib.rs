@@ -13,12 +13,13 @@
 //!
 //! * [`TuneService`] — the daemon core: a priority [`Priority`] job
 //!   queue with cancellation and anti-starvation, a worker pool
-//!   bounded by training slots, request coalescing (identical queued
-//!   requests ride one training run), and cache-serving ("tune" means
-//!   *ensure tuned* — an exact hit answers without retraining).
-//! * [`SharedStore`] — a sharded, lock-safe in-memory signature index
-//!   over the on-disk [`acclaim_store::TuningStore`], rebuilt on open,
-//!   probing in O(index) instead of O(disk).
+//!   that bounds concurrent tunes, request coalescing (identical
+//!   queued requests ride one training run), and cache-serving ("tune"
+//!   means *ensure tuned* — an exact hit answers without retraining).
+//! * [`SharedStore`] — the daemon's one sharded, lock-safe key map
+//!   over the on-disk [`acclaim_store::TuningStore`]: each key's
+//!   signature and pre-warmed serving model, rebuilt on open, probing
+//!   in O(map) instead of O(disk).
 //! * [`protocol`] — the line-delimited JSON wire format the CLI's
 //!   `serve`/`client` commands speak over a local socket.
 //! * [`loadgen`] — a deterministic load generator: seeded virtual

@@ -5,17 +5,18 @@
 //! tuned": if every requested collective already has an exact entry,
 //! the cached rules are served without retraining (`serve.cache_served`);
 //! identical queued requests are coalesced behind one training run
-//! (`serve.coalesced`); otherwise a worker acquires an allocation slot
-//! and trains through the same probe → warm-start → train → write-back
+//! (`serve.coalesced`); otherwise a worker trains through the same
+//! probe → warm-start → train → write-back
 //! [`acclaim_store::StorePlan`] as [`acclaim_store::tune_with_store`],
 //! so a single-session service run is bit-identical to the CLI path by
-//! construction. `ServiceInner::run_tune` adds only the daemon's own
-//! concerns: the database hook, phase timing, cancellation between
-//! collectives, and publishing each written entry to the rule cache.
+//! construction. The worker count bounds concurrent tunes.
+//! `ServiceInner::run_tune` adds only the daemon's own concerns: the
+//! database hook, phase timing and cancellation between collectives;
+//! its write-back publishes each entry through [`SharedStore::put`].
 //!
 //! Rule queries never touch the job queue: [`TuneService::query`]
-//! resolves against pre-warmed serving models (rules plus a
-//! `FlatForest` snapshot of the entry's forest, `cache.rs`) under
+//! resolves against the [`SharedStore`]'s pre-warmed serving models
+//! (rules plus a `FlatForest` snapshot of the entry's forest) under
 //! sharded read locks, falling back to the MPICH default heuristic for
 //! untuned signatures. Warm queries are sub-millisecond; latencies land
 //! in the `serve.query_latency_us` histogram.
@@ -24,10 +25,8 @@
 //! through one settle step, `ServiceInner::settle`, whatever its
 //! outcome.
 
-mod cache;
 mod counters;
 mod phase;
-mod slots;
 
 use crate::drift::{DriftConfig, DriftDetector, DriftStatusReport};
 use crate::index::SharedStore;
@@ -37,12 +36,10 @@ use acclaim_core::{Acclaim, AcclaimConfig, TuningFile};
 use acclaim_dataset::{BenchmarkDatabase, DatasetConfig, Point};
 use acclaim_netsim::Fingerprint;
 use acclaim_obs::{Diag, FlightRecord, FlightRecorder, MetricsSnapshot, Obs};
-use acclaim_store::{ClusterSignature, Compatibility, StorePlan};
-use cache::{RuleCache, ServedModel};
+use acclaim_store::{ClusterSignature, StorePlan};
 use counters::ServeCounters;
 use phase::{Phase, PhaseMetrics, RequestClock};
 use serde::{Deserialize, Serialize};
-use slots::SlotPool;
 use std::collections::HashMap;
 use std::io;
 use std::path::Path;
@@ -202,18 +199,18 @@ pub(crate) struct RetuneSpec {
 /// one (its deweighted warm start is not the client path).
 const RETUNE_FINGERPRINT_TAG: u64 = 0x9E37_79B9_7F4A_7C15;
 
+/// Every this-many pops the queue takes its oldest job whatever the
+/// priority, so a saturated high-priority stream never parks a low job.
+const STARVATION_WINDOW: u64 = 8;
+
 /// Service configuration.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Worker threads pulling from the job queue.
+    /// Worker threads pulling from the job queue; also the bound on
+    /// concurrent tunes.
     pub workers: usize,
-    /// Concurrent training allocations (simulated cluster slots);
-    /// cache-served responses bypass slots entirely.
-    pub slots: usize,
-    /// Lock shards for the signature index and rule cache.
+    /// Lock shards of the daemon's key map.
     pub shards: usize,
-    /// Anti-starvation window for the queue (0 disables).
-    pub starvation_window: u64,
     /// Flight-recorder ring capacity (recent request records kept for
     /// dump-on-demand).
     pub flight_capacity: usize,
@@ -227,9 +224,10 @@ pub struct ServeConfig {
     /// trigger background warm re-tunes. The default band disables
     /// triggering, so a plain service is measurement-only.
     pub drift: DriftConfig,
-    /// Serving-model cache capacity (models, across all shards); the
-    /// least recently used entry is evicted at capacity and re-warmed
-    /// from the store on next touch. `0` disables eviction.
+    /// Serving models held, across all shards. At capacity the least
+    /// recently used model is dropped, keeping its signature, and
+    /// re-warmed from the store on next touch. `0` (the default) is
+    /// unbounded.
     pub cache_capacity: usize,
     /// Deterministic test hooks.
     pub hooks: ServiceHooks,
@@ -239,14 +237,12 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             workers: 2,
-            slots: 4,
             shards: 16,
-            starvation_window: 8,
             flight_capacity: 256,
             slow_log_factor: None,
             diag: Diag::default(),
             drift: DriftConfig::default(),
-            cache_capacity: 1024,
+            cache_capacity: 0,
             hooks: ServiceHooks::default(),
         }
     }
@@ -257,9 +253,7 @@ impl Default for ServeConfig {
 pub struct ServiceStats {
     /// Jobs waiting in the queue.
     pub queue_depth: usize,
-    /// Free training slots.
-    pub slots_free: usize,
-    /// Signatures in the store index.
+    /// Store keys in the daemon's map.
     pub entries: usize,
     /// Pre-warmed serving models in memory.
     pub cached_models: usize,
@@ -296,8 +290,6 @@ pub struct ServiceStats {
 pub(crate) struct ServiceInner {
     shared: SharedStore,
     queue: JobQueue,
-    slots: SlotPool,
-    cache: RuleCache,
     obs: Obs,
     hooks: ServiceHooks,
     next_id: AtomicU64,
@@ -379,23 +371,16 @@ impl std::fmt::Debug for TuneService {
 }
 
 impl TuneService {
-    /// Open the store at `dir`, prewarm the signature index and rule
-    /// cache from it in one scan, and start the worker pool.
+    /// Open the store at `dir`, load its signatures and serving models
+    /// in one scan, and start the worker pool.
     pub fn open(dir: impl AsRef<Path>, config: ServeConfig, obs: Obs) -> io::Result<TuneService> {
-        let cache = RuleCache::new(config.shards, config.cache_capacity);
-        let shared = SharedStore::open_with(dir, config.shards, |entry| {
-            cache.insert(Arc::new(ServedModel::from_entry(entry)));
-        })?;
-        obs.incr_counter("serve.prewarmed_models", cache.len() as u64);
+        let shared = SharedStore::open(dir, config.shards, config.cache_capacity, &obs)?;
         let counters = ServeCounters::new(&obs);
-        counters.cache_size.set(cache.len() as f64);
         let phase_metrics = PhaseMetrics::new(&obs);
         let flight = FlightRecorder::new(config.flight_capacity);
         let inner = Arc::new(ServiceInner {
             shared,
-            queue: JobQueue::new(config.starvation_window),
-            slots: SlotPool::new(config.slots),
-            cache,
+            queue: JobQueue::new(STARVATION_WINDOW),
             obs,
             hooks: config.hooks,
             next_id: AtomicU64::new(1),
@@ -433,14 +418,15 @@ impl TuneService {
         }
     }
 
-    /// Answer a rule query from the pre-warmed cache (or the store, on
-    /// first touch), falling back to the MPICH default heuristic.
+    /// Answer a rule query from a pre-warmed serving model (or the
+    /// store, on first touch), falling back to the MPICH default
+    /// heuristic.
     pub fn query(&self, request: &QueryRequest) -> QueryResponse {
         let inner = &self.inner;
         let start = std::time::Instant::now();
         let _span = inner.obs.span("serve", "query");
         let sig = signature(&request.dataset, &request.config, request.collective);
-        let response = match inner.serving_model(&sig) {
+        let response = match inner.shared.serving_model(&sig) {
             Some(m) => {
                 let algorithm = m.rules.select(request.point);
                 let row = request
@@ -492,9 +478,8 @@ impl TuneService {
         let c = &self.inner.counters;
         ServiceStats {
             queue_depth: self.inner.queue.len(),
-            slots_free: self.inner.slots.free(),
             entries: self.inner.shared.len(),
-            cached_models: self.inner.cache.len(),
+            cached_models: self.inner.shared.models(),
             tune_requests: c.tune_requests.get(),
             completed: c.completed.get(),
             trained: c.trained.get(),
@@ -503,7 +488,7 @@ impl TuneService {
             attached: c.attached.get(),
             drift_triggered: c.drift_triggered.get(),
             retuned: c.retuned.get(),
-            cache_evicted: c.cache_evicted.get(),
+            cache_evicted: self.inner.shared.evicted(),
             cancelled: c.cancelled.get(),
             failed: c.failed.get(),
             queries: c.queries.get(),
@@ -688,24 +673,6 @@ impl ServiceInner {
         }
     }
 
-    /// A cached serving model for `sig`, loading from disk on first
-    /// touch (and verifying signature compatibility either way).
-    fn serving_model(&self, sig: &ClusterSignature) -> Option<Arc<ServedModel>> {
-        let key = sig.key();
-        if let Some(m) = self.cache.get(&key) {
-            return (sig.compatibility(&m.signature) == Compatibility::Exact).then_some(m);
-        }
-        let entry = self.shared.store().get(&key).ok().flatten()?;
-        if sig.compatibility(&entry.signature) != Compatibility::Exact {
-            return None;
-        }
-        let model = Arc::new(ServedModel::from_entry(&entry));
-        let evicted = self.cache.insert(model.clone());
-        self.counters.cache_evicted.add(evicted as u64);
-        self.counters.cache_size.set(self.cache.len() as f64);
-        Some(model)
-    }
-
     /// Serve a tune request purely from cache, if every collective has
     /// an exact entry.
     fn serve_cached(&self, request: &TuneRequest) -> Option<TuneResult> {
@@ -714,7 +681,7 @@ impl ServiceInner {
             .iter()
             .map(|&c| {
                 let sig = signature(&request.dataset, &request.config, c);
-                let m = self.serving_model(&sig)?;
+                let m = self.shared.serving_model(&sig)?;
                 Some((sig.key(), m.rules.clone()))
             })
             .collect::<Option<(Vec<_>, Vec<_>)>>()?;
@@ -795,19 +762,9 @@ impl ServiceInner {
         );
 
         // Write back whatever completed — even on a cancelled job the
-        // finished collectives' fresh measurements are kept — and
-        // publish each new entry to the rule cache.
-        let written = plan.write_back(
-            &tuning,
-            |entry| {
-                self.shared.put(entry)?;
-                let evicted = self.cache.insert(Arc::new(ServedModel::from_entry(entry)));
-                self.counters.cache_evicted.add(evicted as u64);
-                Ok(())
-            },
-            obs,
-        )?;
-        self.counters.cache_size.set(self.cache.len() as f64);
+        // finished collectives' fresh measurements are kept; each put
+        // also publishes the entry's serving model.
+        let written = plan.write_back(&tuning, |entry| self.shared.put(entry).map(drop), obs)?;
         let iterations: usize = tuning.reports.iter().map(|(_, o)| o.log.len()).sum();
         clock.end(
             Phase::WriteBack,
@@ -861,8 +818,8 @@ impl ServiceInner {
 
         let _span = self.obs.span("serve", "job");
         // Fast path: everything already tuned — serve from cache,
-        // no slot, no training. A drift re-tune skips this: its whole
-        // point is to replace what the cache would serve.
+        // no training. A drift re-tune skips this: its whole point is
+        // to replace what the cache would serve.
         if job.retune.is_none() {
             if let Some(result) = self.serve_cached(&job.request) {
                 self.counters.cache_served.incr();
@@ -873,15 +830,11 @@ impl ServiceInner {
             }
         }
 
-        let slot = self.slots.acquire();
-        self.counters.slots_in_use.set(self.slots.in_use() as f64);
         job.state.set(JobStatus::Running);
         for r in &riders {
             r.state.set(JobStatus::Running);
         }
         let outcome = self.run_tune(&job, &mut clock);
-        drop(slot);
-        self.counters.slots_in_use.set(self.slots.in_use() as f64);
 
         // Collect clients that attached while the tune ran; they settle
         // with the same outcome as the queue-swept riders.
@@ -956,7 +909,7 @@ impl ServiceInner {
             return unmatched();
         }
         let sig = signature(&request.dataset, &request.config, request.collective);
-        let Some(model) = self.serving_model(&sig) else {
+        let Some(model) = self.shared.serving_model(&sig) else {
             return unmatched();
         };
         let Some(alg) = request
@@ -1169,15 +1122,14 @@ mod tests {
     }
 
     #[test]
-    fn cancellation_mid_collection_releases_the_slot() {
-        // One worker, one slot. J1 blocks at its collective boundary
-        // via the hook; cancelling J1 must release the slot so J2
-        // trains to completion.
-        let dir = temp_dir("cancel-slot");
+    fn cancellation_mid_collection_frees_the_worker() {
+        // One worker. J1 blocks at its collective boundary via the
+        // hook; cancelling J1 must free the worker so J2 trains to
+        // completion.
+        let dir = temp_dir("cancel-worker");
         let (hooks, gate, entered) = first_call_gate();
         let config = ServeConfig {
             workers: 1,
-            slots: 1,
             hooks,
             ..ServeConfig::default()
         };
@@ -1186,21 +1138,20 @@ mod tests {
         let j1 = service.submit(request(1, vec![Collective::Bcast]));
         let j2 = service.submit(request(2, vec![Collective::Allreduce]));
 
-        // Wait until J1 is inside the hook (holding the only slot).
+        // Wait until J1 is inside the hook (holding the only worker).
         await_entered(&entered);
         assert!(matches!(j2.status(), JobStatus::Queued));
         assert!(j1.cancel());
         // Open the gate: the hook returns, tune_while sees the flag.
         open_gate(&gate);
         assert!(matches!(j1.wait(), JobStatus::Cancelled));
-        // The slot was released: J2 runs to completion.
+        // The worker was freed: J2 runs to completion.
         let JobStatus::Done(r2) = j2.wait() else {
             panic!("J2 must complete after J1's cancellation")
         };
         assert!(!r2.cached);
         let stats = service.stats();
         assert_eq!(stats.cancelled, 1);
-        assert_eq!(stats.slots_free, 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1212,7 +1163,6 @@ mod tests {
         let (hooks, gate, entered) = first_call_gate();
         let config = ServeConfig {
             workers: 1,
-            slots: 1,
             hooks,
             ..ServeConfig::default()
         };
@@ -1519,7 +1469,6 @@ mod tests {
         let (hooks, gate, entered) = first_call_gate();
         let config = ServeConfig {
             workers: 1,
-            slots: 1,
             hooks,
             ..ServeConfig::default()
         };
@@ -1564,7 +1513,6 @@ mod tests {
         let (hooks, gate, entered) = first_call_gate();
         let config = ServeConfig {
             workers: 2,
-            slots: 2,
             flight_capacity: 4,
             hooks,
             ..ServeConfig::default()

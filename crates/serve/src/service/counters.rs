@@ -1,6 +1,8 @@
 //! The service's `serve.*` and `drift.*` metric handles. The
 //! `serve.phase.*` histograms belong to the request clock
-//! (`phase.rs`), the one place that times a request.
+//! (`phase.rs`), the one place that times a request, and the
+//! `serve.cache_*` series to the key map (`index.rs`), the one place
+//! that holds serving models.
 
 use acclaim_obs::{Counter, Gauge, Histogram, Obs};
 
@@ -11,7 +13,6 @@ pub(super) struct ServeCounters {
     pub(super) coalesced: Counter,
     pub(super) attached: Counter,
     pub(super) cache_served: Counter,
-    pub(super) cache_evicted: Counter,
     pub(super) trained: Counter,
     pub(super) retuned: Counter,
     pub(super) completed: Counter,
@@ -20,9 +21,7 @@ pub(super) struct ServeCounters {
     pub(super) queries: Counter,
     pub(super) query_defaults: Counter,
     pub(super) queue_depth: Gauge,
-    pub(super) slots_in_use: Gauge,
     pub(super) active_jobs: Gauge,
-    pub(super) cache_size: Gauge,
     pub(super) query_latency_us: Histogram,
     pub(super) drift_observations: Counter,
     pub(super) drift_unmatched: Counter,
@@ -39,7 +38,6 @@ impl ServeCounters {
             coalesced: obs.counter("serve.coalesced"),
             attached: obs.counter("serve.attached"),
             cache_served: obs.counter("serve.cache_served"),
-            cache_evicted: obs.counter("serve.cache_evicted"),
             trained: obs.counter("serve.trained"),
             retuned: obs.counter("serve.retuned"),
             completed: obs.counter("serve.completed"),
@@ -48,9 +46,7 @@ impl ServeCounters {
             queries: obs.counter("serve.queries"),
             query_defaults: obs.counter("serve.query_defaults"),
             queue_depth: obs.gauge("serve.queue_depth"),
-            slots_in_use: obs.gauge("serve.slots_in_use"),
             active_jobs: obs.gauge("serve.active_jobs"),
-            cache_size: obs.gauge("serve.cache_size"),
             query_latency_us: obs.histogram("serve.query_latency_us"),
             drift_observations: obs.counter("drift.observations"),
             drift_unmatched: obs.counter("drift.unmatched"),

@@ -208,7 +208,6 @@ fn every_outcome_emits_its_pinned_spans_flight_record_and_phase_samples() {
     let hold = Arc::new(Hold::default());
     let config = ServeConfig {
         workers: 1,
-        slots: 1,
         flight_capacity: 64,
         drift: DriftConfig {
             band: 1.4,
