@@ -414,6 +414,64 @@ mod tests {
         std::fs::remove_file(&trace).ok();
     }
 
+    fn str_field<'a>(v: &'a serde_json::Value, key: &str) -> Option<&'a str> {
+        v.get(key).and_then(|x| x.as_str())
+    }
+
+    #[test]
+    fn every_train_span_nests_under_the_tune_span_whichever_thread_trains() {
+        // The four collectives train on the worker pool, so some train
+        // on a helper thread; each `learner/train` span must still be a
+        // child of `cli/tune`.
+        let out = std::env::temp_dir().join("acclaim-cli-tune-nesting-test.json");
+        let trace = std::env::temp_dir().join("acclaim-cli-tune-nesting-test.jsonl");
+        let tokens = [
+            "tune",
+            "--nodes",
+            "8",
+            "--ppn",
+            "2",
+            "--min-msg",
+            "64",
+            "--max-msg",
+            "4096",
+            "--collectives",
+            "bcast,reduce,allreduce,allgather",
+            "--budget",
+            "20",
+            "--out",
+            out.to_str().unwrap(),
+            "--trace-out",
+            trace.to_str().unwrap(),
+        ];
+        let args = Args::parse(tokens.iter().map(|s| s.to_string())).unwrap();
+        run(&args, &Diag::new(true)).unwrap();
+        let text = std::fs::read_to_string(&trace).unwrap();
+        acclaim_obs::schema::validate_trace(&text).unwrap();
+        let spans: Vec<serde_json::Value> = text
+            .lines()
+            .map(|line| serde_json::from_str(line).unwrap())
+            .filter(|v: &serde_json::Value| str_field(v, "type") == Some("span"))
+            .collect();
+        let named = |cat: &str, name: &str| -> Vec<&serde_json::Value> {
+            spans
+                .iter()
+                .filter(|v| str_field(v, "cat") == Some(cat) && str_field(v, "name") == Some(name))
+                .collect()
+        };
+        let id_field = |v: &serde_json::Value, key: &str| v.get(key).and_then(|x| x.as_u64());
+        let tune = named("cli", "tune");
+        assert_eq!(tune.len(), 1);
+        let trains = named("learner", "train");
+        assert_eq!(trains.len(), 4);
+        for train in trains {
+            let parent = id_field(train, "parent");
+            assert_eq!(parent, id_field(tune[0], "id"), "{train:?}");
+        }
+        std::fs::remove_file(&out).ok();
+        std::fs::remove_file(&trace).ok();
+    }
+
     #[test]
     fn tune_chrome_trace_is_valid_json() {
         let out = std::env::temp_dir().join("acclaim-cli-tune-chrome-test.json");

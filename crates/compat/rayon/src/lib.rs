@@ -4,17 +4,21 @@
 //! the surface the workspace uses: `into_par_iter().map(..).collect()`.
 //! The first map starts one pool of `available_parallelism() - 1`
 //! helper threads, which park between maps. A map posts its items to
-//! the pool, hands them out one at a time to the helpers and the
-//! calling thread, and keeps the input order. A map that finds the pool
-//! busy runs serially on its own thread: a nested map inside an item,
-//! or a second thread mapping at the same time. A panicking item is
-//! re-raised in the caller once every helper has left the map. Users:
+//! the pool's one job slot, hands them out one at a time to the helpers
+//! and the calling thread, and keeps the input order. Claiming its last
+//! item frees the slot, so a map nested inside a still-running item can
+//! post in turn, and a helper that ran out of items joins it. A map
+//! that finds the slot taken runs serially on its own thread: a nested
+//! map while its parent still has unclaimed items, or a second thread
+//! mapping at the same time. A panicking item is re-raised in the
+//! caller once every helper has left that map; each map waits only for
+//! its own helpers. Users: the job loop over a job's collectives,
 //! forest fits and refits, the variance scan's paint and variances,
 //! rule generation, and dataset prefill.
 
 use std::any::Any;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, LockResult, Mutex, OnceLock, PoisonError};
 use std::thread::available_parallelism;
 
@@ -69,8 +73,12 @@ impl<T: Send> ParIter<T> {
 }
 
 /// A posted map's work loop, borrowed from the caller's stack with its
-/// lifetime erased. It never unwinds.
-struct Job(*const (dyn Fn() + Sync));
+/// lifetime erased, and the id its helpers are counted under. The work
+/// loop never unwinds.
+struct Job {
+    work: *const (dyn Fn() + Sync),
+    id: u64,
+}
 
 // SAFETY: the pointee is `Sync`, and the map that posted it outlives
 // every helper's use of it (see `Posted`).
@@ -78,11 +86,12 @@ unsafe impl Send for Job {}
 
 #[derive(Default)]
 struct State {
+    /// The job idle helpers join; a map withdraws its job once its
+    /// last item is claimed.
     job: Option<Job>,
-    /// Bumped per posted job, so a helper enters each job once.
-    epoch: u64,
-    /// Helpers inside the posted (or just withdrawn) job.
-    active: usize,
+    /// The id of the job each busy helper is inside, one entry per
+    /// helper, so every map waits only for its own helpers.
+    inside: Vec<u64>,
 }
 
 /// Helpers park on `posted` until a job is posted; a caller waits on
@@ -93,6 +102,8 @@ struct Pool {
     posted: Condvar,
     left: Condvar,
     helpers: usize,
+    /// The next job id, so a helper enters each job at most once.
+    next_id: AtomicU64,
 }
 
 /// Every update leaves the pool state valid, so a poisoned lock is
@@ -101,16 +112,29 @@ fn unpoison<G>(guard: LockResult<G>) -> G {
     guard.unwrap_or_else(PoisonError::into_inner)
 }
 
-/// A posted job. Dropping it withdraws the job and waits until every
-/// helper has left it, so the borrowed work loop outlives their use.
-struct Posted<'a>(&'a Pool);
+/// A posted job. Dropping it withdraws the job, if its last item was
+/// not claimed yet, and waits until each of its helpers has left it,
+/// so the borrowed work loop outlives their use.
+struct Posted<'a> {
+    pool: &'a Pool,
+    id: u64,
+}
 
 impl Drop for Posted<'_> {
     fn drop(&mut self) {
-        let mut state = unpoison(self.0.state.lock());
-        state.job = None;
-        while state.active > 0 {
-            state = unpoison(self.0.left.wait(state));
+        let mut state = unpoison(self.pool.state.lock());
+        state.withdraw(self.id);
+        while state.inside.contains(&self.id) {
+            state = unpoison(self.pool.left.wait(state));
+        }
+    }
+}
+
+impl State {
+    /// Free the slot if it still holds job `id`.
+    fn withdraw(&mut self, id: u64) {
+        if self.job.as_ref().is_some_and(|job| job.id == id) {
+            self.job = None;
         }
     }
 }
@@ -129,45 +153,45 @@ impl Pool {
         pool
     }
 
-    /// A helper's life: park until a job is posted, run it, repeat.
+    /// A helper's life: park until a job it has not entered is posted,
+    /// run it, repeat.
     fn help(&self) {
-        let mut seen = 0;
+        let mut seen = None;
         let mut state = unpoison(self.state.lock());
         loop {
-            match state.job {
-                Some(Job(job)) if state.epoch != seen => {
-                    seen = state.epoch;
-                    state.active += 1;
+            match &state.job {
+                Some(job) if seen != Some(job.id) => {
+                    let (work, id) = (job.work, job.id);
+                    seen = Some(id);
+                    state.inside.push(id);
                     drop(state);
-                    // SAFETY: the job is alive until `active` drops to zero.
-                    unsafe { (*job)() };
+                    // SAFETY: the job is alive while `inside` lists it.
+                    unsafe { (*work)() };
                     state = unpoison(self.state.lock());
-                    state.active -= 1;
-                    if state.active == 0 {
-                        self.left.notify_all();
-                    }
+                    let at = state.inside.iter().position(|&j| j == id);
+                    state.inside.swap_remove(at.expect("entered above"));
+                    self.left.notify_all();
                 }
                 _ => state = unpoison(self.posted.wait(state)),
             }
         }
     }
 
-    /// Post `work` to the helpers, or `None` when a job is already
-    /// posted or its helpers have not all left yet.
-    fn post<'a>(&'a self, work: &'a (dyn Fn() + Sync)) -> Option<Posted<'a>> {
+    /// Post `work` to the helpers as job `id`, or `None` when another
+    /// job holds the slot.
+    fn post<'a>(&'a self, work: &'a (dyn Fn() + Sync), id: u64) -> Option<Posted<'a>> {
         let mut state = unpoison(self.state.lock());
-        if state.job.is_some() || state.active > 0 {
+        if state.job.is_some() {
             return None;
         }
         let work: *const (dyn Fn() + Sync + 'a) = work;
         // SAFETY: only the lifetime changes; `Posted` borrows `work`
         // until no helper can reach it.
         let work: *const (dyn Fn() + Sync + 'static) = unsafe { std::mem::transmute(work) };
-        state.job = Some(Job(work));
-        state.epoch += 1;
+        state.job = Some(Job { work, id });
         drop(state);
         self.posted.notify_all();
-        Some(Posted(self))
+        Some(Posted { pool: self, id })
     }
 
     fn map<T: Send, R: Send, F: Fn(T) -> R + Sync>(&self, items: Vec<T>, f: &F) -> Vec<R> {
@@ -178,8 +202,12 @@ impl Pool {
         // Items are handed out one at a time from a shared counter, so
         // uneven item costs still keep every thread busy. The counter
         // only claims indices (items and results pass through mutexes),
-        // so it is `Relaxed`. An item may run on a helper, so it must
-        // not rely on the caller's thread-local state, such as its span.
+        // so it is `Relaxed`. Claiming the last item frees the slot, so
+        // a map nested in a still-running item can post and a helper
+        // out of work here joins it. An item may run on a helper, so it
+        // must not rely on the caller's thread-local state, such as its
+        // span.
+        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
         let next = AtomicUsize::new(0);
         let results = Mutex::new(Vec::with_capacity(len));
@@ -191,6 +219,9 @@ impl Pool {
                 if i >= len {
                     return;
                 }
+                if i + 1 == len {
+                    unpoison(self.state.lock()).withdraw(id);
+                }
                 let item = slots[i].lock().expect("slot").take();
                 done.push((i, f(item.expect("each slot is taken once"))));
             }));
@@ -199,8 +230,8 @@ impl Pool {
             }
             results.lock().expect("results").extend(done);
         };
-        // Post, work alongside any helpers, then withdraw and wait.
-        drop((self.post(&work), work()));
+        // Post, work alongside any helpers, then wait for them to leave.
+        drop((self.post(&work, id), work()));
         if let Some(payload) = panicked.into_inner().expect("panic slot") {
             panic::resume_unwind(payload);
         }
@@ -215,6 +246,7 @@ mod tests {
     use super::prelude::*;
     use super::Pool;
     use std::collections::HashSet;
+    use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Mutex;
     use std::thread::{self, ThreadId};
     use std::time::{Duration, Instant};
@@ -292,19 +324,99 @@ mod tests {
         });
     }
 
+    /// Spin until `ready` holds or 30 s pass, so a broken pool fails
+    /// its assertion instead of hanging.
+    fn wait_until(ready: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while !ready() && Instant::now() < deadline {
+            thread::yield_now();
+        }
+    }
+
     #[test]
-    fn nested_map_runs_serially_on_the_item_thread() {
+    fn nested_map_stays_on_its_thread_while_outer_items_remain() {
+        // The outer items after item 0 wait until item 0's nested map
+        // has started, so when the nested map tries to post, items
+        // 3.. are still unclaimed and the outer job holds the slot. The
+        // nested map then runs serially, although both helpers are
+        // free again long before its slow items end.
         let pool = Pool::new(HELPERS);
+        let started = AtomicBool::new(false);
         let out = pool.map((0..8usize).collect(), &|i| {
+            if i > 0 {
+                wait_until(|| started.load(Ordering::SeqCst));
+                return i;
+            }
             let outer = thread::current().id();
-            let inner = pool.map((0..8usize).collect(), &|j| (thread::current().id(), i * j));
+            let inner = pool.map((0..8usize).collect(), &|j| {
+                started.store(true, Ordering::SeqCst);
+                thread::sleep(Duration::from_millis(2));
+                (thread::current().id(), j)
+            });
             assert!(
                 inner.iter().all(|&(id, _)| id == outer),
                 "nested map left its thread"
             );
-            inner.into_iter().map(|(_, v)| v).sum::<usize>()
+            inner.into_iter().map(|(_, j)| j).sum::<usize>()
         });
-        assert_eq!(out, (0..8).map(|i| i * 28).collect::<Vec<_>>());
+        assert_eq!(out, [28, 1, 2, 3, 4, 5, 6, 7]);
+    }
+
+    #[test]
+    fn nested_map_in_the_last_item_gets_helpers() {
+        // Once the outer items are all claimed, the map nested in the
+        // last one posts, and a helper whose outer item is done joins
+        // it: nested item 0 holds its thread until a second thread has
+        // taken a nested item.
+        let pool = Pool::new(HELPERS);
+        let last = HELPERS;
+        let out = pool.map((0..=last).collect(), &|i| {
+            if i != last {
+                return 0;
+            }
+            let seen = Mutex::new(HashSet::new());
+            let inner = pool.map((0..4 * HELPERS).collect(), &|j| {
+                seen.lock().unwrap().insert(thread::current().id());
+                if j == 0 {
+                    wait_until(|| seen.lock().unwrap().len() >= 2);
+                }
+                j
+            });
+            assert_eq!(inner, (0..4 * HELPERS).collect::<Vec<_>>());
+            seen.into_inner().unwrap().len()
+        });
+        assert!(out[last] >= 2, "no helper joined the nested map");
+    }
+
+    #[test]
+    fn nested_panic_is_raised_after_its_helpers_leave() {
+        // In the outer map's last item, a nested map's item on the
+        // nested caller's thread panics while a helper is still inside
+        // another nested item. The panic must reach the nested caller
+        // only after that helper's item has finished.
+        let pool = Pool::new(HELPERS);
+        let last = HELPERS;
+        let out = pool.map((0..=last).collect(), &|i| {
+            if i != last {
+                return true;
+            }
+            let caller = thread::current().id();
+            let (started, finished) = (AtomicBool::new(false), AtomicBool::new(false));
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                pool.map(vec![0usize, 1], &|_| {
+                    if thread::current().id() == caller {
+                        wait_until(|| started.load(Ordering::SeqCst));
+                        panic!("nested item fails");
+                    }
+                    started.store(true, Ordering::SeqCst);
+                    thread::sleep(Duration::from_millis(50));
+                    finished.store(true, Ordering::SeqCst);
+                })
+            }));
+            assert!(caught.is_err(), "the nested panic reaches its caller");
+            finished.load(Ordering::SeqCst)
+        });
+        assert!(out[last], "the panic was raised before the helper left");
     }
 
     #[test]

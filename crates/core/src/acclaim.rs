@@ -14,7 +14,9 @@ use crate::rules::{generate_rules, TunedSelector, TuningFile};
 use acclaim_collectives::{mpich_default, Collective};
 use acclaim_dataset::{traces::AppTrace, BenchmarkDatabase, FeatureSpace};
 use acclaim_obs::Obs;
+use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
+use std::sync::Mutex;
 
 /// Pipeline configuration. Serializable so remote clients (the
 /// `acclaim-serve` wire protocol) can ship a full tuning request.
@@ -198,19 +200,29 @@ impl Acclaim {
         db: &BenchmarkDatabase,
         collectives: &[Collective],
         obs: &Obs,
-        warm_for: impl Fn(Collective) -> Option<WarmStart>,
+        warm_for: impl Fn(Collective) -> Option<WarmStart> + Sync,
     ) -> JobTuning {
         self.tune_while(db, collectives, obs, warm_for, || true).0
     }
 
     /// [`Acclaim::tune_with_warm`] with a cooperative cancellation
-    /// hook: `keep_going` is consulted before each collective trains,
-    /// and a `false` stops the job at that collective boundary —
-    /// training one collective is the unit of work, never torn apart
-    /// mid-run. Returns the (possibly partial) tuning — reports and
-    /// rule tables only for the collectives that completed — plus
-    /// whether the whole list ran. An always-`true` hook is
-    /// bit-identical to [`Acclaim::tune_with_warm`].
+    /// hook: `keep_going` is consulted before each collective starts,
+    /// and a `false` starts no further collective — training one
+    /// collective is the unit of work, never torn apart mid-run.
+    /// Returns the (possibly partial) tuning — reports and rule tables
+    /// only for the collectives that ran — plus whether the whole list
+    /// ran. An always-`true` hook is bit-identical to
+    /// [`Acclaim::tune_with_warm`].
+    ///
+    /// The collectives train concurrently, as the items of one pool
+    /// map; once the last one has started, a thread out of work joins
+    /// the maps inside those still running. Each trains exactly as it
+    /// would alone, and the reports and tables keep the list order.
+    /// The hook is called under the lock that hands out the next
+    /// collective, so the collectives that start always form a prefix
+    /// of the list, and a cancelled job reports exactly that prefix.
+    /// Each collective's spans nest under the span open on the calling
+    /// thread, whichever thread trains it.
     ///
     /// This is the hook long-running callers (the `acclaim-serve` job
     /// queue) cancel through; the learner itself stays oblivious.
@@ -219,27 +231,48 @@ impl Acclaim {
         db: &BenchmarkDatabase,
         collectives: &[Collective],
         obs: &Obs,
-        warm_for: impl Fn(Collective) -> Option<WarmStart>,
-        mut keep_going: impl FnMut() -> bool,
+        warm_for: impl Fn(Collective) -> Option<WarmStart> + Sync,
+        keep_going: impl FnMut() -> bool + Send,
     ) -> (JobTuning, bool) {
         assert!(!collectives.is_empty(), "the user must list collectives");
         let learner = ActiveLearner::new(self.config.learner.clone());
-        let mut reports = Vec::with_capacity(collectives.len());
-        let mut tables = Vec::with_capacity(collectives.len());
-        let mut completed = true;
-        for &c in collectives {
-            if !keep_going() {
-                completed = false;
-                break;
-            }
-            let warm = warm_for(c);
-            let outcome = learner.train_warm(db, c, &self.config.space, None, obs, warm.as_ref());
-            {
-                let _span = obs.span("learner", "generate_rules");
-                tables.push(generate_rules(&outcome.model, &self.config.space));
-            }
-            reports.push((c, outcome));
-        }
+        let parent = obs.current_span();
+        // The next list position to start, and the hook until it
+        // refuses once.
+        let claim = Mutex::new((0, Some(keep_going)));
+        let started: Vec<Option<_>> = (0..collectives.len())
+            .into_par_iter()
+            .map(|_| {
+                let at = {
+                    let mut claim = claim.lock().expect("claim lock");
+                    let (next, hook) = &mut *claim;
+                    if !hook.as_mut().is_some_and(|keep_going| keep_going()) {
+                        *hook = None;
+                        return None;
+                    }
+                    *next += 1;
+                    *next - 1
+                };
+                let c = collectives[at];
+                let _adopted = obs.adopt(parent);
+                let warm = warm_for(c);
+                let outcome =
+                    learner.train_warm(db, c, &self.config.space, None, obs, warm.as_ref());
+                let table = {
+                    let _span = obs.span("learner", "generate_rules");
+                    generate_rules(&outcome.model, &self.config.space)
+                };
+                Some((at, c, outcome, table))
+            })
+            .collect();
+        // Items may claim list positions out of item order.
+        let mut trained: Vec<_> = started.into_iter().flatten().collect();
+        trained.sort_unstable_by_key(|&(at, ..)| at);
+        let completed = trained.len() == collectives.len();
+        let (reports, tables) = trained
+            .into_iter()
+            .map(|(_, c, outcome, table)| ((c, outcome), table))
+            .unzip();
         (
             JobTuning {
                 tuning_file: TuningFile {

@@ -377,6 +377,9 @@ pub struct TrainingOutcome {
     /// Total real wall time spent on model updates (fits/refits plus
     /// variance scans), across all iterations (µs).
     pub model_update_wall_us: f64,
+    /// Real wall time of the whole training run, model updates
+    /// included (µs).
+    pub host_train_us: f64,
     /// Aggregate fault-handling counters (all zero when faults are
     /// disabled).
     pub faults: FaultStats,
@@ -821,6 +824,7 @@ struct LoopState<'a> {
     scan: Option<PoolScan>,
     log: Vec<IterationRecord>,
     model_update_wall_us: f64,
+    started: Instant,
     reused_points: usize,
     prior_points: usize,
 }
@@ -875,6 +879,7 @@ impl<'a> LoopState<'a> {
             scan: None,
             log: Vec::new(),
             model_update_wall_us: 0.0,
+            started: Instant::now(),
             reused_points: 0,
             prior_points: 0,
         }
@@ -1261,10 +1266,14 @@ impl<'a> LoopState<'a> {
         );
     }
 
-    /// Finish: the final model catches up on any wave collected after
-    /// the last in-loop refit. The warm-started model is bit-identical
-    /// to a scratch fit on the full collection.
+    /// Finish: the scan is freed, and the final model catches up on
+    /// any wave collected after the last in-loop refit. The
+    /// warm-started model is bit-identical to a scratch fit on the
+    /// full collection.
     fn finish(mut self) -> TrainingOutcome {
+        // The scan's per-cell matrices are not needed past the last
+        // ranking; free them before the final fit allocates.
+        self.scan = None;
         let final_start = Instant::now();
         let model = {
             let _fit_span = self.obs.span("learner", "final_fit");
@@ -1296,6 +1305,7 @@ impl<'a> LoopState<'a> {
             stats: self.stats,
             test_wall_us,
             model_update_wall_us: self.model_update_wall_us,
+            host_train_us: self.started.elapsed().as_secs_f64() * 1e6,
             faults,
             fault_events,
             reused_points: self.reused_points,

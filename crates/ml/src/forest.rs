@@ -319,22 +319,30 @@ impl RandomForest {
             return TreeUpdate::full_refit(self.trees.len());
         }
 
+        // Each item owns its old tree and drops it as soon as the
+        // refitted one exists, so the old and new forests are never
+        // both alive in full.
         let mut kept = std::mem::take(&mut self.refit_state).into_iter();
-        let jobs: Vec<(usize, Option<TreeSample>)> =
-            (0..self.trees.len()).map(|t| (t, kept.next())).collect();
-        let refitted: Vec<(TreeSample, Option<(DecisionTree, DirtyRegion)>)> = jobs
+        let jobs: Vec<(usize, DecisionTree, Option<TreeSample>)> = std::mem::take(&mut self.trees)
+            .into_iter()
+            .enumerate()
+            .map(|(t, tree)| (t, tree, kept.next()))
+            .collect();
+        let refitted: Vec<(TreeSample, DecisionTree, Option<DirtyRegion>)> = jobs
             .into_par_iter()
-            .map(|(t, kept)| {
+            .map(|(t, old, kept)| {
                 let mut sample = kept.unwrap_or_else(|| TreeSample::new(config, x, t, old_n));
-                let refit = sample.refit(config, x, y, t, &self.trees[t], old_n..new_n);
-                (sample, refit)
+                match sample.refit(config, x, y, t, &old, old_n..new_n) {
+                    Some((tree, dirty)) => (sample, tree, Some(dirty)),
+                    None => (sample, old, None),
+                }
             })
             .collect();
         let mut changed = Vec::new();
-        for (t, (sample, refit)) in refitted.into_iter().enumerate() {
+        for (t, (sample, tree, dirty)) in refitted.into_iter().enumerate() {
             self.refit_state.push(sample);
-            if let Some((tree, dirty)) = refit {
-                self.trees[t] = tree;
+            self.trees.push(tree);
+            if let Some(dirty) = dirty {
                 changed.push(TreeUpdate { tree: t, dirty });
             }
         }

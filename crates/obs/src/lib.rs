@@ -57,5 +57,5 @@ pub use diag::Diag;
 pub use expose::{to_metrics_json, to_prometheus};
 pub use flight::{FlightRecord, FlightRecorder, PhaseTimings};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot};
-pub use recorder::{Obs, TraceSnapshot};
+pub use recorder::{AdoptGuard, Obs, TraceSnapshot};
 pub use span::{AttrValue, SpanGuard, SpanRecord, Timeline};

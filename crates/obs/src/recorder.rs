@@ -167,23 +167,51 @@ impl Obs {
         });
     }
 
+    /// The innermost open guarded span on this thread, if spans are
+    /// kept. Hand it to [`Obs::adopt`] on another thread, so the spans
+    /// opened there nest under it.
+    pub fn current_span(&self) -> Option<u64> {
+        let inner = self.span_log()?;
+        let current = inner.current.lock().expect("span stack lock");
+        current.get(&std::thread::current().id())?.last().copied()
+    }
+
+    /// Make `parent` the innermost open span on this thread until the
+    /// guard drops: the spans opened here meanwhile nest under it. For
+    /// work a caller hands to another thread, such as a pool map's
+    /// item, with `parent` read by [`Obs::current_span`] on the
+    /// caller's thread. `None` changes nothing.
+    pub fn adopt(&self, parent: Option<u64>) -> AdoptGuard<'_> {
+        let adopted = self.span_log().zip(parent);
+        if let Some((inner, id)) = adopted {
+            let mut current = inner.current.lock().expect("span stack lock");
+            let stack = current.entry(std::thread::current().id()).or_default();
+            stack.push(id);
+        }
+        AdoptGuard { adopted }
+    }
+
+    /// Take `id` off this thread's span stack.
+    fn pop_current(inner: &Inner, id: u64) {
+        let tid = std::thread::current().id();
+        let mut current = inner.current.lock().expect("span stack lock");
+        if let Some(stack) = current.get_mut(&tid) {
+            // Guards normally drop innermost-first; tolerate
+            // out-of-order drops by removing wherever the id sits.
+            if let Some(pos) = stack.iter().rposition(|&open| open == id) {
+                stack.remove(pos);
+            }
+            if stack.is_empty() {
+                current.remove(&tid);
+            }
+        }
+    }
+
     pub(crate) fn close_span(&self, open: OpenSpan) {
         let Some(inner) = &self.inner else { return };
         let end_us = inner.clock.now_us();
         let tid = std::thread::current().id();
-        {
-            let mut current = inner.current.lock().expect("span stack lock");
-            if let Some(stack) = current.get_mut(&tid) {
-                // Guards normally drop innermost-first; tolerate
-                // out-of-order drops by removing wherever the id sits.
-                if let Some(pos) = stack.iter().rposition(|&id| id == open.id) {
-                    stack.remove(pos);
-                }
-                if stack.is_empty() {
-                    current.remove(&tid);
-                }
-            }
-        }
+        Obs::pop_current(inner, open.id);
         inner.spans.lock().expect("span log lock").push(SpanRecord {
             id: open.id,
             parent: open.parent,
@@ -270,6 +298,22 @@ impl Obs {
     }
 }
 
+/// An adopted parent span (see [`Obs::adopt`]); dropping it takes the
+/// span off this thread's stack again.
+#[derive(Debug)]
+#[must_use = "the adopted parent is dropped at once"]
+pub struct AdoptGuard<'a> {
+    adopted: Option<(&'a Inner, u64)>,
+}
+
+impl Drop for AdoptGuard<'_> {
+    fn drop(&mut self) {
+        if let Some((inner, id)) = self.adopted {
+            Obs::pop_current(inner, id);
+        }
+    }
+}
+
 /// Frozen copy of a recorder's spans and metrics.
 #[derive(Debug, Clone, Default)]
 pub struct TraceSnapshot {
@@ -330,6 +374,35 @@ mod tests {
         assert_eq!((inner.start_us, inner.end_us), (10.0, 15.0));
         assert_eq!(inner.attrs, vec![("i".to_string(), AttrValue::U64(7))]);
         assert_eq!(outer.timeline, Timeline::Host);
+    }
+
+    #[test]
+    fn adopted_parent_nests_spans_on_another_thread() {
+        let obs = Obs::with_clock(Box::new(ManualClock::new()));
+        {
+            let _outer = obs.span("t", "outer");
+            let parent = obs.current_span();
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    let _adopted = obs.adopt(parent);
+                    let _inner = obs.span("t", "inner");
+                });
+                s.spawn(|| {
+                    let _orphan = obs.span("t", "orphan");
+                });
+            });
+            // Adopting on the caller's own thread leaves its stack as
+            // it was once the guard drops.
+            drop(obs.adopt(parent));
+            assert_eq!(obs.current_span(), parent);
+        }
+        assert_eq!(obs.current_span(), None);
+        let snap = obs.snapshot();
+        let find = |name: &str| snap.spans.iter().find(|s| s.name == name).unwrap();
+        assert_eq!(find("outer").parent, None);
+        assert_eq!(find("inner").parent, Some(find("outer").id));
+        assert_eq!(find("orphan").parent, None);
+        assert_eq!(Obs::disabled().current_span(), None);
     }
 
     #[test]

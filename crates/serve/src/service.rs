@@ -751,15 +751,10 @@ impl ServiceInner {
         );
         // The learner accounts its model-refit wall separately, so the
         // training wall splits into benchmark collection vs. refits.
-        let refit_us = tuning
-            .reports
-            .iter()
-            .map(|(_, o)| o.model_update_wall_us)
-            .sum();
-        clock.end(
-            Phase::Collect { refit_us },
-            vec![("refit_us".into(), refit_us.into())],
-        );
+        let (refit_us, train_us) = tuning.reports.iter().fold((0.0, 0.0), |(r, t), (_, o)| {
+            (r + o.model_update_wall_us, t + o.host_train_us)
+        });
+        clock.end(Phase::Collect { refit_us, train_us }, Vec::new());
 
         // Write back whatever completed — even on a cancelled job the
         // finished collectives' fresh measurements are kept; each put
@@ -1295,6 +1290,35 @@ mod tests {
         assert_eq!(gauge("serve.queue_depth"), Some(0.0));
         assert_eq!(gauge("serve.active_jobs"), Some(0.0));
         assert_eq!(gauge("serve.cache_size"), Some(1.0));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn collect_phase_partitions_into_refit_and_collection_for_concurrent_collectives() {
+        // A job's collectives train concurrently, so their refit walls
+        // can sum to more than the phase. Refit plus collection must
+        // still be the phase wall, and neither may be clamped to it.
+        let dir = temp_dir("collect-partition");
+        let obs = Obs::enabled();
+        let service = TuneService::open(&dir, ServeConfig::default(), obs.clone()).unwrap();
+        let done = service.submit(request(5, Collective::ALL.to_vec())).wait();
+        assert!(matches!(done, JobStatus::Done(_)), "{done:?}");
+        settle_flight(&service, 1);
+        let record = service.flight_recent(1).remove(0);
+        let p = record.phases;
+        assert!(p.refit_us > 0.0 && p.collect_us > 0.0, "{p:?}");
+        let track = format!("req {}", record.id);
+        let snap = obs.snapshot();
+        let span = snap
+            .spans
+            .iter()
+            .find(|s| s.track == track && s.name == "collect")
+            .expect("the collect span");
+        let wall = span.duration_us();
+        assert!(
+            (wall - (p.collect_us + p.refit_us)).abs() <= 1e-9 * span.end_us.max(1.0),
+            "collect span {wall} us, phases {p:?}"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -48,9 +48,13 @@ pub(super) enum Phase {
     QueueWait,
     /// The warm-start store probe.
     Probe,
-    /// Training; `refit_us` of it went to model updates, the rest to
-    /// benchmark collection. Its span carries `refit_us`.
-    Collect { refit_us: f64 },
+    /// Training: the collectives' model updates took `refit_us` of
+    /// their summed training walls `train_us`, the rest went to
+    /// benchmark collection. Collectives that train concurrently sum
+    /// to more than the phase, so both terms shrink by the same factor
+    /// until they fit: refit plus collection is always the phase wall.
+    /// Its span carries the phase's `refit_us`.
+    Collect { refit_us: f64, train_us: f64 },
     /// Store write-back of the trained entries.
     WriteBack,
 }
@@ -92,7 +96,7 @@ impl<'a> RequestClock<'a> {
     }
 
     /// End `phase` now; the next phase starts at the same instant.
-    pub(super) fn end(&mut self, phase: Phase, attrs: Vec<(String, AttrValue)>) {
+    pub(super) fn end(&mut self, phase: Phase, mut attrs: Vec<(String, AttrValue)>) {
         let now = Instant::now();
         let us = (now - self.mark).as_secs_f64() * 1e6;
         self.mark = now;
@@ -100,11 +104,16 @@ impl<'a> RequestClock<'a> {
         let (name, field, histogram, value) = match phase {
             Phase::QueueWait => ("queue_wait", &mut p.queue_wait_us, &m.queue_wait_us, us),
             Phase::Probe => ("probe", &mut p.probe_us, &m.probe_us, us),
-            Phase::Collect { refit_us } => {
+            Phase::Collect { refit_us, train_us } => {
+                let refit_us = if train_us > us {
+                    refit_us * us / train_us
+                } else {
+                    refit_us
+                };
                 p.refit_us = refit_us;
                 m.refit_us.record(refit_us);
-                let collect_us = (us - refit_us).max(0.0);
-                ("collect", &mut p.collect_us, &m.collect_us, collect_us)
+                attrs.push(("refit_us".into(), refit_us.into()));
+                ("collect", &mut p.collect_us, &m.collect_us, us - refit_us)
             }
             Phase::WriteBack => ("write_back", &mut p.write_back_us, &m.write_back_us, us),
         };

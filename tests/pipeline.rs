@@ -69,6 +69,85 @@ fn acclaim_pipeline_tunes_all_four_collectives() {
     }
 }
 
+/// The MPICH JSON bytes of a tuning file.
+fn file_bytes(file: &TuningFile) -> String {
+    serde_json::to_string(&file.to_mpich_json()).unwrap()
+}
+
+#[test]
+fn a_job_trains_each_collective_as_it_would_alone_for_seeds_0_to_4() {
+    // The job trains its collectives concurrently on the worker pool
+    // (traced, so spans cross threads too); each must come out exactly
+    // as `train_warm` makes it on its own.
+    let db = small_db(16);
+    let space = small_space();
+    for seed in 0..5 {
+        let mut config = AcclaimConfig::new(space.clone());
+        config.learner = fast_learner(config.learner);
+        config.learner.seed = seed;
+        let job =
+            Acclaim::new(config.clone()).tune_with_obs(&db, &Collective::ALL, &Obs::enabled());
+        let learner = ActiveLearner::new(config.learner);
+        let alone: Vec<TrainingOutcome> = Collective::ALL
+            .iter()
+            .map(|&c| learner.train_warm(&db, c, &space, None, &Obs::disabled(), None))
+            .collect();
+        let file = TuningFile {
+            collectives: alone
+                .iter()
+                .map(|o| generate_rules(&o.model, &space))
+                .collect(),
+        };
+        assert_eq!(
+            file_bytes(&job.tuning_file),
+            file_bytes(&file),
+            "seed {seed}"
+        );
+        assert_eq!(job.reports.len(), Collective::ALL.len());
+        for ((c, o), (&want, a)) in job.reports.iter().zip(Collective::ALL.iter().zip(&alone)) {
+            assert_eq!(*c, want, "seed {seed}: report order");
+            let json = |m: &PerfModel| serde_json::to_string(m).unwrap();
+            assert_eq!(json(&o.model), json(&a.model), "seed {seed} {c:?}: model");
+            assert_eq!(o.collected, a.collected, "seed {seed} {c:?}: rows");
+            assert_eq!(o.log.len(), a.log.len(), "seed {seed} {c:?}: iterations");
+        }
+    }
+}
+
+#[test]
+fn a_cancelled_job_reports_exactly_the_prefix_that_started() {
+    // `keep_going` refuses on its third call only. The hook runs under
+    // the lock that hands out collectives, so it is never consulted
+    // again: the job holds exactly the first two collectives, in
+    // order. Checking after the claim instead would let a later
+    // collective start on another thread while the third is refused.
+    let db = small_db(8);
+    let space = FeatureSpace::new(vec![2, 4, 8], vec![1, 2], vec![64, 1_024, 16_384]);
+    let mut config = AcclaimConfig::new(space);
+    config.learner = fast_learner(config.learner).with_budget(10);
+    let acclaim = Acclaim::new(config);
+    let full = acclaim.tune(&db, &Collective::ALL);
+    for round in 0..50 {
+        let calls = std::sync::atomic::AtomicUsize::new(0);
+        let (partial, completed) = acclaim.tune_while(
+            &db,
+            &Collective::ALL,
+            &Obs::disabled(),
+            |_| None,
+            || calls.fetch_add(1, std::sync::atomic::Ordering::SeqCst) + 1 != 3,
+        );
+        assert!(!completed, "round {round}");
+        assert_eq!(calls.into_inner(), 3, "round {round}: hook calls");
+        let order: Vec<Collective> = partial.reports.iter().map(|(c, _)| *c).collect();
+        assert_eq!(order, Collective::ALL[..2], "round {round}");
+        assert_eq!(
+            partial.tuning_file.collectives,
+            full.tuning_file.collectives[..2],
+            "round {round}"
+        );
+    }
+}
+
 #[test]
 fn acclaim_uses_less_machine_time_than_test_set_methods() {
     let db = small_db(16);
